@@ -111,14 +111,24 @@ def _parse_param(spec: str):
     path, _, values = spec.partition("=")
     path = path.strip()
     values = values.strip()
-    if ":" in values:
-        pieces = values.split(":")
-        if len(pieces) != 3:
-            raise DomainError(f"bad --param range {values!r}: "
-                              "expected LO:HI:N")
-        lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        return path, tuple(np.linspace(lo, hi, n))
-    return path, tuple(float(v) for v in values.split(","))
+    try:
+        if ":" in values:
+            pieces = values.split(":")
+            if len(pieces) != 3:
+                raise DomainError(f"bad --param range {values!r}: "
+                                  "expected LO:HI:N")
+            lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            if n < 1:
+                raise DomainError(f"bad --param range {values!r}: "
+                                  "N must be at least 1")
+            points = tuple(np.linspace(lo, hi, n))
+        else:
+            points = tuple(float(v) for v in values.split(","))
+    except ValueError as exc:
+        raise DomainError(f"bad --param {spec!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in points):
+        raise DomainError(f"bad --param {spec!r}: values must be finite")
+    return path, points
 
 
 def main(argv=None) -> int:
@@ -233,6 +243,9 @@ def _dispatch(args) -> int:
         impulse = args.impulse
         if impulse is None:
             impulse = settings.impulse_factor * minimal_trigger_impulse(design)
+        elif not 0.0 < impulse < math.inf:
+            raise DomainError(f"--impulse must be a positive finite number, "
+                              f"got {impulse!r}")
         event = closing_time(design, impulse)
         csv("closingtime.csv", ["triggered", "closing_time", "peak_velocity"],
             [(event.triggered, event.closing_time, event.peak_velocity)])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import NotBistableError, StepSizeError
 from .model import GripperDesign, gradient_1dof, second_derivative_1dof, \
@@ -286,8 +285,17 @@ def frequency_study_spearman(rows) -> float:
           for r in rows if r.bistable and math.isfinite(r.closing_time)]
     if len(ok) < 2:
         return math.nan
-    inv_f, t = zip(*ok)
-    return float(spearmanr(inv_f, t).statistic)
+    rx, ry = (_average_ranks(col) for col in zip(*ok))
+    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+        return math.nan
+    return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    _, where, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[where]
 
 
 def calibrate_inertia(design: GripperDesign, target_time: float,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NonConvergenceError, NotBistableError, SaddleOrderError
 from .model import (ChainConfiguration, GripperDesign, chain_energy,
@@ -155,10 +154,27 @@ def trigger_moment(design: GripperDesign, **window) -> float:
     i = int(np.argmax(g))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(lambda t: -float(gradient_1dof(t, design)),
-                          bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
-    return max(float(-res.fun), float(g[i]))
+    peak = _golden_section_max(lambda t: float(gradient_1dof(t, design)),
+                               a, b, tol=1e-12)
+    return max(peak, float(g[i]))
+
+
+def _golden_section_max(f, a, b, tol):
+    """Largest value of a unimodal ``f`` on ``[a, b]``, by golden-section
+    search down to a bracket of width ``tol`` (Kiefer 1953)."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return max(fc, fd)
 
 
 def _newton_1dof(design, theta, tau, tol=1e-12, max_iter=60, h=1e-7):

@@ -14,8 +14,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_CFG = REPO_ROOT / "configs" / "baseline.cfg"
 
 
-def run_cli(*args, cwd):
-    """Run ``python -m snapgrip.cli *args`` in ``cwd`` and capture its output.
+def child_env():
+    """Environment for a child Python that imports this checkout.
 
     The checkout's ``src`` goes first on the child's ``PYTHONPATH`` as an
     absolute path, so the child imports this checkout from any working
@@ -26,8 +26,14 @@ def run_cli(*args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def run_cli(*args, cwd):
+    """Run ``python -m snapgrip.cli *args`` in ``cwd`` and capture its output."""
     return subprocess.run([sys.executable, "-m", "snapgrip.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env())
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Configuration grammar, serialization, plots, and CLI contract tests."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +11,7 @@ from snapgrip.config import (build_design, default_config, parse_config,
 from snapgrip.errors import ConfigError, EmptyDataError
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import snap_through_energy
-from tests.conftest import BASELINE_CFG, run_cli
+from tests.conftest import BASELINE_CFG, child_env, run_cli
 
 
 class TestParseConfig:
@@ -214,6 +216,36 @@ class TestCli:
         assert "budget" in res.stderr
         assert "Traceback" not in res.stderr
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param", ["ring.stiffness=abc",
+                                       "ring.stiffness=0.1:0.2:x",
+                                       "ring.well_center=nan",
+                                       "ring.stiffness=0.1:0.2:0"])
+    def test_bad_or_empty_sweep_exits_2_without_table(self, tmp_path, param):
+        res = run_cli("sweep", "--param", param,
+                      "--config", str(BASELINE_CFG),
+                      "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("impulse", ["-1", "0"])
+    def test_non_positive_impulse_exits_2(self, tmp_path, impulse):
+        res = run_cli("closingtime", "--impulse", impulse,
+                      "--config", str(BASELINE_CFG),
+                      "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "closingtime.csv").exists()
+
+    def test_import_does_not_load_scipy(self, tmp_path):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import snapgrip.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert res.returncode == 0, res.stderr
 
     def test_version_flag(self, tmp_path):
         res = run_cli("--version", cwd=tmp_path)

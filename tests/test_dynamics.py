@@ -11,7 +11,7 @@ from snapgrip.model import set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (calibrate_inertia, closing_time,
                                closing_time_vs_frequency_study,
-                               frequency_study_spearman,
+                               FrequencyStudyRow, frequency_study_spearman,
                                gravity_trigger_check, minimal_trigger_impulse,
                                natural_frequency, simulate_1dof)
 
@@ -192,7 +192,31 @@ class TestFrequencyStudy:
         rows = closing_time_vs_frequency_study(baseline, scales,
                                                impulse_factor=5.0)
         assert all(r.bistable for r in rows)
-        assert frequency_study_spearman(rows) > 0.95
+        rho = frequency_study_spearman(rows)
+        assert rho > 0.95
+        assert rho == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _rows(inverse_frequencies, times, bistable=True):
+        return [FrequencyStudyRow(1.0, 1.0, bistable, 1.0 / x, t)
+                for x, t in zip(inverse_frequencies, times)]
+
+    def test_spearman_ties_share_their_mean_rank(self):
+        # Ranks [1, 2.5, 2.5, 4] against [1, 3, 2, 4]: rho = 3 / sqrt(10).
+        rows = self._rows([1.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0])
+        assert frequency_study_spearman(rows) == pytest.approx(
+            3.0 / math.sqrt(10.0), rel=1e-12)
+
+    def test_spearman_needs_two_finite_rows(self):
+        assert math.isnan(frequency_study_spearman([]))
+        one = self._rows([1.0, 2.0], [0.02, math.inf])
+        assert math.isnan(frequency_study_spearman(one))
+        mono = self._rows([1.0, 2.0], [0.02, 0.03], bistable=False)
+        assert math.isnan(frequency_study_spearman(mono))
+
+    def test_spearman_of_constant_column_is_nan(self):
+        rows = self._rows([2.0, 2.0, 2.0], [0.02, 0.03, 0.01])
+        assert math.isnan(frequency_study_spearman(rows))
 
     def test_single_point_study(self, baseline):
         rows = closing_time_vs_frequency_study(baseline, [1.0],

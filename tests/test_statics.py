@@ -21,6 +21,39 @@ BASELINE_SADDLE_THETA = 0.30628360117897013
 BASELINE_CLOSED_THETA = 1.600000000000079
 BASELINE_BARRIER = 0.018855386813254223
 
+# Trigger moments frozen from scipy's bounded Brent search, before the
+# golden-section search replaced it: the baseline, the baseline under
+# gravity 9.81, and the first 25 bistable designs drawn as in acceptance 03.
+BASELINE_TRIGGER_MOMENT = 0.02488724655707841
+GRAVITY_TRIGGER_MOMENT = 0.023861055909908314
+RANDOM_TRIGGER_MOMENTS = (
+    0.008127934711380892,
+    0.07312603723107128,
+    0.059459185010302056,
+    0.03722030682674211,
+    0.05252666830002204,
+    0.028623409194666605,
+    0.05322602518742213,
+    0.04148837266732759,
+    0.013598633469359528,
+    0.010592917023555182,
+    0.05966069710608301,
+    0.022568513684376026,
+    0.05909073915844124,
+    0.05580494112245336,
+    0.06645418119625968,
+    0.048938443118685074,
+    0.04866956297513021,
+    0.018927757868695147,
+    0.006886673509328343,
+    0.02046594530593701,
+    0.02168278137333589,
+    0.03677652237982066,
+    0.06870569452393036,
+    0.02401361356069224,
+    0.07292850507533086,
+)
+
 
 def grid_oracle(design, n=1_000_001, window=(-math.pi, math.pi)):
     """Independent oracle: locate interior extrema by dense grid scan."""
@@ -121,6 +154,31 @@ class TestTriggerMoment:
         d = set_design_value(baseline, "ring.stiffness", 0.0)
         with pytest.raises(NotBistableError):
             trigger_moment(d)
+
+    def test_frozen_baseline_values(self, baseline):
+        assert trigger_moment(baseline) == pytest.approx(
+            BASELINE_TRIGGER_MOMENT, rel=1e-12)
+        heavy = set_design_value(baseline, "gripper.gravity", 9.81)
+        assert trigger_moment(heavy) == pytest.approx(
+            GRAVITY_TRIGGER_MOMENT, rel=1e-12)
+
+    def test_frozen_random_bistable_designs(self, baseline):
+        # Same seed and draws as acceptance 03.
+        rng = np.random.default_rng(20260823)
+        taus = []
+        while len(taus) < len(RANDOM_TRIGGER_MOMENTS):
+            d = baseline
+            d = set_design_value(d, "ring.stiffness",
+                                 float(rng.uniform(0.05, 0.3)))
+            d = set_design_value(d, "ring.well_center",
+                                 float(rng.uniform(0.1, 0.6)))
+            d = set_design_value(d, "ring.well_halfwidth",
+                                 float(rng.uniform(0.9, 1.5)))
+            d = set_design_value(d, "finger.natural_curvature",
+                                 float(rng.uniform(15.0, 25.0)))
+            if find_equilibria_1dof(d).bistable:
+                taus.append(trigger_moment(d))
+        assert taus == pytest.approx(list(RANDOM_TRIGGER_MOMENTS), rel=1e-12)
 
 
 class TestContinuation:
