@@ -18,16 +18,15 @@ from . import __version__
 from .config import (build_design, build_solver_settings, load_config,
                      serialize_config)
 from .dynamics import (closing_time, gravity_trigger_check,
-                       minimal_trigger_impulse, natural_frequency,
-                       simulate_1dof)
+                       minimal_trigger_impulse, simulate_1dof)
 from .errors import DomainError
-from .explore import (SweepSpec, design_metrics, grip_force_estimate,
-                      reproduce_fea_cases, run_sweep, tune_ring_width)
-from .model import sample_landscape, total_energy_1dof
+from .explore import (SweepSpec, grip_force_estimate, reproduce_fea_cases,
+                      run_sweep, tune_ring_width)
+from .model import sample_landscape, set_design_value
 from .report import (fmt, svg_grouped_bars, svg_line_plot, write_csv,
                      write_key_value, write_manifest)
 from .statics import (continuation_ramped_load, find_equilibria_1dof,
-                      snap_through_energy, trigger_moment)
+                      require_bistable, snap_through_energy, trigger_moment)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -198,9 +197,7 @@ def _dispatch(args) -> int:
                   f"energy = {e.energy:.12g} J")
 
     elif args.command == "snapthrough":
-        report = find_equilibria_1dof(design, **window)
-        if not report.bistable:
-            raise DomainError("design is not bistable")
+        report = require_bistable(design, **window)
         csv("snapthrough.csv",
             ["open_theta", "saddle_theta", "closed_theta", "open_energy",
              "saddle_energy", "closed_energy", "snap_through_energy"],
@@ -241,12 +238,14 @@ def _dispatch(args) -> int:
 
     elif args.command == "closingtime":
         impulse = args.impulse
-        if impulse is None:
-            impulse = settings.impulse_factor * minimal_trigger_impulse(design)
-        elif not 0.0 < impulse < math.inf:
+        if impulse is not None and not 0.0 < impulse < math.inf:
             raise DomainError(f"--impulse must be a positive finite number, "
                               f"got {impulse!r}")
-        event = closing_time(design, impulse)
+        report = find_equilibria_1dof(design)
+        if impulse is None:
+            impulse = (settings.impulse_factor
+                       * minimal_trigger_impulse(design, report))
+        event = closing_time(design, impulse, report=report)
         csv("closingtime.csv", ["triggered", "closing_time", "peak_velocity"],
             [(event.triggered, event.closing_time, event.peak_velocity)])
         print(fmt(event.closing_time) if event.triggered else "not triggered")
@@ -280,45 +279,35 @@ def _dispatch(args) -> int:
     elif args.command == "feacases":
         rep = reproduce_fea_cases(design, settings.object_halfwidth,
                                   settings.impulse_factor)
-        pairs = []
-        for metric, value in sorted(rep.baseline.items()):
-            pairs.append((f"baseline.{metric}", value))
-        for case in sorted(rep.cases):
-            for metric, value in sorted(rep.cases[case].items()):
-                pairs.append((f"{case}.{metric}", value))
-        for a in rep.assertions:
-            state = "skip" if a.skipped else ("pass" if a.passed else "fail")
-            pairs.append((f"assert.{a.name}", state))
+        by_case = {"baseline": rep.baseline, **rep.cases}
+        states = ["skip" if a.skipped else "pass" if a.passed else "fail"
+                  for a in rep.assertions]
+        pairs = [(f"{case}.{metric}", value)
+                 for case in ["baseline", *sorted(rep.cases)]
+                 for metric, value in sorted(by_case[case].items())]
+        pairs += [(f"assert.{a.name}", state)
+                  for a, state in zip(rep.assertions, states)]
         path = out / "feacases.txt"
         write_key_value(path, pairs)
         outputs.append(path.name)
-        names = ["baseline"] + [c for c in rep.cases]
-        metrics = {m: [rep.baseline.get(m, math.nan)]
-                   + [rep.cases[c].get(m, math.nan) for c in rep.cases]
-                   for m in ("open_energy", "saddle_energy", "snap_through")}
-        csv("feacases.csv", ["case", "bistable", "open_energy",
-                             "saddle_energy", "snap_through",
-                             "trigger_moment", "grip_force", "closing_time"],
-            [(name,
-              (rep.baseline if name == "baseline"
-               else rep.cases[name]).get("bistable", False),
-              *((rep.baseline if name == "baseline"
-                 else rep.cases[name]).get(k, math.nan)
-                for k in ("open_energy", "saddle_energy", "snap_through",
-                          "trigger_moment", "grip_force", "closing_time")))
-             for name in names])
+        columns = ("open_energy", "saddle_energy", "snap_through",
+                   "trigger_moment", "grip_force", "closing_time")
+        csv("feacases.csv", ["case", "bistable", *columns],
+            [(case, m.get("bistable", False),
+              *(m.get(k, math.nan) for k in columns))
+             for case, m in by_case.items()])
         if args.plot:
-            text("feacases.svg", svg_grouped_bars(names, metrics,
-                                                  "energy (J)"))
-        for a in rep.assertions:
-            state = "SKIP" if a.skipped else ("PASS" if a.passed else "FAIL")
-            print(f"{state} {a.name}: {a.detail}")
+            text("feacases.svg", svg_grouped_bars(
+                list(by_case), {k: [m.get(k, math.nan)
+                                    for m in by_case.values()]
+                                for k in columns[:3]}, "energy (J)"))
+        for a, state in zip(rep.assertions, states):
+            print(f"{state.upper()} {a.name}: {a.detail}")
         if not rep.all_passed:
             raise DomainError("one or more trend assertions failed")
 
     elif args.command == "tunering":
         width = tune_ring_width(design, args.target_barrier)
-        from .model import set_design_value
         achieved = snap_through_energy(
             set_design_value(design, "ring.width_scale", width))
         csv("tunering.csv", ["width_scale", "achieved_barrier"],
@@ -334,11 +323,9 @@ def _dispatch(args) -> int:
             [(halfwidth, force)])
         print(fmt(force))
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_text = fh.read()
     command = "snapgrip " + args.command
-    write_manifest(out / "run_manifest.txt", config_text, __version__,
-                   command, outputs)
+    write_manifest(out / "run_manifest.txt", serialize_config(doc),
+                   __version__, command, outputs)
     return 0
 
 

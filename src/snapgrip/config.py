@@ -1,82 +1,19 @@
 """Flat dotted-key configuration files.
 
 Grammar: one ``key = value`` pair per line, '#' starts a comment, blank
-lines ignored.  Unknown keys are rejected; missing keys fall back to the
-documented baseline defaults.  All values are SI.
+lines ignored.  Unknown keys are rejected, and so are non-finite numbers;
+missing keys fall back to the defaults in ``KEY_SPECS``.  Those defaults
+are not the calibrated design of ``configs/baseline.cfg``.  All values
+are SI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidDesignError
-from .model import (CrossSection, FingerDesign, GripperDesign, LinearElastic,
-                    RingDesign, Yeoh)
-
-
-def _positive(v):
-    return v > 0
-
-
-def _non_negative(v):
-    return v >= 0
-
-
-def _unit_interval(v):
-    return 0.0 < v <= 1.0
-
-
-@dataclass(frozen=True)
-class _KeySpec:
-    default: object
-    kind: type = float
-    check: Optional[Callable] = None
-    rule: str = ""
-
-
-KEY_SPECS = {
-    "finger.length": _KeySpec(0.08, float, _positive, "must be > 0"),
-    "finger.natural_curvature": _KeySpec(20.0),
-    "finger.width": _KeySpec(0.015, float, _positive, "must be > 0"),
-    "finger.thickness": _KeySpec(0.006, float, _positive, "must be > 0"),
-    "finger.n_segments": _KeySpec(1, int, lambda v: v >= 1, "must be >= 1"),
-    "finger.linear_density": _KeySpec(0.1, float, _non_negative,
-                                      "must be >= 0"),
-    "material.model": _KeySpec("linear", str,
-                               lambda v: v in ("linear", "yeoh"),
-                               "must be 'linear' or 'yeoh'"),
-    "material.youngs_modulus": _KeySpec(6.0e5, float, _positive,
-                                        "must be > 0"),
-    "material.c10": _KeySpec(1.0e5, float, _positive, "must be > 0"),
-    "material.c20": _KeySpec(0.0),
-    "material.c30": _KeySpec(0.0),
-    "ring.attach_fraction": _KeySpec(0.5, float, _unit_interval,
-                                     "must be in (0, 1]"),
-    "ring.well_center": _KeySpec(0.35),
-    "ring.well_halfwidth": _KeySpec(1.25, float, _positive, "must be > 0"),
-    "ring.stiffness": _KeySpec(0.02, float, _non_negative,
-                               "invariant k_r >= 0"),
-    "ring.width_scale": _KeySpec(1.0, float, _unit_interval,
-                                 "must be in (0, 1]"),
-    "gripper.inertia": _KeySpec(2.0e-5, float, _positive, "must be > 0"),
-    "gripper.damping": _KeySpec(1.0e-4, float, _non_negative, "must be >= 0"),
-    "gripper.payload_mass": _KeySpec(0.0, float, _non_negative,
-                                     "must be >= 0"),
-    "gripper.gravity": _KeySpec(0.0),
-    "solver.theta_min": _KeySpec(-math.pi),
-    "solver.theta_max": _KeySpec(math.pi),
-    "solver.grid_n": _KeySpec(4096, int, lambda v: v >= 100,
-                              "must be >= 100"),
-    "solver.dt": _KeySpec(2e-5, float, _positive, "must be > 0"),
-    "solver.t_end": _KeySpec(0.1, float, _positive, "must be > 0"),
-    "solver.sweep_budget": _KeySpec(1_000_000, int, _positive,
-                                    "must be > 0"),
-    "solver.object_halfwidth": _KeySpec(0.076, float, _positive,
-                                        "must be > 0"),
-    "solver.impulse_factor": _KeySpec(1.5, float, _positive, "must be > 0"),
-}
+from .errors import ConfigError
+from .model import KEY_SPECS, GripperDesign, design_from_values
 
 
 @dataclass(frozen=True)
@@ -90,9 +27,6 @@ class ConfigDocument:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def __eq__(self, other):
-        return isinstance(other, ConfigDocument) and self.values == other.values
 
 
 @dataclass(frozen=True)
@@ -140,6 +74,10 @@ def parse_config(text: str) -> ConfigDocument:
                 problems.append(f"line {lineno}: non-numeric value {value!r} "
                                 f"for {key}")
                 continue
+            if not math.isfinite(parsed):
+                problems.append(f"line {lineno}: {key} = {value!r} "
+                                "must be finite")
+                continue
             if spec.kind is int:
                 if parsed != int(parsed):
                     problems.append(f"line {lineno}: {key} must be an "
@@ -174,41 +112,13 @@ def serialize_config(doc: ConfigDocument) -> str:
 
 
 def build_design(doc: ConfigDocument) -> GripperDesign:
-    v = doc.values
-    if v["material.model"] == "linear":
-        material = LinearElastic(v["material.youngs_modulus"])
-    else:
-        material = Yeoh(v["material.c10"], v["material.c20"],
-                        v["material.c30"])
-    finger = FingerDesign(
-        length=v["finger.length"],
-        natural_curvature=v["finger.natural_curvature"],
-        cross_section=CrossSection(v["finger.width"], v["finger.thickness"]),
-        material=material,
-        n_segments=v["finger.n_segments"],
-        linear_density=v["finger.linear_density"])
-    ring = RingDesign(
-        attach_fraction=v["ring.attach_fraction"],
-        well_center=v["ring.well_center"],
-        well_halfwidth=v["ring.well_halfwidth"],
-        stiffness=v["ring.stiffness"],
-        width_scale=v["ring.width_scale"])
-    return GripperDesign(
-        finger=finger, ring=ring,
-        inertia=v["gripper.inertia"],
-        damping=v["gripper.damping"],
-        payload_mass=v["gripper.payload_mass"],
-        gravity=v["gripper.gravity"])
+    return design_from_values(doc.values)
 
 
 def build_solver_settings(doc: ConfigDocument) -> SolverSettings:
-    v = doc.values
-    return SolverSettings(
-        theta_min=v["solver.theta_min"], theta_max=v["solver.theta_max"],
-        grid_n=v["solver.grid_n"], dt=v["solver.dt"], t_end=v["solver.t_end"],
-        sweep_budget=v["solver.sweep_budget"],
-        object_halfwidth=v["solver.object_halfwidth"],
-        impulse_factor=v["solver.impulse_factor"])
+    return SolverSettings(**{spec.field: doc[key]
+                             for key, spec in KEY_SPECS.items()
+                             if key.startswith("solver.")})
 
 
 def default_config() -> ConfigDocument:

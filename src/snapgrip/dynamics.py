@@ -14,10 +14,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotBistableError, StepSizeError
-from .model import GripperDesign, gradient_1dof, second_derivative_1dof, \
-    total_energy_1dof
-from .statics import Equilibrium, EquilibriumReport, find_equilibria_1dof
+from .errors import InvalidArgumentError, NotBistableError, StepSizeError
+from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, gradient_1dof,
+                    second_derivative_1dof, set_design_value,
+                    total_energy_1dof)
+from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
+                      find_equilibria_1dof, require_bistable)
 
 # Closure criterion: within this angle of the closed state, sustained this long.
 CLOSURE_BAND = 0.05       # rad
@@ -64,8 +66,8 @@ def natural_frequency(design: GripperDesign, at) -> float:
     return math.sqrt(curv / design.inertia)
 
 
-def _check_step(design: GripperDesign, theta_init: float, dt: float) -> None:
-    report = find_equilibria_1dof(design)
+def _check_step(design: GripperDesign, theta_init: float, dt: float,
+                report: EquilibriumReport) -> None:
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
         return
@@ -111,8 +113,8 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
     nearest stable equilibrium before integration starts.
     """
     if not (dt > 0 and t_end > dt):
-        raise ValueError("need dt > 0 and t_end > dt")
-    _check_step(design, theta_init, dt)
+        raise InvalidArgumentError("need dt > 0 and t_end > dt")
+    _check_step(design, theta_init, dt, find_equilibria_1dof(design))
     rhs = _make_rhs(design, external_moment)
 
     n = int(round(t_end / dt))
@@ -139,7 +141,8 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
 
 def closing_time(design: GripperDesign, perturbation_impulse: float,
                  dt: Optional[float] = None, t_max: float = 1.0,
-                 theta_init: Optional[float] = None) -> ClosingEvent:
+                 theta_init: Optional[float] = None,
+                 report: Optional[EquilibriumReport] = None) -> ClosingEvent:
     """Kick the open state with an angular impulse and time the closure.
 
     Closure means staying within CLOSURE_BAND of the closed state for
@@ -149,12 +152,13 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     equilibrium, which requires a bistable design; pass ``theta_init`` to
     start elsewhere (for example at the pre-trim open angle of a design
     whose open state has been trimmed away), in which case only a closed
-    stable state is required.
+    stable state is required.  ``report`` is the design's equilibrium
+    report, if already solved.
     """
-    report = find_equilibria_1dof(design)
+    if report is None:
+        report = find_equilibria_1dof(design)
     if theta_init is None:
-        if not report.bistable:
-            raise NotBistableError("design is not bistable")
+        require_bistable(design, report)
         theta_open = report.open_state.theta
         theta_closed = report.closed_state.theta
         theta_saddle = report.saddle.theta
@@ -178,7 +182,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     omega_closed = natural_frequency(design, theta_closed)
     if dt is None:
         dt = min(2e-5, 0.02 / omega_closed)
-    _check_step(design, theta_open, dt)
+    _check_step(design, theta_open, dt, report)
     rhs = _make_rhs(design, None)
 
     theta = theta_open
@@ -210,11 +214,11 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
                         peak_velocity=peak)
 
 
-def minimal_trigger_impulse(design: GripperDesign) -> float:
+def minimal_trigger_impulse(design: GripperDesign,
+                            report: Optional[EquilibriumReport] = None
+                            ) -> float:
     """Impulse that just supplies the barrier energy from the open state."""
-    report = find_equilibria_1dof(design)
-    if not report.bistable:
-        raise NotBistableError("design is not bistable")
+    report = require_bistable(design, report)
     return math.sqrt(2.0 * design.inertia * report.snap_through_energy)
 
 
@@ -249,17 +253,15 @@ class FrequencyStudyRow:
     closing_time: float
 
 
-def closing_time_vs_frequency_study(design: GripperDesign,
-                                    scales: Sequence[float],
-                                    impulse_factor: float = 1.5) -> list:
+def closing_time_vs_frequency_study(
+        design: GripperDesign, scales: Sequence[float],
+        impulse_factor: float = DEFAULT_IMPULSE_FACTOR) -> list:
     """Sweep the ring stiffness and record closed-state frequency vs closure.
 
     Each design is kicked with ``impulse_factor`` times its own minimal
     trigger impulse.  Non-bistable points are kept in the table but
     flagged, with NaN metrics.
     """
-    from .model import set_design_value
-
     rows = []
     for s in scales:
         d = set_design_value(design, "ring.stiffness",
@@ -270,9 +272,8 @@ def closing_time_vs_frequency_study(design: GripperDesign,
                                           math.nan, math.nan))
             continue
         omega = natural_frequency(d, report.closed_state)
-        impulse = impulse_factor * math.sqrt(
-            2.0 * d.inertia * report.snap_through_energy)
-        event = closing_time(d, impulse)
+        impulse = impulse_factor * minimal_trigger_impulse(d, report)
+        event = closing_time(d, impulse, report=report)
         rows.append(FrequencyStudyRow(
             float(s), d.ring.stiffness, True, omega,
             event.closing_time if event.triggered else math.nan))
@@ -310,29 +311,21 @@ def calibrate_inertia(design: GripperDesign, target_time: float,
     The procedure is the documented calibration step: the reference
     experiments report outcomes, not inertia or damping.
     """
-    report = find_equilibria_1dof(design)
-    if not report.bistable:
-        raise NotBistableError("design is not bistable")
+    report = require_bistable(design)
     curv = report.closed_state.curvature
-    barrier = report.snap_through_energy
 
-    def timed(j):
+    def miss(log_j):
+        # Inertia and damping leave the equilibria unchanged.
+        j = math.exp(log_j)
         c = 2.0 * damping_ratio * math.sqrt(curv * j)
         d = replace(design, inertia=j, damping=c)
-        impulse = impulse_factor * math.sqrt(2.0 * j * barrier)
-        event = closing_time(d, impulse)
-        return event.closing_time if event.triggered else math.inf
+        impulse = impulse_factor * minimal_trigger_impulse(d, report)
+        event = closing_time(d, impulse, report=report)
+        t = event.closing_time if event.triggered else math.inf
+        return t - target_time
 
-    lo, hi = 1e-8, 1e-2
-    j = math.sqrt(lo * hi)
-    for _ in range(max_iter):
-        j = math.sqrt(lo * hi)
-        t = timed(j)
-        if abs(t - target_time) < 1e-4:
-            break
-        if t > target_time:
-            hi = j     # lighter closes faster
-        else:
-            lo = j
+    # A lighter finger closes faster, so the miss is negative at the low end.
+    j = math.exp(_bracketed_root(miss, math.log(1e-8), math.log(1e-2), -1.0,
+                                 ftol=1e-4, max_iter=max_iter))
     c = 2.0 * damping_ratio * math.sqrt(curv * j)
     return j, c

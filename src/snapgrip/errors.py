@@ -17,6 +17,10 @@ class InvalidDesignError(DomainError, ValueError):
     """A design violates one of its documented invariants."""
 
 
+class InvalidArgumentError(DomainError, ValueError):
+    """A solver or study argument lies outside its documented range."""
+
+
 class CurvatureOutOfRangeError(DomainError, ValueError):
     """Bending curvature puts a fiber beyond the constitutive validity range."""
 

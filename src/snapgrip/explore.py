@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import (BudgetExceededError, NotBistableError,
-                     ObjectTooLargeError, TargetUnreachableError)
+from .errors import (BudgetExceededError, InvalidArgumentError,
+                     NotBistableError, ObjectTooLargeError,
+                     TargetUnreachableError)
 from .dynamics import closing_time, minimal_trigger_impulse, natural_frequency
-from .model import GripperDesign, gradient_1dof, set_design_value, tip_chord
-from .statics import find_equilibria_1dof, trigger_moment
+from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
+                    GripperDesign, gradient_1dof, set_design_value, tip_chord)
+from .statics import (EquilibriumReport, _bracketed_root,
+                      find_equilibria_1dof, require_bistable, trigger_moment)
 
 # The ring wraps the splayed fingers, so its radius (and with it the
 # opposing stiffness it can provide) grows linearly from base to tip.
@@ -50,26 +53,20 @@ class SweepSpec:
     budget: int = 1_000_000
     include_closing_time: bool = True
     include_grip_force: bool = True
-    object_halfwidth: float = 0.076
-    impulse_factor: float = 1.5
+    object_halfwidth: float = DEFAULT_OBJECT_HALFWIDTH
+    impulse_factor: float = DEFAULT_IMPULSE_FACTOR
 
     def __post_init__(self):
         if not self.parameters:
             raise ValueError("a sweep needs at least one parameter")
-        total = 1
-        for _, values in self.parameters:
-            total *= len(values)
-        if total > self.budget:
+        if self.n_points > self.budget:
             raise BudgetExceededError(
-                f"sweep would evaluate {total} design points, "
+                f"sweep would evaluate {self.n_points} design points, "
                 f"budget is {self.budget}")
 
     @property
     def n_points(self) -> int:
-        total = 1
-        for _, values in self.parameters:
-            total *= len(values)
-        return total
+        return math.prod(len(values) for _, values in self.parameters)
 
 
 @dataclass(frozen=True)
@@ -91,19 +88,24 @@ class SweepTable:
     rows: tuple
 
 
-def design_metrics(design: GripperDesign, object_halfwidth: float = 0.076,
-                   impulse_factor: float = 1.5,
+def design_metrics(design: GripperDesign,
+                   object_halfwidth: float = DEFAULT_OBJECT_HALFWIDTH,
+                   impulse_factor: float = DEFAULT_IMPULSE_FACTOR,
                    include_closing_time: bool = True,
                    include_grip_force: bool = True,
-                   impulse: Optional[float] = None) -> dict:
+                   impulse: Optional[float] = None,
+                   report: Optional[EquilibriumReport] = None) -> dict:
     """Scalar design metrics; energies are relative to the closed state.
 
     ``impulse`` fixes the trigger impulse in absolute terms; when omitted
     the design is kicked with ``impulse_factor`` times its own minimal
     trigger impulse.  Cross-design closing-time comparisons should pass a
     shared absolute impulse so the trigger, not the design, is held fixed.
+    The design is solved once (or not at all if ``report`` is given), and
+    that report is passed to every metric.
     """
-    report = find_equilibria_1dof(design)
+    if report is None:
+        report = find_equilibria_1dof(design)
     if not report.bistable:
         return {"bistable": False}
     closed = report.closed_state.energy
@@ -113,19 +115,20 @@ def design_metrics(design: GripperDesign, object_halfwidth: float = 0.076,
         "saddle_energy": report.saddle.energy - closed,
         "closed_energy": 0.0,
         "snap_through": report.snap_through_energy,
-        "trigger_moment": trigger_moment(design),
+        "trigger_moment": trigger_moment(design, report),
         "natural_frequency_closed": natural_frequency(design,
                                                       report.closed_state),
     }
     if include_grip_force:
         try:
-            out["grip_force"] = grip_force_estimate(design, object_halfwidth)
+            out["grip_force"] = grip_force_estimate(design, object_halfwidth,
+                                                    report)
         except ObjectTooLargeError:
             out["grip_force"] = math.nan
     if include_closing_time:
         if impulse is None:
-            impulse = impulse_factor * minimal_trigger_impulse(design)
-        event = closing_time(design, impulse)
+            impulse = impulse_factor * minimal_trigger_impulse(design, report)
+        event = closing_time(design, impulse, report=report)
         out["closing_time"] = (event.closing_time if event.triggered
                                else math.nan)
     return out
@@ -143,18 +146,8 @@ def run_sweep(base: GripperDesign, spec: SweepSpec) -> SweepTable:
             d = set_design_value(d, path, value)
         m = design_metrics(d, spec.object_halfwidth, spec.impulse_factor,
                            spec.include_closing_time, spec.include_grip_force)
-        if not m["bistable"]:
-            rows.append(SweepRow(values=combo, bistable=False))
-        else:
-            rows.append(SweepRow(
-                values=combo, bistable=True,
-                open_energy=m["open_energy"],
-                saddle_energy=m["saddle_energy"],
-                closed_energy=m["closed_energy"],
-                snap_through=m["snap_through"],
-                trigger_moment=m["trigger_moment"],
-                grip_force=m.get("grip_force", math.nan),
-                closing_time=m.get("closing_time", math.nan)))
+        m.pop("natural_frequency_closed", None)
+        rows.append(SweepRow(values=combo, **m))
     return SweepTable(parameter_names=names, rows=tuple(rows))
 
 
@@ -201,8 +194,9 @@ def _case_designs(base: GripperDesign) -> dict:
 
 
 def reproduce_fea_cases(base: GripperDesign,
-                        object_halfwidth: float = 0.076,
-                        impulse_factor: float = 1.5) -> MorphologyCaseReport:
+                        object_halfwidth: float = DEFAULT_OBJECT_HALFWIDTH,
+                        impulse_factor: float = DEFAULT_IMPULSE_FACTOR
+                        ) -> MorphologyCaseReport:
     """Evaluate the four canonical morphology changes and their trends.
 
     Variants that come out monostable are reported as such and their trend
@@ -211,11 +205,12 @@ def reproduce_fea_cases(base: GripperDesign,
     baseline's minimal trigger impulse, so closing times compare the
     mechanisms rather than the kicks.
     """
-    if not find_equilibria_1dof(base).bistable:
+    report = find_equilibria_1dof(base)
+    if not report.bistable:
         raise NotBistableError("baseline design is not bistable")
-    shared_impulse = impulse_factor * minimal_trigger_impulse(base)
+    shared_impulse = impulse_factor * minimal_trigger_impulse(base, report)
     base_m = design_metrics(base, object_halfwidth,
-                            impulse=shared_impulse)
+                            impulse=shared_impulse, report=report)
     cases = {}
     for name, d in _case_designs(base).items():
         cases[name] = design_metrics(d, object_halfwidth,
@@ -348,7 +343,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float,
             raise TargetUnreachableError(
                 f"target barrier {target_barrier:.6g} J exceeds the current "
                 f"barrier {current:.6g} J; widening is out of scope")
-        raise ValueError("target_barrier must be positive")
+        raise InvalidArgumentError("target_barrier must be positive")
     if target_barrier == current:
         return design.ring.width_scale
 
@@ -369,21 +364,13 @@ def tune_ring_width(design: GripperDesign, target_barrier: float,
         raise TargetUnreachableError(
             "barrier is not monotone in width_scale on the bracket")
 
-    width = hi
-    for _ in range(max_iter):
-        width = 0.5 * (lo + hi)
-        barrier = _barrier_or_zero(design, width)
-        if abs(barrier - target_barrier) < tol:
-            return width
-        if barrier > target_barrier:
-            hi = width
-        else:
-            lo = width
-    return width
+    return _bracketed_root(
+        lambda w: _barrier_or_zero(design, w) - target_barrier, lo, hi,
+        samples[0] - target_barrier, ftol=tol, max_iter=max_iter)
 
 
-def grip_force_estimate(design: GripperDesign,
-                        object_halfwidth: float) -> float:
+def grip_force_estimate(design: GripperDesign, object_halfwidth: float,
+                        report: Optional[EquilibriumReport] = None) -> float:
     """Static pinch force on an object that blocks the closing sweep.
 
     The finger stays a constant-curvature arc; contact happens at the bend
@@ -391,11 +378,10 @@ def grip_force_estimate(design: GripperDesign,
     closing side of straight.  The blocked finger presses with the
     restoring moment there divided by the chord (the contact moment arm).
     Objects smaller than the free closed-state chord are never squeezed
-    and get zero force.
+    and get zero force.  ``report`` is the design's equilibrium report, if
+    already solved.
     """
-    report = find_equilibria_1dof(design)
-    if not report.bistable:
-        raise NotBistableError("design is not bistable")
+    report = require_bistable(design, report)
     length = design.finger.length
     open_span = float(tip_chord(report.open_state.theta, length))
     if object_halfwidth >= open_span:
@@ -405,16 +391,12 @@ def grip_force_estimate(design: GripperDesign,
     theta_closed = report.closed_state.theta
     if object_halfwidth <= float(tip_chord(theta_closed, length)):
         return 0.0
+
+    def gap(theta):
+        return float(tip_chord(theta, length)) - object_halfwidth
+
     # Chord decreases monotonically with bend angle on (0, closed].
-    lo, hi = 1e-9, theta_closed
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(tip_chord(mid, length)) > object_halfwidth:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    theta_obj = 0.5 * (lo + hi)
+    theta_obj = _bracketed_root(gap, 1e-9, theta_closed, gap(1e-9),
+                                xtol=1e-12)
     moment = -float(gradient_1dof(theta_obj, design))
     return max(moment, 0.0) / float(tip_chord(theta_obj, length))

@@ -14,9 +14,9 @@ open stable state sits in the negative-angle well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, fields
+from functools import lru_cache, reduce
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -659,45 +659,142 @@ def tip_chord(theta, length: float):
     return np.where(small, series, exact)[()]
 
 
+# ---------------------------------------------------------------------------
+# Parameter registry: configuration keys and the design fields they set
+# ---------------------------------------------------------------------------
+
+# Study defaults, shared by the configuration keys and the study functions.
+DEFAULT_OBJECT_HALFWIDTH = 0.076   # m
+DEFAULT_IMPULSE_FACTOR = 1.5       # times the minimal trigger impulse
+
+MATERIALS = {"linear": LinearElastic, "yeoh": Yeoh}
+
+# (check, rule) pairs of the keys.
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+
+
+@dataclass(frozen=True)
+class _KeySpec:
+    """One configuration key and the dotted attribute path it sets.
+
+    Paths are in a ``GripperDesign``, or in the solver settings for
+    ``solver.*`` keys; ``material.model`` has none, it picks the material.
+    """
+
+    field: Optional[str]
+    default: object
+    check: Optional[Callable] = None
+    rule: str = ""
+    kind: type = float
+
+
+KEY_SPECS = {
+    "finger.length": _KeySpec("finger.length", 0.08, *_POSITIVE),
+    "finger.natural_curvature": _KeySpec("finger.natural_curvature", 20.0),
+    "finger.width": _KeySpec("finger.cross_section.width", 0.015,
+                             *_POSITIVE),
+    "finger.thickness": _KeySpec("finger.cross_section.thickness", 0.006,
+                                 *_POSITIVE),
+    "finger.n_segments": _KeySpec("finger.n_segments", 1, lambda v: v >= 1,
+                                  "must be >= 1", int),
+    "finger.linear_density": _KeySpec("finger.linear_density", 0.1,
+                                      *_NON_NEGATIVE),
+    "material.model": _KeySpec(None, "linear", lambda v: v in MATERIALS,
+                               "must be 'linear' or 'yeoh'", str),
+    "material.youngs_modulus": _KeySpec("finger.material.youngs_modulus",
+                                        6.0e5, *_POSITIVE),
+    "material.c10": _KeySpec("finger.material.c10", 1.0e5, *_POSITIVE),
+    "material.c20": _KeySpec("finger.material.c20", 0.0),
+    "material.c30": _KeySpec("finger.material.c30", 0.0),
+    "ring.attach_fraction": _KeySpec("ring.attach_fraction", 0.5,
+                                     *_UNIT_INTERVAL),
+    "ring.well_center": _KeySpec("ring.well_center", 0.35),
+    "ring.well_halfwidth": _KeySpec("ring.well_halfwidth", 1.25, *_POSITIVE),
+    "ring.stiffness": _KeySpec("ring.stiffness", 0.02, _NON_NEGATIVE[0],
+                               "invariant k_r >= 0"),
+    "ring.width_scale": _KeySpec("ring.width_scale", 1.0, *_UNIT_INTERVAL),
+    "gripper.inertia": _KeySpec("inertia", 2.0e-5, *_POSITIVE),
+    "gripper.damping": _KeySpec("damping", 1.0e-4, *_NON_NEGATIVE),
+    "gripper.payload_mass": _KeySpec("payload_mass", 0.0, *_NON_NEGATIVE),
+    "gripper.gravity": _KeySpec("gravity", 0.0),
+    "solver.theta_min": _KeySpec("theta_min", -math.pi),
+    "solver.theta_max": _KeySpec("theta_max", math.pi),
+    "solver.grid_n": _KeySpec("grid_n", 4096, lambda v: v >= 100,
+                              "must be >= 100", int),
+    "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
+    "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
+    "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,
+                                    int),
+    "solver.object_halfwidth": _KeySpec("object_halfwidth",
+                                        DEFAULT_OBJECT_HALFWIDTH, *_POSITIVE),
+    "solver.impulse_factor": _KeySpec("impulse_factor", DEFAULT_IMPULSE_FACTOR,
+                                      *_POSITIVE),
+}
+
+_DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
+                if spec.field is not None and not key.startswith("solver.")}
+
+
+def design_from_values(values) -> GripperDesign:
+    """Build a design from values keyed as in ``KEY_SPECS``.
+
+    ``material.model`` picks the material class, which takes the values of
+    its own fields; keys of the other material are ignored.
+    """
+    kwargs = {owner: {} for owner in ("", "finger", "finger.cross_section",
+                                      "finger.material", "ring")}
+    for key, spec in _DESIGN_KEYS.items():
+        if key in values:
+            owner, _, name = spec.field.rpartition(".")
+            kwargs[owner][name] = values[key]
+    cls = MATERIALS[values["material.model"]]
+    material = cls(**{f.name: kwargs["finger.material"][f.name]
+                      for f in fields(cls)})
+    finger = FingerDesign(
+        cross_section=CrossSection(**kwargs["finger.cross_section"]),
+        material=material, **kwargs["finger"])
+    return GripperDesign(finger=finger, ring=RingDesign(**kwargs["ring"]),
+                         **kwargs[""])
+
+
+def _design_values(design: GripperDesign) -> dict:
+    """The inverse of ``design_from_values``, without the unused material."""
+    material = design.finger.material
+    values = {"material.model": next(name for name, cls in MATERIALS.items()
+                                     if isinstance(material, cls))}
+    for key, spec in _DESIGN_KEYS.items():
+        try:
+            values[key] = reduce(getattr, spec.field.split("."), design)
+        except AttributeError:    # a field of the other material
+            pass
+    return values
+
+
 def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     """Return a copy of ``design`` with one dotted-path field replaced.
 
     Paths follow the configuration-file key names, e.g. ``ring.stiffness``
-    or ``finger.natural_curvature``.
+    or ``finger.natural_curvature``.  A material key switches the finger to
+    the material class that has its field, which must then be fully known:
+    ``material.youngs_modulus`` makes any finger linear elastic, while a
+    Yeoh coefficient on a linear finger is refused.
     """
-    finger, ring = design.finger, design.ring
-    if path == "finger.length":
-        return replace(design, finger=replace(finger, length=float(value)))
-    if path == "finger.natural_curvature":
-        return replace(design, finger=replace(finger,
-                                              natural_curvature=float(value)))
-    if path == "finger.width":
-        cs = replace(finger.cross_section, width=float(value))
-        return replace(design, finger=replace(finger, cross_section=cs))
-    if path == "finger.thickness":
-        cs = replace(finger.cross_section, thickness=float(value))
-        return replace(design, finger=replace(finger, cross_section=cs))
-    if path == "finger.n_segments":
-        return replace(design, finger=replace(finger, n_segments=int(value)))
-    if path == "finger.linear_density":
-        return replace(design, finger=replace(finger,
-                                              linear_density=float(value)))
-    if path == "material.youngs_modulus":
-        return replace(design, finger=replace(
-            finger, material=LinearElastic(float(value))))
-    if path in ("material.c10", "material.c20", "material.c30"):
-        mat = finger.material
-        if not isinstance(mat, Yeoh):
-            raise InvalidDesignError(
-                f"{path} requires a Yeoh material, design uses "
-                f"{type(mat).__name__}")
-        return replace(design, finger=replace(
-            finger, material=replace(mat, **{path.split(".")[1]: float(value)})))
-    if path in ("ring.attach_fraction", "ring.well_center",
-                "ring.well_halfwidth", "ring.stiffness", "ring.width_scale"):
-        return replace(design, ring=replace(ring,
-                                            **{path.split(".")[1]: float(value)}))
-    if path in ("gripper.inertia", "gripper.damping", "gripper.payload_mass",
-                "gripper.gravity"):
-        return replace(design, **{path.split(".")[1]: float(value)})
-    raise InvalidDesignError(f"unknown design parameter path: {path}")
+    spec = _DESIGN_KEYS.get(path)
+    if spec is None:
+        raise InvalidDesignError(f"unknown design parameter path: {path}")
+    values = _design_values(design)
+    values[path] = spec.kind(value)
+    owner, _, name = spec.field.rpartition(".")
+    if owner == "finger.material":
+        material = design.finger.material
+        model, cls = next((m, c) for m, c in MATERIALS.items()
+                          if name in (f.name for f in fields(c)))
+        if not all(hasattr(material, f.name) or f.name == name
+                   for f in fields(cls)):
+            raise InvalidDesignError(f"{path} requires a {cls.__name__} "
+                                     f"material, design uses "
+                                     f"{type(material).__name__}")
+        values["material.model"] = model
+    return design_from_values(values)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, NotBistableError, SaddleOrderError
+from .errors import (InvalidArgumentError, NonConvergenceError,
+                     NotBistableError, SaddleOrderError)
 from .model import (ChainConfiguration, GripperDesign, chain_energy,
                     chain_gradient, chain_hessian, gradient_1dof,
                     second_derivative_1dof, total_energy_1dof, uniform_chain)
@@ -65,18 +66,27 @@ class ContinuationPath:
     fold_points: tuple = ()
 
 
-def _bisect_gradient_root(design, lo, hi, g_lo):
-    """Refine one sign change of the gradient down to BISECTION_TOL."""
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = float(gradient_1dof(mid, design))
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo, g_lo = mid, g_mid
+def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
+    """Bisect a sign change of ``f`` on ``[lo, hi]``.
+
+    ``f_lo`` is ``f(lo)``, or any number of its sign.  Each step keeps the
+    half whose ends differ in sign.  Returns the first midpoint where ``f``
+    is zero or smaller than ``ftol`` in magnitude, else the midpoint of the
+    bracket once it is no wider than ``xtol`` or after ``max_iter`` steps.
+    """
+    mid = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        if hi - lo <= xtol:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0 or abs(f_mid) < ftol:
+            break
+        if (f_mid > 0) == (f_lo > 0):
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def find_equilibria_1dof(design: GripperDesign,
@@ -93,9 +103,9 @@ def find_equilibria_1dof(design: GripperDesign,
     a monostable report; bistability is never fabricated.
     """
     if not (theta_min < theta_max):
-        raise ValueError("theta_min must be < theta_max")
+        raise InvalidArgumentError("theta_min must be < theta_max")
     if grid_n < 100:
-        raise ValueError("grid_n must be >= 100")
+        raise InvalidArgumentError("grid_n must be >= 100")
 
     grid = np.linspace(theta_min, theta_max, grid_n)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
@@ -104,8 +114,9 @@ def find_equilibria_1dof(design: GripperDesign,
         if g[i] == 0.0:
             roots.append(grid[i])
         elif (g[i] > 0) != (g[i + 1] > 0):
-            roots.append(_bisect_gradient_root(design, grid[i], grid[i + 1],
-                                               g[i]))
+            roots.append(_bracketed_root(
+                lambda t: float(gradient_1dof(t, design)), grid[i],
+                grid[i + 1], g[i], xtol=BISECTION_TOL))
     if g[-1] == 0.0:
         roots.append(grid[-1])
 
@@ -131,23 +142,33 @@ def _assemble_report(equilibria) -> EquilibriumReport:
     return EquilibriumReport(equilibria=eq)
 
 
-def snap_through_energy(design: GripperDesign, **window) -> float:
-    """Energy barrier from the open state to the transition state."""
-    report = find_equilibria_1dof(design, **window)
+def require_bistable(design: GripperDesign,
+                     report: Optional[EquilibriumReport] = None,
+                     **window) -> EquilibriumReport:
+    """The design's equilibrium report, solved unless ``report`` is given;
+    raises NotBistableError for a monostable design."""
+    if report is None:
+        report = find_equilibria_1dof(design, **window)
     if not report.bistable:
         raise NotBistableError("design is not bistable")
-    return float(report.snap_through_energy)
+    return report
 
 
-def trigger_moment(design: GripperDesign, **window) -> float:
+def snap_through_energy(design: GripperDesign, **window) -> float:
+    """Energy barrier from the open state to the transition state."""
+    return float(require_bistable(design, **window).snap_through_energy)
+
+
+def trigger_moment(design: GripperDesign,
+                   report: Optional[EquilibriumReport] = None,
+                   **window) -> float:
     """Smallest quasi-static closing moment that guarantees snap-through.
 
     Equals the maximum of the energy gradient between the open state and
-    the saddle.
+    the saddle.  ``report`` is the design's equilibrium report, if already
+    solved.
     """
-    report = find_equilibria_1dof(design, **window)
-    if not report.bistable:
-        raise NotBistableError("design is not bistable")
+    report = require_bistable(design, report, **window)
     lo, hi = report.open_state.theta, report.saddle.theta
     grid = np.linspace(lo, hi, 2048)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
@@ -211,7 +232,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     fold is recorded and the path restarts on the post-snap branch.
     """
     if n_steps < 10:
-        raise ValueError("n_steps must be >= 10")
+        raise InvalidArgumentError("n_steps must be >= 10")
     report = find_equilibria_1dof(design, **window)
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
@@ -247,18 +268,9 @@ def _post_fold_root(design, tau, theta_from, theta_hi):
     g = np.asarray(gradient_1dof(grid, design), dtype=float) - tau
     for i in range(grid.size - 1, 0, -1):
         if (g[i - 1] > 0) != (g[i] > 0):
-            lo, hi = grid[i - 1], grid[i]
-            g_lo = g[i - 1]
-            while hi - lo > BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                gm = float(gradient_1dof(mid, design)) - tau
-                if gm == 0.0:
-                    return mid
-                if (gm > 0) == (g_lo > 0):
-                    lo, g_lo = mid, gm
-                else:
-                    hi = mid
-            sol = 0.5 * (lo + hi)
+            sol = _bracketed_root(
+                lambda t: float(gradient_1dof(t, design)) - tau,
+                grid[i - 1], grid[i], g[i - 1], xtol=BISECTION_TOL)
             if float(second_derivative_1dof(sol, design)) > 0:
                 return sol
     return None

@@ -5,10 +5,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
-from snapgrip.config import (build_design, default_config, parse_config,
-                             serialize_config)
-from snapgrip.errors import ConfigError, EmptyDataError
+from snapgrip.config import (ConfigDocument, build_design,
+                             build_solver_settings, default_config,
+                             parse_config, serialize_config)
+from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
+from snapgrip.model import (KEY_SPECS, CrossSection, FingerDesign,
+                            GripperDesign, LinearElastic, RingDesign, Yeoh,
+                            set_design_value)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import snap_through_energy
 from tests.conftest import BASELINE_CFG, child_env, run_cli
@@ -71,6 +76,109 @@ class TestParseConfig:
         design = build_design(doc)
         assert type(design.finger.material).__name__ == "Yeoh"
         assert design.finger.material.c10 == 2e5
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", ["gripper.gravity", "ring.well_center",
+                                     "material.c20", "solver.theta_min",
+                                     "finger.n_segments"])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {value}\n")
+        (problem,) = err.value.problems
+        assert "line 1" in problem and "finite" in problem
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.sampled_from(sorted(KEY_SPECS)),
+                           st.one_of(st.floats().map(repr), st.text())),
+                 max_size=6).map(lambda pairs: "\n".join(
+                     f"{k} = {v}" for k, v in pairs))))
+    def test_any_text_parses_to_finite_values_or_config_error(self, text):
+        try:
+            doc = parse_config(text)
+        except ConfigError:
+            return
+        for key, value in doc.values.items():
+            if KEY_SPECS[key].kind is not str:
+                assert math.isfinite(value), key
+
+
+def _expected_design(v, material):
+    """The design the configuration describes, field by field."""
+    return GripperDesign(
+        finger=FingerDesign(
+            length=v["finger.length"],
+            natural_curvature=v["finger.natural_curvature"],
+            cross_section=CrossSection(v["finger.width"],
+                                       v["finger.thickness"]),
+            material=material,
+            n_segments=v["finger.n_segments"],
+            linear_density=v["finger.linear_density"]),
+        ring=RingDesign(
+            attach_fraction=v["ring.attach_fraction"],
+            well_center=v["ring.well_center"],
+            well_halfwidth=v["ring.well_halfwidth"],
+            stiffness=v["ring.stiffness"],
+            width_scale=v["ring.width_scale"]),
+        inertia=v["gripper.inertia"],
+        damping=v["gripper.damping"],
+        payload_mass=v["gripper.payload_mass"],
+        gravity=v["gripper.gravity"])
+
+
+class TestRegistry:
+
+    def test_build_design_on_baseline_and_empty_configs(self, baseline_doc):
+        for doc in (baseline_doc, parse_config("")):
+            v = doc.values
+            expected = _expected_design(
+                v, LinearElastic(v["material.youngs_modulus"]))
+            assert build_design(doc) == expected
+
+    def test_build_design_on_yeoh_config(self):
+        doc = parse_config("material.model = yeoh\nmaterial.c10 = 2e5\n"
+                           "material.c20 = 1e3\nfinger.n_segments = 4\n"
+                           "gripper.gravity = 9.81\n")
+        v = doc.values
+        assert build_design(doc) == _expected_design(v, Yeoh(2e5, 1e3, 0.0))
+
+    def test_solver_settings_take_the_solver_keys(self, baseline_doc):
+        s = build_solver_settings(baseline_doc)
+        assert (s.dt, s.t_end, s.impulse_factor, s.object_halfwidth) == \
+            (2e-5, 0.1, 5.0, 0.076)
+        assert (s.theta_min, s.grid_n) == (-math.pi, 4096)
+
+    @pytest.mark.parametrize("model", ["linear", "yeoh"])
+    def test_set_design_value_agrees_with_build_design(self, model):
+        doc = parse_config(f"material.model = {model}\n")
+        design = build_design(doc)
+        new_values = {"finger.n_segments": 3, "material.c20": 500.0,
+                      "material.c30": 10.0, "gripper.gravity": 9.81,
+                      "gripper.payload_mass": 0.01}
+        linear_only = {"material.youngs_modulus"}
+        yeoh_only = {"material.c10", "material.c20", "material.c30"}
+        skip = yeoh_only if model == "linear" else linear_only
+        for key in KEY_SPECS:
+            if key.startswith("solver.") or key in skip \
+                    or key == "material.model":
+                continue
+            value = new_values.get(key, 0.5 * doc[key])
+            expected = build_design(ConfigDocument({**doc.values,
+                                                    key: value}))
+            assert set_design_value(design, key, value) == expected, key
+
+    def test_youngs_modulus_swaps_in_a_linear_material(self):
+        yeoh = build_design(parse_config("material.model = yeoh\n"))
+        d = set_design_value(yeoh, "material.youngs_modulus", 1e5)
+        assert d.finger.material == LinearElastic(1e5)
+        assert d.ring == yeoh.ring
+
+    def test_solver_key_is_not_a_design_path(self, baseline):
+        for path in ("solver.dt", "material.model"):
+            with pytest.raises(InvalidDesignError, match="unknown"):
+                set_design_value(baseline, path, 1.0)
 
 
 class TestFormatting:
@@ -239,6 +347,43 @@ class TestCli:
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "closingtime.csv").exists()
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["continuation", "--tau-max", "0.05", "--steps", "5"], {}),
+        (["tunering", "--target-barrier", "-1"], {}),
+        (["simulate", "--theta0", "-0.85", "--t-end", "1e-6"], {}),
+        (["equilibria"], {"solver.theta_min": "1", "solver.theta_max": "-1"}),
+        (["equilibria"], {"gripper.gravity": "nan"}),
+    ])
+    def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
+                                                overrides):
+        lines = [line for line in BASELINE_CFG.read_text().splitlines()
+                 if line.partition("=")[0].strip() not in overrides]
+        lines += [f"{key} = {value}" for key, value in overrides.items()]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        res = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path),
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("snapgrip: error: ")
+        assert "Traceback" not in res.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_manifest_hash_ignores_comments(self, tmp_path):
+        digests = []
+        for name, extra in (("a", ""), ("b", "# a comment\n\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(extra + BASELINE_CFG.read_text())
+            out = tmp_path / name
+            res = run_cli("snapthrough", "--config", str(cfg),
+                          "--out", str(out), cwd=tmp_path)
+            assert res.returncode == 0
+            manifest = (out / "run_manifest.txt").read_text().splitlines()
+            digests.append([line for line in manifest
+                            if line.startswith("config_sha256")])
+        assert digests[0] == digests[1]
+        assert len(digests[0]) == 1
 
     def test_import_does_not_load_scipy(self, tmp_path):
         res = subprocess.run(

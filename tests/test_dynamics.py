@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snapgrip.errors import NotBistableError, StepSizeError
+from snapgrip.errors import DomainError, NotBistableError, StepSizeError
 from snapgrip.model import set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (calibrate_inertia, closing_time,
@@ -72,6 +72,13 @@ class TestSimulate:
         with pytest.raises(StepSizeError):
             simulate_1dof(baseline, report.open_state.theta, 0.0,
                           dt=0.01, t_end=0.1)
+
+    def test_run_shorter_than_one_step_is_a_domain_error(self, baseline,
+                                                          report):
+        for error in (DomainError, ValueError):
+            with pytest.raises(error, match="t_end"):
+                simulate_1dof(baseline, report.open_state.theta, 0.0,
+                              dt=2e-5, t_end=1e-6)
 
     def test_trajectory_columns_have_equal_lengths(self, baseline, report):
         traj = simulate_1dof(baseline, report.open_state.theta, 1.0,

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from snapgrip.errors import (BudgetExceededError, NotBistableError,
-                             ObjectTooLargeError, TargetUnreachableError)
+from snapgrip.errors import (BudgetExceededError, DomainError,
+                             NotBistableError, ObjectTooLargeError,
+                             TargetUnreachableError)
+from snapgrip import dynamics, explore, statics
 from snapgrip.model import set_design_value, tip_chord
 from snapgrip.statics import find_equilibria_1dof, snap_through_energy
-from snapgrip.dynamics import gravity_trigger_check
+from snapgrip.dynamics import (closing_time, gravity_trigger_check,
+                               minimal_trigger_impulse)
 from snapgrip.explore import (SweepSpec, design_metrics, grip_force_estimate,
                               reproduce_fea_cases, ring_placement_variant,
                               run_sweep, tune_ring_width)
@@ -71,6 +74,59 @@ class TestSweep:
                 row.saddle_energy - row.open_energy, abs=1e-12)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Count every equilibrium solve, whichever module makes it."""
+    calls = []
+    solve = statics.find_equilibria_1dof
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    for module in (statics, dynamics, explore):
+        monkeypatch.setattr(module, "find_equilibria_1dof", counted)
+    return calls
+
+
+class TestOneSolvePerDesign:
+
+    def test_design_metrics_solves_a_bistable_design_once(self, baseline,
+                                                          settings, solves):
+        m = design_metrics(baseline, settings.object_halfwidth,
+                           settings.impulse_factor)
+        assert m["bistable"]
+        assert math.isfinite(m["closing_time"])
+        assert math.isfinite(m["grip_force"])
+        assert len(solves) == 1
+
+    def test_given_report_skips_the_solve(self, baseline, solves):
+        report = find_equilibria_1dof(baseline)
+        design_metrics(baseline, report=report)
+        assert solves == []
+
+    def test_sweep_solves_each_point_once(self, baseline, solves):
+        spec = SweepSpec(parameters=(("ring.stiffness", (0.0, 0.12)),))
+        run_sweep(baseline, spec)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_passing_the_report_changes_no_result(self, baseline, settings,
+                                                  gravity):
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        report = find_equilibria_1dof(d)
+        hw = settings.object_halfwidth
+        assert design_metrics(d, hw, 5.0, report=report) == \
+            design_metrics(d, hw, 5.0)
+        assert grip_force_estimate(d, hw, report) == \
+            grip_force_estimate(d, hw)
+        impulse = 5.0 * minimal_trigger_impulse(d)
+        assert minimal_trigger_impulse(d, report) == \
+            minimal_trigger_impulse(d)
+        assert closing_time(d, impulse, report=report) == \
+            closing_time(d, impulse)
+
+
 @pytest.fixture(scope="module")
 def case_report(baseline, settings):
     return reproduce_fea_cases(baseline, settings.object_halfwidth,
@@ -117,6 +173,12 @@ class TestTuneRingWidth:
         width = tune_ring_width(baseline, target)
         d = set_design_value(baseline, "ring.width_scale", width)
         assert snap_through_energy(d) == pytest.approx(target, abs=1e-9)
+
+    def test_non_positive_target_is_a_domain_error(self, baseline):
+        with pytest.raises(DomainError, match="positive"):
+            tune_ring_width(baseline, -1.0)
+        with pytest.raises(ValueError):
+            tune_ring_width(baseline, 0.0)
 
     def test_target_above_current_barrier_unreachable(self, baseline):
         current = snap_through_energy(baseline)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from snapgrip.errors import NotBistableError, SaddleOrderError
+from snapgrip.errors import (DomainError, NotBistableError,
+                             SaddleOrderError)
 from snapgrip.model import (set_design_value, total_energy_1dof,
                             gradient_1dof, chain_gradient, chain_hessian,
                             uniform_chain)
-from snapgrip.statics import (continuation_ramped_load, default_chain_seeds,
-                              find_equilibria_1dof, find_equilibria_chain,
+from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
+                              default_chain_seeds, find_equilibria_1dof,
+                              find_equilibria_chain, require_bistable,
                               saddle_search_chain, snap_through_energy,
                               trigger_moment)
 
@@ -181,7 +183,77 @@ class TestTriggerMoment:
         assert taus == pytest.approx(list(RANDOM_TRIGGER_MOMENTS), rel=1e-12)
 
 
+class TestBracketedRoot:
+
+    def test_bisects_to_the_bracket_tolerance(self):
+        root = _bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, -2.0,
+                               xtol=1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 1e-12
+
+    def test_sign_of_f_lo_orients_the_steps(self):
+        root = _bracketed_root(lambda x: 2.0 - x * x, 0.0, 2.0, 2.0,
+                               xtol=1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 1e-12
+
+    def test_exact_zero_at_a_midpoint_is_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert _bracketed_root(f, 0.0, 2.0, -1.0, xtol=1e-12) == 1.0
+        assert calls == [1.0]
+
+    def test_value_tolerance_returns_the_evaluated_midpoint(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        root = _bracketed_root(f, 0.0, 1.0, -0.3, ftol=0.01)
+        assert root == calls[-1]
+        assert abs(root - 0.3) < 0.01
+
+    def test_step_budget_bounds_the_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        root = _bracketed_root(f, 0.0, 1.0, -0.3, max_iter=5)
+        assert len(calls) == 5
+        assert abs(root - 0.3) <= 2.0 ** -6
+
+
+class TestRequireBistable:
+
+    def test_given_report_is_returned_unsolved(self, baseline, monkeypatch):
+        report = find_equilibria_1dof(baseline)
+        monkeypatch.setattr("snapgrip.statics.find_equilibria_1dof", None)
+        assert require_bistable(baseline, report) is report
+
+    def test_monostable_design_rejected(self, baseline):
+        d = set_design_value(baseline, "ring.stiffness", 0.0)
+        with pytest.raises(NotBistableError, match="not bistable"):
+            require_bistable(d)
+
+    def test_trigger_moment_with_report_is_identical(self, baseline):
+        heavy = set_design_value(baseline, "gripper.gravity", 9.81)
+        for d in (baseline, heavy):
+            report = find_equilibria_1dof(d)
+            assert trigger_moment(d, report) == trigger_moment(d)
+
+
 class TestContinuation:
+
+    def test_too_few_steps_is_a_domain_error(self, baseline):
+        with pytest.raises(DomainError, match="n_steps"):
+            continuation_ramped_load(baseline, 0.05, 5)
+        with pytest.raises(ValueError):
+            continuation_ramped_load(baseline, 0.05, 5)
 
     def test_ramp_past_trigger_detects_one_fold(self, baseline):
         tau_star = trigger_moment(baseline)
