@@ -1,0 +1,102 @@
+"""Time the 1-DOF layers of one snapgrip checkout on the baseline design.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_layers.py [--src PATH] [--repeats N]
+
+``--src`` is the ``src`` directory to import (default: this checkout's), so
+the same script can time two checkouts on the same machine.  Each layer is
+run ``--repeats`` times after one warm-up run; the JSON printed on stdout
+gives every run's time, their median, and how often the layer called
+``gradient_1dof`` (array form) and ``find_equilibria_1dof``.  Counts do
+not change from run to run.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def layers(design):
+    """(name, zero-argument callable) for each timed layer."""
+    from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
+                                   simulate_1dof)
+    from snapgrip.explore import (design_metrics, reproduce_fea_cases,
+                                  tune_ring_width)
+    from snapgrip.model import gradient_1dof, set_design_value
+    from snapgrip.statics import find_equilibria_1dof, trigger_moment
+
+    gravity = set_design_value(design, "gripper.gravity", 9.81)
+    report = find_equilibria_1dof(design)
+    impulse = 5.0 * minimal_trigger_impulse(design, report)
+
+    def gradient_x1000():
+        for _ in range(1000):
+            gradient_1dof(0.3, gravity)
+
+    return [
+        ("gradient_1dof_scalar_g9.81_x1000", gradient_x1000),
+        ("find_equilibria_1dof", lambda: find_equilibria_1dof(design)),
+        ("find_equilibria_1dof_g9.81", lambda: find_equilibria_1dof(gravity)),
+        ("trigger_moment", lambda: trigger_moment(design, report)),
+        ("closing_time", lambda: closing_time(design, impulse,
+                                              report=report)),
+        ("simulate_1dof_5000_steps", lambda: simulate_1dof(
+            design, report.open_state.theta, 60.0, dt=2e-5, t_end=0.1)),
+        ("design_metrics_g9.81", lambda: design_metrics(gravity)),
+        ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
+        ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
+    ]
+
+
+def counted(names):
+    """Wrap each named model/statics function in every snapgrip module that
+    binds it; returns the call counter."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("snapgrip")]
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def wrapper(*args, _name=name, _f=original, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                setattr(module, name, wrapper)
+    return counts
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from snapgrip.config import build_design, load_config
+    design = build_design(load_config(ROOT / "configs" / "baseline.cfg"))
+
+    result = {}
+    for name, run in layers(design):
+        run()
+        times = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        result[name] = {"median_s": statistics.median(times), "runs_s": times}
+    counts = counted(("gradient_1dof", "find_equilibria_1dof"))
+    for name, run in layers(design):
+        before = dict(counts)
+        run()
+        result[name]["calls"] = {k: counts[k] - before[k] for k in counts}
+    print(json.dumps(result, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -171,6 +171,8 @@ def _dispatch(args) -> int:
                   grid_n=settings.grid_n)
 
     if args.command == "landscape":
+        if args.n < 2:
+            raise DomainError(f"--n must be at least 2, got {args.n}")
         grid = np.linspace(settings.theta_min, settings.theta_max, args.n)
         land = sample_landscape(design, grid)
         csv("landscape.csv", ["theta", "total", "finger", "ring", "gravity"],

@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .model import KEY_SPECS, GripperDesign, design_from_values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigDocument:
     """A fully resolved configuration (defaults overlaid with file values)."""
 
@@ -29,7 +29,7 @@ class ConfigDocument:
         return self.values[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverSettings:
     theta_min: float
     theta_max: float

@@ -14,10 +14,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotBistableError, StepSizeError
-from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, gradient_1dof,
-                    second_derivative_1dof, set_design_value,
-                    total_energy_1dof)
+from .errors import (InvalidArgumentError, NonFiniteStateError,
+                     NotBistableError, StepSizeError)
+from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, scalar_energy,
+                    scalar_gradient, second_derivative_1dof,
+                    set_design_value)
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -27,7 +28,7 @@ CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """Time series from one simulation, with its energy audit."""
 
@@ -41,7 +42,7 @@ class Trajectory:
         return 0.5 * design.inertia * self.velocities ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosingEvent:
     """Outcome of a triggered closing attempt."""
 
@@ -83,10 +84,11 @@ def _make_rhs(design: GripperDesign,
               external_moment: Optional[Callable]):
     inv_j = 1.0 / design.inertia
     c = design.damping
+    gradient = scalar_gradient(design)
 
     def rhs(t, theta, omega):
         tau = external_moment(t, theta) if external_moment is not None else 0.0
-        acc = (-float(gradient_1dof(theta, design)) - c * omega + tau) * inv_j
+        acc = (-gradient(theta) - c * omega + tau) * inv_j
         return omega, acc, c * omega * omega
 
     return rhs
@@ -100,7 +102,17 @@ def _rk4_step(rhs, t, theta, omega, diss, dt):
     theta += dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
     omega += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
     diss += dt / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
+    if not (math.isfinite(theta) and math.isfinite(omega)
+            and math.isfinite(diss)):
+        raise NonFiniteStateError(
+            f"the state left the finite range by t = {t + dt:.6g} s")
     return theta, omega, diss
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
 
 
 def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
@@ -114,29 +126,21 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
     """
     if not (dt > 0 and t_end > dt):
         raise InvalidArgumentError("need dt > 0 and t_end > dt")
+    _require_finite(theta_init=theta_init, omega_init=omega_init, t_end=t_end)
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
     rhs = _make_rhs(design, external_moment)
+    energy_at = scalar_energy(design)
 
     n = int(round(t_end / dt))
-    times = np.empty(n + 1)
-    thetas = np.empty(n + 1)
-    omegas = np.empty(n + 1)
-    energy = np.empty(n + 1)
-    diss_arr = np.empty(n + 1)
-
     theta, omega, diss = float(theta_init), float(omega_init), 0.0
     half_j = 0.5 * design.inertia
+    rows = []
     for i in range(n + 1):
-        times[i] = i * dt
-        thetas[i] = theta
-        omegas[i] = omega
-        energy[i] = float(total_energy_1dof(theta, design)) \
-            + half_j * omega * omega
-        diss_arr[i] = diss
+        rows.append((i * dt, theta, omega,
+                     energy_at(theta) + half_j * omega * omega, diss))
         if i < n:
             theta, omega, diss = _rk4_step(rhs, i * dt, theta, omega, diss, dt)
-    return Trajectory(times=times, thetas=thetas, velocities=omegas,
-                      total_mechanical_energy=energy, dissipated=diss_arr)
+    return Trajectory(*np.array(rows).T.copy())
 
 
 def closing_time(design: GripperDesign, perturbation_impulse: float,
@@ -155,6 +159,9 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     stable state is required.  ``report`` is the design's equilibrium
     report, if already solved.
     """
+    _require_finite(perturbation_impulse=perturbation_impulse)
+    if theta_init is not None:
+        _require_finite(theta_init=theta_init)
     if report is None:
         report = find_equilibria_1dof(design)
     if theta_init is None:
@@ -184,6 +191,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
         dt = min(2e-5, 0.02 / omega_closed)
     _check_step(design, theta_open, dt, report)
     rhs = _make_rhs(design, None)
+    energy_at = scalar_energy(design)
 
     theta = theta_open
     omega = perturbation_impulse / design.inertia
@@ -206,8 +214,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
         else:
             entered_at = None
         if theta < theta_saddle:
-            mech = float(total_energy_1dof(theta, design)) \
-                + half_j * omega * omega
+            mech = energy_at(theta) + half_j * omega * omega
             if mech < u_saddle:
                 break
     return ClosingEvent(triggered=False, closing_time=math.nan,
@@ -244,7 +251,7 @@ def gravity_trigger_check(design: GripperDesign,
     return barrier < 1e-9, barrier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyStudyRow:
     stiffness_scale: float
     stiffness: float

@@ -33,6 +33,10 @@ class NonConvergenceError(DomainError):
     """A solver exhausted its iteration budget."""
 
 
+class NonFiniteStateError(DomainError):
+    """An integrated state left the range of finite floating-point numbers."""
+
+
 class SaddleOrderError(DomainError):
     """A converged transition state has the wrong number of unstable directions."""
 

@@ -45,7 +45,7 @@ def ring_placement_variant(design: GripperDesign,
         design.ring.well_center - RING_SPLAY_WELL_SLOPE * delta_fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Cartesian sweep over dotted design-parameter paths."""
 
@@ -69,7 +69,7 @@ class SweepSpec:
         return math.prod(len(values) for _, values in self.parameters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     values: tuple
     bistable: bool
@@ -82,7 +82,7 @@ class SweepRow:
     closing_time: float = math.nan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepTable:
     parameter_names: tuple
     rows: tuple
@@ -160,7 +160,7 @@ THINNER_WIDTH_FACTOR = 0.5
 HIGHER_CURVATURE = 25.0   # 1/m, up from the reference 20 1/m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseAssertion:
     name: str
     passed: bool
@@ -168,7 +168,7 @@ class CaseAssertion:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphologyCaseReport:
     """Baseline vs four morphology variants, with trend assertions."""
 
@@ -321,21 +321,25 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
 # Ring trimming and grip force
 # ---------------------------------------------------------------------------
 
-def _barrier_or_zero(design: GripperDesign, width_scale: float) -> float:
-    d = set_design_value(design, "ring.width_scale", width_scale)
-    report = find_equilibria_1dof(d)
-    return float(report.snap_through_energy) if report.bistable else 0.0
-
-
 def tune_ring_width(design: GripperDesign, target_barrier: float,
                     tol: float = 1e-9, max_iter: int = 60) -> float:
     """Trim the ring (bisection on width_scale) to a target barrier.
 
     The barrier is verified to be monotone in the width over the bracket
     before bisecting.  Raises TargetUnreachable when even a vanishing ring
-    keeps the barrier above the target.
+    keeps the barrier above the target.  Each trial width is solved once.
     """
-    current = _barrier_or_zero(design, design.ring.width_scale)
+    barriers = {}    # width_scale -> barrier, 0 where monostable
+
+    def barrier(width_scale):
+        if width_scale not in barriers:
+            report = find_equilibria_1dof(set_design_value(
+                design, "ring.width_scale", width_scale))
+            barriers[width_scale] = (float(report.snap_through_energy)
+                                     if report.bistable else 0.0)
+        return barriers[width_scale]
+
+    current = barrier(design.ring.width_scale)
     if current <= 0.0:
         raise NotBistableError("design is not bistable at its current width")
     if not (0.0 < target_barrier <= current):
@@ -351,21 +355,20 @@ def tune_ring_width(design: GripperDesign, target_barrier: float,
     lo = hi
     for _ in range(60):
         lo *= 0.5
-        if _barrier_or_zero(design, lo) < target_barrier:
+        if barrier(lo) < target_barrier:
             break
     else:
         raise TargetUnreachableError(
             f"barrier stays above {target_barrier:.6g} J even as the ring "
             "width vanishes")
 
-    samples = [_barrier_or_zero(design, w)
-               for w in np.linspace(lo, hi, 7)]
+    samples = [barrier(w) for w in np.linspace(lo, hi, 7)]
     if any(b2 < b1 for b1, b2 in zip(samples, samples[1:])):
         raise TargetUnreachableError(
             "barrier is not monotone in width_scale on the bracket")
 
     return _bracketed_root(
-        lambda w: _barrier_or_zero(design, w) - target_barrier, lo, hi,
+        lambda w: barrier(w) - target_barrier, lo, hi,
         samples[0] - target_barrier, ftol=tol, max_iter=max_iter)
 
 
@@ -381,6 +384,9 @@ def grip_force_estimate(design: GripperDesign, object_halfwidth: float,
     and get zero force.  ``report`` is the design's equilibrium report, if
     already solved.
     """
+    if not 0.0 < object_halfwidth < math.inf:
+        raise InvalidArgumentError(f"object half-width must be a positive "
+                                   f"finite number, got {object_halfwidth!r}")
     report = require_bistable(design, report)
     length = design.finger.length
     open_span = float(tip_chord(report.open_state.theta, length))

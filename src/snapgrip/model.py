@@ -14,8 +14,8 @@ open stable state sits in the negative-angle well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ def _gauss_legendre(n: int):
 # Constitutive models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearElastic:
     """Linear elastic material, characterized by its Young's modulus."""
 
@@ -52,7 +52,7 @@ class LinearElastic:
         return self.youngs_modulus * (stretch - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Yeoh:
     """Incompressible Yeoh solid, cubic in the first invariant.
 
@@ -92,7 +92,7 @@ MaterialModel = Union[LinearElastic, Yeoh]
 # Geometry / design records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossSection:
     """Rectangular finger cross-section."""
 
@@ -114,7 +114,7 @@ class CrossSection:
         return self.width * self.thickness ** 3 / 12.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FingerDesign:
     """One finger: a slender pre-curved elastic beam."""
 
@@ -153,7 +153,7 @@ class FingerDesign:
         return 6.0 * self.material.c10 * i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingDesign:
     """Elastic ring wrapped around the fingers, bistable by itself.
 
@@ -193,7 +193,7 @@ class RingDesign:
                 self.well_center + self.well_halfwidth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GripperDesign:
     """Complete design: finger + ring + lumped dynamic parameters.
 
@@ -218,7 +218,7 @@ class GripperDesign:
                 f"payload_mass must be >= 0, got {self.payload_mass}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainConfiguration:
     """Joint angles of the segment chain, one per segment."""
 
@@ -238,7 +238,7 @@ class ChainConfiguration:
         return float(sum(self.joint_angles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyLandscape:
     """Total energy and its decomposition sampled on a bend-angle grid."""
 
@@ -365,79 +365,88 @@ def ring_gradient_1dof(theta, ring: RingDesign):
 # cancel catastrophically as phi -> 0 (up to three leading digits lost per
 # power of phi in the denominator), so all switch to a fifth-order series
 # below ARC_SERIES_SWITCH, where both branches agree to ~1e-10 relative.
+#
+# Each term is a pair of plain-arithmetic functions, shared by the array
+# form (``_arc``) and the float closures below, so both give the same bits.
+# ``c, s`` are cos/sin of psi and ``cp, sp`` cos/sin of psi + phi.
 
 ARC_SERIES_SWITCH = 1e-2
 
 
-def _arc_end_dx(psi, phi, ell):
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    small = np.abs(phi) < ARC_SERIES_SWITCH
-    safe = np.where(small, 1.0, phi)
-    exact = ell * (np.cos(psi) - np.cos(psi + phi)) / safe
-    series = ell * (s + phi * (c / 2 + phi * (-s / 6 + phi * (
+def _end_dx_exact(c, s, cp, sp, phi, ell):
+    return ell * (c - cp) / phi
+
+
+def _end_dx_series(c, s, phi, ell):
+    return ell * (s + phi * (c / 2 + phi * (-s / 6 + phi * (
         -c / 24 + phi * (s / 120 + phi * c / 720)))))
-    return np.where(small, series, exact)
 
 
-def _arc_end_dx_dpsi(psi, phi, ell):
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    small = np.abs(phi) < ARC_SERIES_SWITCH
-    safe = np.where(small, 1.0, phi)
-    exact = ell * (np.sin(psi + phi) - np.sin(psi)) / safe
-    series = ell * (c + phi * (-s / 2 + phi * (-c / 6 + phi * (
+def _end_dx_dpsi_exact(c, s, cp, sp, phi, ell):
+    return ell * (sp - s) / phi
+
+
+def _end_dx_dpsi_series(c, s, phi, ell):
+    return ell * (c + phi * (-s / 2 + phi * (-c / 6 + phi * (
         s / 24 + phi * (c / 120 - phi * s / 720)))))
-    return np.where(small, series, exact)
 
 
-def _arc_end_dx_dphi(psi, phi, ell):
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    small = np.abs(phi) < ARC_SERIES_SWITCH
-    safe = np.where(small, 1.0, phi)
-    exact = ell * (np.sin(psi + phi) * safe
-                   - (np.cos(psi) - np.cos(psi + phi))) / (safe * safe)
-    series = ell * (c / 2 + phi * (-s / 3 + phi * (-c / 8 + phi * (
+def _end_dx_dphi_exact(c, s, cp, sp, phi, ell):
+    return ell * (sp * phi - (c - cp)) / (phi * phi)
+
+
+def _end_dx_dphi_series(c, s, phi, ell):
+    return ell * (c / 2 + phi * (-s / 3 + phi * (-c / 8 + phi * (
         s / 30 + phi * c / 144))))
-    return np.where(small, series, exact)
 
 
-def _arc_mean_x(psi, phi, ell):
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    small = np.abs(phi) < ARC_SERIES_SWITCH
-    safe = np.where(small, 1.0, phi)
-    exact = ell * (np.cos(psi) * safe - np.sin(psi + phi)
-                   + np.sin(psi)) / (safe * safe)
-    series = ell * (s / 2 + phi * (c / 6 + phi * (-s / 24 + phi * (
+def _mean_x_exact(c, s, cp, sp, phi, ell):
+    return ell * (c * phi - sp + s) / (phi * phi)
+
+
+def _mean_x_series(c, s, phi, ell):
+    return ell * (s / 2 + phi * (c / 6 + phi * (-s / 24 + phi * (
         -c / 120 + phi * (s / 720 + phi * c / 5040)))))
-    return np.where(small, series, exact)
 
 
-def _arc_mean_x_dpsi(psi, phi, ell):
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    small = np.abs(phi) < ARC_SERIES_SWITCH
-    safe = np.where(small, 1.0, phi)
-    exact = ell * (-np.sin(psi) * safe - np.cos(psi + phi)
-                   + np.cos(psi)) / (safe * safe)
-    series = ell * (c / 2 + phi * (-s / 6 + phi * (-c / 24 + phi * (
+def _mean_x_dpsi_exact(c, s, cp, sp, phi, ell):
+    return ell * (-s * phi - cp + c) / (phi * phi)
+
+
+def _mean_x_dpsi_series(c, s, phi, ell):
+    return ell * (c / 2 + phi * (-s / 6 + phi * (-c / 24 + phi * (
         s / 120 + phi * (c / 720 - phi * s / 5040)))))
-    return np.where(small, series, exact)
 
 
-def _arc_mean_x_dphi(psi, phi, ell):
+def _mean_x_dphi_exact(c, s, cp, sp, phi, ell):
+    return ell * ((c - cp) * phi
+                  - 2.0 * (c * phi - sp + s)) / (phi * phi * phi)
+
+
+def _mean_x_dphi_series(c, s, phi, ell):
+    return ell * (c / 6 + phi * (-s / 12 + phi * (-c / 40 + phi * (
+        s / 180 + phi * c / 1008))))
+
+
+# (exact, series) pairs, one per arc term.
+_END_DX = (_end_dx_exact, _end_dx_series)
+_END_DX_DPSI = (_end_dx_dpsi_exact, _end_dx_dpsi_series)
+_END_DX_DPHI = (_end_dx_dphi_exact, _end_dx_dphi_series)
+_MEAN_X = (_mean_x_exact, _mean_x_series)
+_MEAN_X_DPSI = (_mean_x_dpsi_exact, _mean_x_dpsi_series)
+_MEAN_X_DPHI = (_mean_x_dphi_exact, _mean_x_dphi_series)
+
+
+def _arc(term, psi, phi, ell):
+    """One arc term on numpy input, series below the switch."""
+    exact, series = term
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(psi), np.sin(psi)
     small = np.abs(phi) < ARC_SERIES_SWITCH
     safe = np.where(small, 1.0, phi)
-    exact = ell * ((np.cos(psi) - np.cos(psi + phi)) * safe
-                   - 2.0 * (np.cos(psi) * safe - np.sin(psi + phi)
-                            + np.sin(psi))) / (safe * safe * safe)
-    series = ell * (c / 6 + phi * (-s / 12 + phi * (-c / 40 + phi * (
-        s / 180 + phi * c / 1008))))
-    return np.where(small, series, exact)
+    return np.where(small, series(c, s, phi, ell),
+                    exact(c, s, np.cos(psi + phi), np.sin(psi + phi), safe,
+                          ell))
 
 
 def gravity_energy_1dof(theta, design: GripperDesign):
@@ -450,8 +459,8 @@ def gravity_energy_1dof(theta, design: GripperDesign):
     if g == 0.0:
         return np.zeros_like(np.asarray(theta, dtype=float))[()]
     length = design.finger.length
-    x_com = _arc_mean_x(0.0, theta, length)
-    x_tip = _arc_end_dx(0.0, theta, length)
+    x_com = _arc(_MEAN_X, 0.0, theta, length)
+    x_tip = _arc(_END_DX, 0.0, theta, length)
     return -g * (design.finger.mass * x_com + design.payload_mass * x_tip)
 
 
@@ -460,8 +469,9 @@ def gravity_gradient_1dof(theta, design: GripperDesign):
     if g == 0.0:
         return np.zeros_like(np.asarray(theta, dtype=float))[()]
     length = design.finger.length
-    return -g * (design.finger.mass * _arc_mean_x_dphi(0.0, theta, length)
-                 + design.payload_mass * _arc_end_dx_dphi(0.0, theta, length))
+    return -g * (design.finger.mass * _arc(_MEAN_X_DPHI, 0.0, theta, length)
+                 + design.payload_mass * _arc(_END_DX_DPHI, 0.0, theta,
+                                              length))
 
 
 def energy_components_1dof(theta, design: GripperDesign):
@@ -482,6 +492,79 @@ def gradient_1dof(theta, design: GripperDesign):
     return (finger_gradient_1dof(theta, design.finger)
             + ring_gradient_1dof(theta, design.ring)
             + gravity_gradient_1dof(theta, design))
+
+
+def _plus_scalar_gravity(design, elastic, mean_x, end_dx):
+    """``elastic`` plus the gravity term built from two arc terms at psi = 0
+    (``mean_x`` for the finger's mass, ``end_dx`` for the payload), on
+    floats."""
+    g = design.gravity
+    if g == 0.0:
+        return elastic
+    finger = design.finger
+    m_f, m_p, ell = finger.mass, design.payload_mass, finger.length
+    (a_exact, a_series), (b_exact, b_series) = mean_x, end_dx
+
+    def total(theta):
+        if abs(theta) < ARC_SERIES_SWITCH:
+            a = a_series(1.0, 0.0, theta, ell)
+            b = b_series(1.0, 0.0, theta, ell)
+        elif math.isinf(theta):     # numpy gives NaN here too
+            return math.nan
+        else:
+            cp, sp = math.cos(theta), math.sin(theta)
+            a = a_exact(1.0, 0.0, cp, sp, theta, ell)
+            b = b_exact(1.0, 0.0, cp, sp, theta, ell)
+        return elastic(theta) + -g * (m_f * a + m_p * b)
+
+    return total
+
+
+def scalar_gradient(design: GripperDesign) -> Callable[[float], float]:
+    """``gradient_1dof`` of ``design`` as a float -> float function.
+
+    For the linear material the design's constants are read once and the
+    terms are evaluated with plain floats and ``math``, in the same order
+    of operations as the array form, so the result is equal bit for bit
+    at a fraction of the cost.  Yeoh designs wrap the array form.
+    """
+    if not isinstance(design.finger.material, LinearElastic):
+        return lambda theta: float(gradient_1dof(theta, design))
+    finger, ring = design.finger, design.ring
+    k_f = finger.bending_stiffness / finger.length
+    rest = finger.rest_angle
+    d = ring.well_halfwidth
+    k_r = ring.effective_stiffness / (2.0 * d * d)
+    dd = d * d
+    center = ring.well_center
+
+    def elastic(theta):
+        x = theta - center
+        return k_f * (theta - rest) + k_r * x * (x * x - dd)
+
+    return _plus_scalar_gravity(design, elastic, _MEAN_X_DPHI, _END_DX_DPHI)
+
+
+def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
+    """``total_energy_1dof`` of ``design`` as a float -> float function,
+    equal bit for bit; see ``scalar_gradient``."""
+    if not isinstance(design.finger.material, LinearElastic):
+        return lambda theta: float(total_energy_1dof(theta, design))
+    finger, ring = design.finger, design.ring
+    k_f = 0.5 * finger.bending_stiffness / finger.length
+    rest = finger.rest_angle
+    d = ring.well_halfwidth
+    k_r = ring.effective_stiffness / (8.0 * d * d)
+    dd = d * d
+    center = ring.well_center
+
+    def elastic(theta):
+        e = theta - rest
+        x = theta - center
+        q = x * x - dd
+        return k_f * e * e + k_r * q * q
+
+    return _plus_scalar_gravity(design, elastic, _MEAN_X, _END_DX)
 
 
 def second_derivative_1dof(theta, design: GripperDesign, h: float = 1e-6):
@@ -556,8 +639,8 @@ def chain_energy(angles, design: GripperDesign) -> float:
         psi = 0.0
         x = 0.0
         for p in phi:
-            grav -= g * seg_mass * (x + float(_arc_mean_x(psi, p, ell)))
-            x += float(_arc_end_dx(psi, p, ell))
+            grav -= g * seg_mass * (x + float(_arc(_MEAN_X, psi, p, ell)))
+            x += float(_arc(_END_DX, psi, p, ell))
             psi += p
         grav -= g * design.payload_mass * x
     return elastic + ring + grav
@@ -587,13 +670,13 @@ def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
     if g != 0.0:
         seg_mass = finger.linear_density * ell
         psi = np.concatenate(([0.0], np.cumsum(phi)))  # psi[i] before seg i+1
-        dB_dpsi = np.array([_arc_end_dx_dpsi(psi[i], phi[i], ell)
+        dB_dpsi = np.array([_arc(_END_DX_DPSI, psi[i], phi[i], ell)
                             for i in range(n)])
-        dB_dphi = np.array([_arc_end_dx_dphi(psi[i], phi[i], ell)
+        dB_dphi = np.array([_arc(_END_DX_DPHI, psi[i], phi[i], ell)
                             for i in range(n)])
-        dA_dpsi = np.array([_arc_mean_x_dpsi(psi[i], phi[i], ell)
+        dA_dpsi = np.array([_arc(_MEAN_X_DPSI, psi[i], phi[i], ell)
                             for i in range(n)])
-        dA_dphi = np.array([_arc_mean_x_dphi(psi[i], phi[i], ell)
+        dA_dphi = np.array([_arc(_MEAN_X_DPHI, psi[i], phi[i], ell)
                             for i in range(n)])
         # d x_end(i) / d phi_j = dB_dphi[j] + sum_{j < i' <= i} dB_dpsi[i']
         # d x_com(i) / d phi_j = d x_end(i-1)/d phi_j + dA_dpsi[i] (j < i)
@@ -675,7 +758,7 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _KeySpec:
     """One configuration key and the dotted attribute path it sets.
 
@@ -759,17 +842,13 @@ def design_from_values(values) -> GripperDesign:
                          **kwargs[""])
 
 
-def _design_values(design: GripperDesign) -> dict:
-    """The inverse of ``design_from_values``, without the unused material."""
-    material = design.finger.material
-    values = {"material.model": next(name for name, cls in MATERIALS.items()
-                                     if isinstance(material, cls))}
-    for key, spec in _DESIGN_KEYS.items():
-        try:
-            values[key] = reduce(getattr, spec.field.split("."), design)
-        except AttributeError:    # a field of the other material
-            pass
-    return values
+def _with_field(record, path: str, value):
+    """Copy of ``record`` with the dotted attribute ``path`` set to
+    ``value``; the records off the path are shared, not copied."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _with_field(getattr(record, head), rest, value)
+    return replace(record, **{head: value})
 
 
 def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
@@ -784,17 +863,18 @@ def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     spec = _DESIGN_KEYS.get(path)
     if spec is None:
         raise InvalidDesignError(f"unknown design parameter path: {path}")
-    values = _design_values(design)
-    values[path] = spec.kind(value)
-    owner, _, name = spec.field.rpartition(".")
+    field, value = spec.field, spec.kind(value)
+    owner, _, name = field.rpartition(".")
     if owner == "finger.material":
         material = design.finger.material
-        model, cls = next((m, c) for m, c in MATERIALS.items()
-                          if name in (f.name for f in fields(c)))
+        cls = next(c for c in MATERIALS.values()
+                   if name in (f.name for f in fields(c)))
         if not all(hasattr(material, f.name) or f.name == name
                    for f in fields(cls)):
             raise InvalidDesignError(f"{path} requires a {cls.__name__} "
                                      f"material, design uses "
                                      f"{type(material).__name__}")
-        values["material.model"] = model
-    return design_from_values(values)
+        field, value = owner, cls(**{
+            f.name: value if f.name == name else getattr(material, f.name)
+            for f in fields(cls)})
+    return _with_field(design, field, value)

@@ -12,7 +12,8 @@ from .errors import (InvalidArgumentError, NonConvergenceError,
                      NotBistableError, SaddleOrderError)
 from .model import (ChainConfiguration, GripperDesign, chain_energy,
                     chain_gradient, chain_hessian, gradient_1dof,
-                    second_derivative_1dof, total_energy_1dof, uniform_chain)
+                    scalar_gradient, second_derivative_1dof,
+                    total_energy_1dof, uniform_chain)
 
 DEFAULT_WINDOW = (-math.pi, math.pi)
 DEFAULT_GRID_N = 4096
@@ -21,7 +22,7 @@ BISECTION_TOL = 1e-12       # rad
 MERGE_TOL = 1e-6            # rad, duplicate chain equilibria
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equilibrium:
     """A stationary point of the energy, with stability information.
 
@@ -41,7 +42,7 @@ class Equilibrium:
         return "stable" if self.stable else "unstable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumReport:
     """All equilibria in the search window, ordered by bend angle."""
 
@@ -56,7 +57,7 @@ class EquilibriumReport:
         return self.saddle is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuationPath:
     """Quasi-static response under a ramped closing moment."""
 
@@ -109,16 +110,16 @@ def find_equilibria_1dof(design: GripperDesign,
 
     grid = np.linspace(theta_min, theta_max, grid_n)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
-    roots = []
-    for i in range(grid_n - 1):
-        if g[i] == 0.0:
-            roots.append(grid[i])
-        elif (g[i] > 0) != (g[i + 1] > 0):
-            roots.append(_bracketed_root(
-                lambda t: float(gradient_1dof(t, design)), grid[i],
-                grid[i + 1], g[i], xtol=BISECTION_TOL))
-    if g[-1] == 0.0:
-        roots.append(grid[-1])
+    gradient = scalar_gradient(design)
+    # A grid point where the gradient is exactly zero is a root as it
+    # stands; a cell whose ends differ in sign is bisected unless its left
+    # end is such a root.
+    zero = g == 0.0
+    positive = g > 0
+    cells = np.flatnonzero((positive[:-1] != positive[1:]) & ~zero[:-1])
+    roots = [_bracketed_root(gradient, float(grid[i]), float(grid[i + 1]),
+                             g[i], xtol=BISECTION_TOL) for i in cells]
+    roots += grid[zero].tolist()
 
     equilibria = []
     for theta in roots:
@@ -175,8 +176,8 @@ def trigger_moment(design: GripperDesign,
     i = int(np.argmax(g))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]
-    peak = _golden_section_max(lambda t: float(gradient_1dof(t, design)),
-                               a, b, tol=1e-12)
+    peak = _golden_section_max(scalar_gradient(design), float(a), float(b),
+                               tol=1e-12)
     return max(peak, float(g[i]))
 
 
@@ -200,19 +201,19 @@ def _golden_section_max(f, a, b, tol):
 
 def _newton_1dof(design, theta, tau, tol=1e-12, max_iter=60, h=1e-7):
     """Damped Newton solve of gradient(theta) = tau.  Returns theta or None."""
-    r = float(gradient_1dof(theta, design)) - tau
+    gradient = scalar_gradient(design)
+    r = gradient(theta) - tau
     for _ in range(max_iter):
         if abs(r) < tol:
             return theta
-        slope = (float(gradient_1dof(theta + h, design))
-                 - float(gradient_1dof(theta - h, design))) / (2.0 * h)
+        slope = (gradient(theta + h) - gradient(theta - h)) / (2.0 * h)
         if slope == 0.0:
             return None
         step = -r / slope
         alpha = 1.0
         for _ in range(40):
             cand = theta + alpha * step
-            r_new = float(gradient_1dof(cand, design)) - tau
+            r_new = gradient(cand) - tau
             if abs(r_new) < abs(r) * (1.0 - 1e-4) or abs(r_new) < tol:
                 theta, r = cand, r_new
                 break
@@ -233,6 +234,8 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     """
     if n_steps < 10:
         raise InvalidArgumentError("n_steps must be >= 10")
+    if not math.isfinite(tau_max):
+        raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
     report = find_equilibria_1dof(design, **window)
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
@@ -266,11 +269,12 @@ def _post_fold_root(design, tau, theta_from, theta_hi):
     """Bracket the stable solution beyond a fold and bisect to it."""
     grid = np.linspace(theta_from, theta_hi, 512)
     g = np.asarray(gradient_1dof(grid, design), dtype=float) - tau
+    gradient = scalar_gradient(design)
     for i in range(grid.size - 1, 0, -1):
         if (g[i - 1] > 0) != (g[i] > 0):
-            sol = _bracketed_root(
-                lambda t: float(gradient_1dof(t, design)) - tau,
-                grid[i - 1], grid[i], g[i - 1], xtol=BISECTION_TOL)
+            sol = _bracketed_root(lambda t: gradient(t) - tau,
+                                  float(grid[i - 1]), float(grid[i]),
+                                  g[i - 1], xtol=BISECTION_TOL)
             if float(second_derivative_1dof(sol, design)) > 0:
                 return sol
     return None

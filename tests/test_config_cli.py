@@ -354,6 +354,17 @@ class TestCli:
         (["simulate", "--theta0", "-0.85", "--t-end", "1e-6"], {}),
         (["equilibria"], {"solver.theta_min": "1", "solver.theta_max": "-1"}),
         (["equilibria"], {"gripper.gravity": "nan"}),
+        (["gripforce", "--object-halfwidth", "nan"], {}),
+        (["gripforce", "--object-halfwidth", "-1"], {}),
+        (["landscape", "--n", "0"], {}),
+        (["landscape", "--n", "-5"], {}),
+        (["simulate", "--theta0", "nan", "--t-end", "0.001"], {}),
+        (["simulate", "--theta0", "-0.85", "--omega0", "nan"], {}),
+        (["simulate", "--theta0", "-0.85", "--omega0", "inf"], {}),
+        (["simulate", "--theta0", "-0.85", "--omega0", "1e200",
+          "--t-end", "0.001"], {"gripper.gravity": "9.81"}),
+        (["simulate", "--theta0", "-0.85", "--t-end", "inf"], {}),
+        (["continuation", "--tau-max", "inf"], {}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):

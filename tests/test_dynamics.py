@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snapgrip.errors import DomainError, NotBistableError, StepSizeError
+from snapgrip.errors import (DomainError, InvalidArgumentError,
+                             NonFiniteStateError, NotBistableError,
+                             StepSizeError)
 from snapgrip.model import set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (calibrate_inertia, closing_time,
@@ -96,6 +98,35 @@ class TestSimulate:
         # A constant closing moment settles past the unloaded closed state.
         assert float(traj.thetas[-1]) > report.closed_state.theta
 
+    @pytest.mark.parametrize("theta0, omega0", [
+        (math.nan, 0.0), (-0.85, math.nan), (-0.85, math.inf),
+        (math.inf, 0.0)])
+    def test_non_finite_initial_state_rejected(self, baseline, theta0,
+                                               omega0):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            simulate_1dof(baseline, theta0, omega0, dt=2e-5, t_end=1e-3)
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_state_leaving_the_finite_range_is_a_domain_error(
+            self, baseline, gravity):
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        with pytest.raises(NonFiniteStateError):
+            simulate_1dof(d, -0.85, 1e200, dt=2e-5, t_end=1e-3)
+
+    @pytest.mark.parametrize("gravity, end_state", [
+        (0.0, (-0.8562737069723413, -0.004807136432454244,
+               0.006219437949169467, 0.0004341533063554172)),
+        (9.81, (-0.84763399905123, -0.005628286203310725,
+                0.007079150409648409, 0.00043229704513453765)),
+    ])
+    def test_frozen_end_state(self, baseline, gravity, end_state):
+        # Recorded when every RK4 stage evaluated the array-form gradient.
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        traj = simulate_1dof(d, -0.85, 60.0, t_end=0.02)
+        assert (traj.thetas[-1], traj.velocities[-1],
+                traj.total_mechanical_energy[-1],
+                traj.dissipated[-1]) == end_state
+
 
 class TestClosingTime:
 
@@ -128,6 +159,22 @@ class TestClosingTime:
         d = set_design_value(baseline, "ring.stiffness", 0.0)
         with pytest.raises(NotBistableError):
             closing_time(d, 1e-4)
+
+    @pytest.mark.parametrize("gravity, expected", [
+        (0.0, (0.020880000000000003, 1981.9701274475933)),
+        (9.81, (0.021560000000000003, 1919.522515789995)),
+    ])
+    def test_frozen_closing_times(self, baseline, gravity, expected):
+        # Recorded when every RK4 stage evaluated the array-form gradient.
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        event = closing_time(d, 5.0 * minimal_trigger_impulse(d))
+        assert (event.closing_time, event.peak_velocity) == expected
+
+    @pytest.mark.parametrize("impulse, theta_init", [
+        (math.nan, None), (math.inf, None), (1e-4, math.nan)])
+    def test_non_finite_start_rejected(self, baseline, impulse, theta_init):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            closing_time(baseline, impulse, theta_init=theta_init)
 
     def test_custom_start_angle_supported(self, baseline, report):
         imp = 5.0 * minimal_trigger_impulse(baseline)

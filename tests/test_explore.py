@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from snapgrip.errors import (BudgetExceededError, DomainError,
-                             NotBistableError, ObjectTooLargeError,
-                             TargetUnreachableError)
+                             InvalidArgumentError, NotBistableError,
+                             ObjectTooLargeError, TargetUnreachableError)
 from snapgrip import dynamics, explore, statics
 from snapgrip.model import set_design_value, tip_chord
 from snapgrip.statics import find_equilibria_1dof, snap_through_energy
@@ -196,6 +196,12 @@ class TestTuneRingWidth:
                             if report.bistable else 0.0)
         assert all(b2 >= b1 for b1, b2 in zip(barriers, barriers[1:]))
 
+    def test_each_trial_width_is_solved_once(self, baseline, solves):
+        d = set_design_value(baseline, "gripper.gravity", 9.81)
+        # Frozen from the version that solved 3 of its 27 widths twice.
+        assert tune_ring_width(d, 1e-9) == 0.17150306701660156
+        assert len(solves) == 24
+
     def test_gravity_marginal_width_flips_trigger_check(self, baseline):
         d = set_design_value(baseline, "gripper.gravity", 9.81)
         width = tune_ring_width(d, 1e-9)
@@ -239,3 +245,9 @@ class TestGripForce:
         d = set_design_value(baseline, "ring.stiffness", 0.0)
         with pytest.raises(NotBistableError):
             grip_force_estimate(d, 0.05)
+
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -1.0, 0.0])
+    def test_non_positive_or_non_finite_halfwidth_rejected(self, baseline,
+                                                           halfwidth):
+        with pytest.raises(InvalidArgumentError, match="half-width"):
+            grip_force_estimate(baseline, halfwidth)

@@ -1,21 +1,23 @@
 """Energy model unit tests: constitutive laws, reduced model, chain model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.errors import CurvatureOutOfRangeError, InvalidDesignError
-from snapgrip.model import (ChainConfiguration, CrossSection, FingerDesign,
-                            GripperDesign, LinearElastic, RingDesign, Yeoh,
-                            chain_energy, chain_gradient, chain_hessian,
+from snapgrip.model import (ARC_SERIES_SWITCH, ChainConfiguration,
+                            CrossSection, FingerDesign, GripperDesign,
+                            LinearElastic, RingDesign, Yeoh, chain_energy,
+                            chain_gradient, chain_hessian,
                             finger_energy_1dof, forward_kinematics,
                             gradient_1dof, gravity_energy_1dof,
                             moment_curvature, ring_energy_1dof,
-                            sample_landscape, second_derivative_1dof,
-                            set_design_value, tip_chord, total_energy_1dof,
-                            uniform_chain)
+                            sample_landscape, scalar_energy, scalar_gradient,
+                            second_derivative_1dof, set_design_value,
+                            tip_chord, total_energy_1dof, uniform_chain)
 
 
 def pure_quartic_ring(k=1.0, center=0.0, halfwidth=1.0):
@@ -239,6 +241,54 @@ class TestGradients:
         phi = np.linspace(-0.2, 0.3, 6)
         hess = chain_hessian(phi, d)
         assert np.allclose(hess, hess.T, atol=1e-10)
+
+
+class TestScalarClosures:
+    """The float closures equal the array functions bit for bit."""
+
+    # 100,001 angles across the window, plus both sides of the series switch.
+    ANGLES = np.concatenate([
+        np.linspace(-math.pi, math.pi, 100_001),
+        [ARC_SERIES_SWITCH, -ARC_SERIES_SWITCH,
+         np.nextafter(ARC_SERIES_SWITCH, 0.0),
+         np.nextafter(-ARC_SERIES_SWITCH, 0.0), 0.0, 1e-300]])
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81, -3.3])
+    @pytest.mark.parametrize("payload", [0.0, 0.005])
+    def test_linear_material_matches_array_form(self, baseline, gravity,
+                                                payload):
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        d = set_design_value(d, "gripper.payload_mass", payload)
+        gradient, energy = scalar_gradient(d), scalar_energy(d)
+        angles = self.ANGLES.tolist()
+        np.testing.assert_array_equal(
+            self._bits([gradient(t) for t in angles]),
+            self._bits(gradient_1dof(self.ANGLES, d)))
+        np.testing.assert_array_equal(
+            self._bits([energy(t) for t in angles]),
+            self._bits(total_energy_1dof(self.ANGLES, d)))
+        # The array form on one angle at a time, as the solvers called it.
+        for t in angles[::5003]:
+            assert gradient(t) == float(gradient_1dof(t, d))
+            assert energy(t) == float(total_energy_1dof(t, d))
+
+    def test_yeoh_material_wraps_array_form(self, baseline):
+        d = replace(baseline, gravity=9.81, finger=replace(
+            baseline.finger, material=Yeoh(1.0e5, 2.0e4, 0.0)))
+        gradient, energy = scalar_gradient(d), scalar_energy(d)
+        for t in (-2.0, -0.85, -ARC_SERIES_SWITCH / 2, 0.3, 1.6):
+            assert gradient(t) == float(gradient_1dof(t, d))
+            assert energy(t) == float(total_energy_1dof(t, d))
+
+    def test_infinite_angle_gives_nan_under_gravity(self, baseline):
+        d = set_design_value(baseline, "gripper.gravity", 9.81)
+        for f in (scalar_gradient(d), scalar_energy(d)):
+            assert math.isnan(f(math.inf))
+            assert math.isnan(f(-math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,39 @@ class TestFindEquilibria1Dof:
         assert report.equilibria[0].theta == pytest.approx(
             baseline.finger.rest_angle, abs=1e-9)
 
+    def test_exact_zero_on_the_grid_is_a_root(self, baseline):
+        # No ring, no gravity, straight rest shape: U' = EI/L * theta, which
+        # is exactly zero at the middle grid point of [-1, 1].
+        d = set_design_value(baseline, "ring.stiffness", 0.0)
+        d = set_design_value(d, "finger.natural_curvature", 0.0)
+        assert np.linspace(-1.0, 1.0, 101)[50] == 0.0
+        report = find_equilibria_1dof(d, theta_min=-1.0, theta_max=1.0,
+                                      grid_n=101)
+        assert [e.theta for e in report.equilibria] == [0.0]
+        assert report.equilibria[0].stable
+
+    def test_roots_match_a_cell_by_cell_scan(self, baseline):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            d = set_design_value(baseline, "ring.stiffness",
+                                 float(rng.uniform(0.0, 0.3)))
+            d = set_design_value(d, "gripper.gravity",
+                                 float(rng.uniform(-10.0, 10.0)))
+            grid = np.linspace(-math.pi, math.pi, 4096)
+            g = gradient_1dof(grid, d)
+            roots = []
+            for i in range(grid.size - 1):
+                if g[i] == 0.0:
+                    roots.append(grid[i])
+                elif (g[i] > 0) != (g[i + 1] > 0):
+                    roots.append(_bracketed_root(
+                        lambda t: float(gradient_1dof(t, d)), grid[i],
+                        grid[i + 1], g[i], xtol=1e-12))
+            if g[-1] == 0.0:
+                roots.append(grid[-1])
+            assert [e.theta for e in find_equilibria_1dof(d).equilibria] \
+                == [float(t) for t in roots]
+
     def test_invalid_window_rejected(self, baseline):
         with pytest.raises(ValueError):
             find_equilibria_1dof(baseline, theta_min=1.0, theta_max=-1.0)
