@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"snapgrip: error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"snapgrip: error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 
@@ -167,19 +167,17 @@ def _dispatch(args) -> int:
         outputs.append(path.name)
         return path
 
-    window = dict(theta_min=settings.theta_min, theta_max=settings.theta_max,
-                  grid_n=settings.grid_n)
-
     if args.command == "landscape":
         if args.n < 2:
             raise DomainError(f"--n must be at least 2, got {args.n}")
-        grid = np.linspace(settings.theta_min, settings.theta_max, args.n)
+        grid = np.linspace(design.window.theta_min, design.window.theta_max,
+                           args.n)
         land = sample_landscape(design, grid)
         csv("landscape.csv", ["theta", "total", "finger", "ring", "gravity"],
             zip(land.theta_grid, land.total, land.finger, land.ring,
                 land.gravity))
         if args.plot:
-            report = find_equilibria_1dof(design, **window)
+            report = find_equilibria_1dof(design)
             markers = [(e.theta, e.energy, e.classification[0].upper())
                        for e in report.equilibria]
             text("landscape.svg", svg_line_plot(
@@ -189,7 +187,7 @@ def _dispatch(args) -> int:
                 "bend angle (rad)", "energy (J)", markers))
 
     elif args.command == "equilibria":
-        report = find_equilibria_1dof(design, **window)
+        report = find_equilibria_1dof(design)
         csv("equilibria.csv",
             ["theta", "energy", "classification", "curvature"],
             [(e.theta, e.energy, e.classification, e.curvature)
@@ -199,7 +197,7 @@ def _dispatch(args) -> int:
                   f"energy = {e.energy:.12g} J")
 
     elif args.command == "snapthrough":
-        report = require_bistable(design, **window)
+        report = require_bistable(design)
         csv("snapthrough.csv",
             ["open_theta", "saddle_theta", "closed_theta", "open_energy",
              "saddle_energy", "closed_energy", "snap_through_energy"],
@@ -210,13 +208,12 @@ def _dispatch(args) -> int:
         print(fmt(float(report.snap_through_energy)))
 
     elif args.command == "trigger":
-        tau = trigger_moment(design, **window)
+        tau = trigger_moment(design)
         csv("trigger.csv", ["trigger_moment"], [(tau,)])
         print(fmt(tau))
 
     elif args.command == "continuation":
-        path = continuation_ramped_load(design, args.tau_max, args.steps,
-                                        **window)
+        path = continuation_ramped_load(design, args.tau_max, args.steps)
         csv("continuation.csv", ["tau", "theta", "energy"],
             zip(path.taus, path.thetas, path.energies))
         csv("continuation_folds.csv", ["tau", "theta"], path.fold_points)

@@ -10,7 +10,7 @@ are SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .model import KEY_SPECS, GripperDesign, design_from_values
@@ -31,9 +31,8 @@ class ConfigDocument:
 
 @dataclass(frozen=True, slots=True)
 class SolverSettings:
-    theta_min: float
-    theta_max: float
-    grid_n: int
+    """Settings of the studies; the solve window is part of the design."""
+
     dt: float
     t_end: float
     sweep_budget: int
@@ -96,7 +95,12 @@ def parse_config(text: str) -> ConfigDocument:
 
 def load_config(path) -> ConfigDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path} is not UTF-8 text: "
+                               f"{exc.reason}"]) from None
+    return parse_config(text)
 
 
 def serialize_config(doc: ConfigDocument) -> str:
@@ -116,9 +120,10 @@ def build_design(doc: ConfigDocument) -> GripperDesign:
 
 
 def build_solver_settings(doc: ConfigDocument) -> SolverSettings:
+    names = {f.name for f in fields(SolverSettings)}
     return SolverSettings(**{spec.field: doc[key]
                              for key, spec in KEY_SPECS.items()
-                             if key.startswith("solver.")})
+                             if spec.field in names})
 
 
 def default_config() -> ConfigDocument:

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import CurvatureOutOfRangeError, InvalidDesignError
+from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
+                     InvalidDesignError)
 
 # Below this bend angle the circular-arc kinematics switch to their
 # 4th-order series to avoid 0/0.
@@ -194,11 +195,31 @@ class RingDesign:
 
 
 @dataclass(frozen=True, slots=True)
+class SolveWindow:
+    """Bend-angle range and grid size of the equilibrium scan."""
+
+    theta_min: float
+    theta_max: float
+    grid_n: int = 4096
+
+    def __post_init__(self):
+        if not (self.theta_min < self.theta_max):
+            raise InvalidArgumentError("theta_min must be < theta_max")
+        if self.grid_n < 100:
+            raise InvalidArgumentError("grid_n must be >= 100")
+
+
+DEFAULT_WINDOW = SolveWindow(-math.pi, math.pi)
+
+
+@dataclass(frozen=True, slots=True)
 class GripperDesign:
     """Complete design: finger + ring + lumped dynamic parameters.
 
     ``gravity`` is the signed acceleration along the closing coordinate;
-    positive values pull the finger toward the closed state.
+    positive values pull the finger toward the closed state.  ``window``
+    is where every equilibrium solve of the design looks; designs derived
+    from this one keep it.
     """
 
     finger: FingerDesign
@@ -207,6 +228,7 @@ class GripperDesign:
     damping: float = 1.0e-4
     payload_mass: float = 0.0
     gravity: float = 0.0
+    window: SolveWindow = DEFAULT_WINDOW
 
     def __post_init__(self):
         if not (self.inertia > 0):
@@ -762,8 +784,8 @@ _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 class _KeySpec:
     """One configuration key and the dotted attribute path it sets.
 
-    Paths are in a ``GripperDesign``, or in the solver settings for
-    ``solver.*`` keys; ``material.model`` has none, it picks the material.
+    Paths are in a ``GripperDesign``, or else name a field of the solver
+    settings; ``material.model`` has none, it picks the material.
     """
 
     field: Optional[str]
@@ -802,10 +824,12 @@ KEY_SPECS = {
     "gripper.damping": _KeySpec("damping", 1.0e-4, *_NON_NEGATIVE),
     "gripper.payload_mass": _KeySpec("payload_mass", 0.0, *_NON_NEGATIVE),
     "gripper.gravity": _KeySpec("gravity", 0.0),
-    "solver.theta_min": _KeySpec("theta_min", -math.pi),
-    "solver.theta_max": _KeySpec("theta_max", math.pi),
-    "solver.grid_n": _KeySpec("grid_n", 4096, lambda v: v >= 100,
-                              "must be >= 100", int),
+    "solver.theta_min": _KeySpec("window.theta_min",
+                                 DEFAULT_WINDOW.theta_min),
+    "solver.theta_max": _KeySpec("window.theta_max",
+                                 DEFAULT_WINDOW.theta_max),
+    "solver.grid_n": _KeySpec("window.grid_n", DEFAULT_WINDOW.grid_n,
+                              lambda v: v >= 100, "must be >= 100", int),
     "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
     "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
     "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,
@@ -816,8 +840,10 @@ KEY_SPECS = {
                                       *_POSITIVE),
 }
 
+# Keys whose path starts at a ``GripperDesign`` field.
 _DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
-                if spec.field is not None and not key.startswith("solver.")}
+                if spec.field is not None and spec.field.partition(".")[0]
+                in {f.name for f in fields(GripperDesign)}}
 
 
 def design_from_values(values) -> GripperDesign:
@@ -827,7 +853,7 @@ def design_from_values(values) -> GripperDesign:
     its own fields; keys of the other material are ignored.
     """
     kwargs = {owner: {} for owner in ("", "finger", "finger.cross_section",
-                                      "finger.material", "ring")}
+                                      "finger.material", "ring", "window")}
     for key, spec in _DESIGN_KEYS.items():
         if key in values:
             owner, _, name = spec.field.rpartition(".")
@@ -839,7 +865,7 @@ def design_from_values(values) -> GripperDesign:
         cross_section=CrossSection(**kwargs["finger.cross_section"]),
         material=material, **kwargs["finger"])
     return GripperDesign(finger=finger, ring=RingDesign(**kwargs["ring"]),
-                         **kwargs[""])
+                         window=SolveWindow(**kwargs["window"]), **kwargs[""])
 
 
 def _with_field(record, path: str, value):
@@ -858,11 +884,15 @@ def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     or ``finger.natural_curvature``.  A material key switches the finger to
     the material class that has its field, which must then be fully known:
     ``material.youngs_modulus`` makes any finger linear elastic, while a
-    Yeoh coefficient on a linear finger is refused.
+    Yeoh coefficient on a linear finger is refused.  An integer key, such
+    as ``finger.n_segments``, takes only a whole number.
     """
     spec = _DESIGN_KEYS.get(path)
     if spec is None:
         raise InvalidDesignError(f"unknown design parameter path: {path}")
+    if spec.kind is int and (isinstance(value, bool)
+                             or not float(value).is_integer()):
+        raise InvalidDesignError(f"{path} must be an integer, got {value!r}")
     field, value = spec.field, spec.kind(value)
     owner, _, name = field.rpartition(".")
     if owner == "finger.material":

@@ -15,8 +15,6 @@ from .model import (ChainConfiguration, GripperDesign, chain_energy,
                     scalar_gradient, second_derivative_1dof,
                     total_energy_1dof, uniform_chain)
 
-DEFAULT_WINDOW = (-math.pi, math.pi)
-DEFAULT_GRID_N = 4096
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
 BISECTION_TOL = 1e-12       # rad
 MERGE_TOL = 1e-6            # rad, duplicate chain equilibria
@@ -90,11 +88,8 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
     return mid
 
 
-def find_equilibria_1dof(design: GripperDesign,
-                         theta_min: float = DEFAULT_WINDOW[0],
-                         theta_max: float = DEFAULT_WINDOW[1],
-                         grid_n: int = DEFAULT_GRID_N) -> EquilibriumReport:
-    """Locate every equilibrium of the reduced model in the window.
+def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
+    """Locate every equilibrium of the reduced model in ``design.window``.
 
     Sign changes of the analytic gradient on a uniform grid are refined by
     bisection; stability comes from the local energy curvature.  When
@@ -103,12 +98,8 @@ def find_equilibria_1dof(design: GripperDesign,
     energy (saddle energy minus open-state energy).  Fewer equilibria give
     a monostable report; bistability is never fabricated.
     """
-    if not (theta_min < theta_max):
-        raise InvalidArgumentError("theta_min must be < theta_max")
-    if grid_n < 100:
-        raise InvalidArgumentError("grid_n must be >= 100")
-
-    grid = np.linspace(theta_min, theta_max, grid_n)
+    window = design.window
+    grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
     gradient = scalar_gradient(design)
     # A grid point where the gradient is exactly zero is a root as it
@@ -144,32 +135,31 @@ def _assemble_report(equilibria) -> EquilibriumReport:
 
 
 def require_bistable(design: GripperDesign,
-                     report: Optional[EquilibriumReport] = None,
-                     **window) -> EquilibriumReport:
+                     report: Optional[EquilibriumReport] = None
+                     ) -> EquilibriumReport:
     """The design's equilibrium report, solved unless ``report`` is given;
     raises NotBistableError for a monostable design."""
     if report is None:
-        report = find_equilibria_1dof(design, **window)
+        report = find_equilibria_1dof(design)
     if not report.bistable:
         raise NotBistableError("design is not bistable")
     return report
 
 
-def snap_through_energy(design: GripperDesign, **window) -> float:
+def snap_through_energy(design: GripperDesign) -> float:
     """Energy barrier from the open state to the transition state."""
-    return float(require_bistable(design, **window).snap_through_energy)
+    return float(require_bistable(design).snap_through_energy)
 
 
 def trigger_moment(design: GripperDesign,
-                   report: Optional[EquilibriumReport] = None,
-                   **window) -> float:
+                   report: Optional[EquilibriumReport] = None) -> float:
     """Smallest quasi-static closing moment that guarantees snap-through.
 
     Equals the maximum of the energy gradient between the open state and
     the saddle.  ``report`` is the design's equilibrium report, if already
     solved.
     """
-    report = require_bistable(design, report, **window)
+    report = require_bistable(design, report)
     lo, hi = report.open_state.theta, report.saddle.theta
     grid = np.linspace(lo, hi, 2048)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
@@ -224,7 +214,7 @@ def _newton_1dof(design, theta, tau, tol=1e-12, max_iter=60, h=1e-7):
 
 
 def continuation_ramped_load(design: GripperDesign, tau_max: float,
-                             n_steps: int, **window) -> ContinuationPath:
+                             n_steps: int) -> ContinuationPath:
     """Trace the equilibrium branch as a closing moment ramps from zero.
 
     Each load step relaxes from the previous solution (damped Newton,
@@ -236,7 +226,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
         raise InvalidArgumentError("n_steps must be >= 10")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
-    report = find_equilibria_1dof(design, **window)
+    report = find_equilibria_1dof(design)
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")

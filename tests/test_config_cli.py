@@ -9,11 +9,11 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.config import (ConfigDocument, build_design,
                              build_solver_settings, default_config,
-                             parse_config, serialize_config)
+                             load_config, parse_config, serialize_config)
 from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
 from snapgrip.model import (KEY_SPECS, CrossSection, FingerDesign,
-                            GripperDesign, LinearElastic, RingDesign, Yeoh,
-                            set_design_value)
+                            GripperDesign, LinearElastic, RingDesign,
+                            SolveWindow, Yeoh, set_design_value)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import snap_through_energy
 from tests.conftest import BASELINE_CFG, child_env, run_cli
@@ -62,6 +62,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("finger.length 0.08\n")
         assert "line 1" in err.value.problems[0]
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("finger.length = 0.08  # r\xe9glage\n"
+                         .encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
 
     def test_round_trip_is_identity(self, baseline_doc):
         assert parse_config(serialize_config(baseline_doc)) == baseline_doc
@@ -148,7 +155,8 @@ class TestRegistry:
         s = build_solver_settings(baseline_doc)
         assert (s.dt, s.t_end, s.impulse_factor, s.object_halfwidth) == \
             (2e-5, 0.1, 5.0, 0.076)
-        assert (s.theta_min, s.grid_n) == (-math.pi, 4096)
+        assert build_design(baseline_doc).window == SolveWindow(-math.pi,
+                                                                math.pi, 4096)
 
     @pytest.mark.parametrize("model", ["linear", "yeoh"])
     def test_set_design_value_agrees_with_build_design(self, model):
@@ -168,6 +176,30 @@ class TestRegistry:
             expected = build_design(ConfigDocument({**doc.values,
                                                     key: value}))
             assert set_design_value(design, key, value) == expected, key
+
+    def test_window_keys_set_the_design_window(self, baseline_doc, baseline):
+        values = {"solver.theta_min": -2.0, "solver.theta_max": 2.5,
+                  "solver.grid_n": 1000}
+        d = baseline
+        for key, value in values.items():
+            d = set_design_value(d, key, value)
+        assert d.window == SolveWindow(-2.0, 2.5, 1000)
+        assert d == build_design(ConfigDocument({**baseline_doc.values,
+                                                 **values}))
+        assert not hasattr(build_solver_settings(baseline_doc), "grid_n")
+
+    @pytest.mark.parametrize("path, value", [
+        ("finger.n_segments", 2.5), ("finger.n_segments", True),
+        ("finger.n_segments", math.nan), ("finger.n_segments", math.inf),
+        ("solver.grid_n", 4096.5)])
+    def test_integer_key_refuses_other_values(self, baseline, path, value):
+        with pytest.raises(InvalidDesignError, match="must be an integer"):
+            set_design_value(baseline, path, value)
+
+    def test_integer_key_takes_a_whole_float(self, baseline):
+        d = set_design_value(baseline, "finger.n_segments", 3.0)
+        assert d.finger.n_segments == 3
+        assert type(d.finger.n_segments) is int
 
     def test_youngs_modulus_swaps_in_a_linear_material(self):
         yeoh = build_design(parse_config("material.model = yeoh\n"))
@@ -380,6 +412,67 @@ class TestCli:
         assert res.stderr.startswith("snapgrip: error: ")
         assert "Traceback" not in res.stderr
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_fractional_segment_count_in_sweep_exits_2(self, tmp_path):
+        res = run_cli("sweep", "--param", "finger.n_segments=2.5,3",
+                      "--config", str(BASELINE_CFG),
+                      "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("snapgrip: error: finger.n_segments must be "
+                              "an integer, got 2.5\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("mistake", ["config_is_a_directory",
+                                         "out_is_a_file",
+                                         "config_is_not_utf8"])
+    def test_file_mistakes_exit_2_with_one_line(self, tmp_path, mistake):
+        config, out = BASELINE_CFG, tmp_path / "out"
+        if mistake == "config_is_a_directory":
+            config = tmp_path
+        elif mistake == "out_is_a_file":
+            out.write_text("")
+        else:
+            config = tmp_path / "latin1.cfg"
+            config.write_bytes("# r\xe9glage\n".encode("latin-1")
+                               + BASELINE_CFG.read_bytes())
+        res = run_cli("snapthrough", "--config", str(config),
+                      "--out", str(out), cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("snapgrip: error: ")
+        assert "Traceback" not in res.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["snapthrough"], ["trigger"], ["closingtime"], ["gripforce"],
+        ["tunering", "--target-barrier", "0.005"], ["feacases"]])
+    def test_narrow_window_reaches_every_two_well_subcommand(self, tmp_path,
+                                                              argv):
+        # With theta_max = 1 the closed state (1.6 rad) is outside the
+        # window, so no subcommand may find two wells.
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
+        res = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path),
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert "not bistable" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_narrow_window_in_sweep_and_gravitycheck(self, tmp_path):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
+        res = run_cli("sweep", "--param", "ring.stiffness=0.1,0.12",
+                      "--config", str(cfg), "--out", str(tmp_path),
+                      cwd=tmp_path)
+        assert res.returncode == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["false", "false"]
+        res = run_cli("gravitycheck", "--config", str(cfg),
+                      "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 0
+        assert res.stdout == "not triggered, margin = inf J\n"
 
     def test_manifest_hash_ignores_comments(self, tmp_path):
         digests = []

@@ -251,3 +251,35 @@ class TestGripForce:
                                                            halfwidth):
         with pytest.raises(InvalidArgumentError, match="half-width"):
             grip_force_estimate(baseline, halfwidth)
+
+
+class TestSolveWindow:
+    """Every study solves its designs on the window the design carries."""
+
+    @pytest.fixture
+    def narrow(self, baseline):
+        # The closed state (1.6 rad) lies outside [-pi, 1]: only the open
+        # state and the saddle are in the window.
+        return set_design_value(baseline, "solver.theta_max", 1.0)
+
+    def test_studies_see_no_closed_state(self, narrow):
+        assert design_metrics(narrow) == {"bistable": False}
+        row, = run_sweep(narrow, SweepSpec(
+            parameters=(("ring.stiffness", (0.12,)),))).rows
+        assert not row.bistable
+        assert gravity_trigger_check(
+            set_design_value(narrow, "gripper.gravity", 9.81)) \
+            == (False, math.inf)
+        for study in (lambda: tune_ring_width(narrow, 0.005),
+                      lambda: reproduce_fea_cases(narrow),
+                      lambda: grip_force_estimate(narrow, 0.05),
+                      lambda: closing_time(narrow, 1e-4)):
+            with pytest.raises(NotBistableError):
+                study()
+
+    def test_a_window_holding_all_three_states_changes_nothing(self,
+                                                               baseline):
+        # Another grid moves the roots only within the bisection tolerance.
+        wide = set_design_value(baseline, "solver.theta_max", 2.0)
+        assert design_metrics(wide, impulse_factor=5.0) == pytest.approx(
+            design_metrics(baseline, impulse_factor=5.0), rel=1e-9)

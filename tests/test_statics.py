@@ -1,13 +1,14 @@
 """Equilibrium, barrier, trigger, continuation and chain statics tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from snapgrip.errors import (DomainError, NotBistableError,
                              SaddleOrderError)
-from snapgrip.model import (set_design_value, total_energy_1dof,
+from snapgrip.model import (SolveWindow, set_design_value, total_energy_1dof,
                             gradient_1dof, chain_gradient, chain_hessian,
                             uniform_chain)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
@@ -121,8 +122,8 @@ class TestFindEquilibria1Dof:
         d = set_design_value(baseline, "ring.stiffness", 0.0)
         d = set_design_value(d, "finger.natural_curvature", 0.0)
         assert np.linspace(-1.0, 1.0, 101)[50] == 0.0
-        report = find_equilibria_1dof(d, theta_min=-1.0, theta_max=1.0,
-                                      grid_n=101)
+        d = replace(d, window=SolveWindow(-1.0, 1.0, 101))
+        report = find_equilibria_1dof(d)
         assert [e.theta for e in report.equilibria] == [0.0]
         assert report.equilibria[0].stable
 
@@ -150,7 +151,19 @@ class TestFindEquilibria1Dof:
 
     def test_invalid_window_rejected(self, baseline):
         with pytest.raises(ValueError):
-            find_equilibria_1dof(baseline, theta_min=1.0, theta_max=-1.0)
+            SolveWindow(1.0, -1.0)
+
+    def test_derived_designs_keep_the_window(self, baseline):
+        narrow = set_design_value(baseline, "solver.theta_max", 1.0)
+        assert narrow.window == SolveWindow(-math.pi, 1.0, 4096)
+        assert baseline.window == SolveWindow(-math.pi, math.pi, 4096)
+        for d in (set_design_value(narrow, "ring.stiffness", 0.1),
+                  set_design_value(narrow, "material.youngs_modulus", 5e5),
+                  replace(narrow, gravity=9.81, inertia=1e-6)):
+            assert d.window is narrow.window
+            report = find_equilibria_1dof(d)
+            assert max(e.theta for e in report.equilibria) < 1.0
+            assert not report.bistable
 
     def test_snap_through_on_monostable_raises(self, baseline):
         d = set_design_value(baseline, "ring.stiffness", 0.0)
@@ -365,6 +378,39 @@ class TestChainStatics:
         seed = uniform_chain(d, 1.6)
         eqs = find_equilibria_chain(d, [seed, seed + 1e-8, seed.copy()])
         assert len(eqs) == 1
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_chain_without_gravity_is_the_scaled_modulus_1dof_model(
+            self, baseline, n):
+        # With g = 0 and a*n whole (a = attach fraction), the a*n proximal
+        # joints share the bend and the distal ones rest at their natural
+        # angle, so the chain is the 1-DOF model with E scaled by a, and
+        # its tip angle is a*theta' + (1 - a)*kappa0*L.
+        d = set_design_value(baseline, "gripper.gravity", 0.0)
+        d = set_design_value(d, "finger.n_segments", n)
+        a = d.ring.attach_fraction
+        oracle = find_equilibria_1dof(set_design_value(
+            d, "material.youngs_modulus",
+            a * d.finger.material.youngs_modulus))
+
+        def tip(eq):
+            return a * eq.theta + (1.0 - a) * d.finger.rest_angle
+
+        open_, closed = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        saddle = saddle_search_chain(d, open_.configuration,
+                                     closed.configuration)
+        assert saddle.energy - open_.energy == pytest.approx(
+            oracle.snap_through_energy, rel=1e-12, abs=0.0)
+        for chain_eq, eq in ((open_, oracle.open_state),
+                             (saddle, oracle.saddle)):
+            assert chain_eq.energy == pytest.approx(eq.energy, rel=1e-12,
+                                                    abs=0.0)
+        assert abs(closed.energy - oracle.closed_state.energy) < 1e-15
+        for chain_eq, eq in ((open_, oracle.open_state),
+                             (saddle, oracle.saddle),
+                             (closed, oracle.closed_state)):
+            assert abs(chain_eq.theta - tip(eq)) < 1e-11
 
     def test_string_endpoints_must_be_stable(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 4)
