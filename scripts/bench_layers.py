@@ -1,4 +1,4 @@
-"""Time the 1-DOF layers of one snapgrip checkout on the baseline design.
+"""Time the model layers of one snapgrip checkout on the baseline design.
 
 Usage, from the root of a checkout:
 
@@ -8,8 +8,10 @@ Usage, from the root of a checkout:
 the same script can time two checkouts on the same machine.  Each layer is
 run ``--repeats`` times after one warm-up run; the JSON printed on stdout
 gives every run's time, their median, and how often the layer called
-``gradient_1dof`` (array form) and ``find_equilibria_1dof``.  Counts do
-not change from run to run.
+``gradient_1dof`` (array form), ``find_equilibria_1dof`` and
+``chain_gradient``.  Counts do not change from run to run.  The chain
+layers evaluate the uniform chain at the open-state tip angle with n = 8,
+32 and 128 segments, without gravity and at g = 9.81.
 """
 
 import argparse
@@ -22,25 +24,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def repeated(times, f, *args):
+    """Zero-argument callable that calls ``f(*args)`` ``times`` times."""
+    def run():
+        for _ in range(times):
+            f(*args)
+    return run
+
+
 def layers(design):
     """(name, zero-argument callable) for each timed layer."""
     from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                    simulate_1dof)
     from snapgrip.explore import (design_metrics, reproduce_fea_cases,
                                   tune_ring_width)
-    from snapgrip.model import gradient_1dof, set_design_value
+    from snapgrip.model import (chain_energy, chain_gradient, chain_hessian,
+                                gradient_1dof, set_design_value,
+                                uniform_chain)
     from snapgrip.statics import find_equilibria_1dof, trigger_moment
 
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
     impulse = 5.0 * minimal_trigger_impulse(design, report)
 
-    def gradient_x1000():
-        for _ in range(1000):
-            gradient_1dof(0.3, gravity)
+    chain = []
+    for n in (8, 32, 128):
+        for g in (0.0, 9.81):
+            d = set_design_value(set_design_value(
+                design, "finger.n_segments", n), "gripper.gravity", g)
+            phi = uniform_chain(d, report.open_state.theta)
+            tag = f"n{n}_g{g:g}"
+            chain += [
+                (f"chain_energy_{tag}_x100",
+                 repeated(100, chain_energy, phi, d)),
+                (f"chain_gradient_{tag}_x100",
+                 repeated(100, chain_gradient, phi, d)),
+                (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
+            ]
 
     return [
-        ("gradient_1dof_scalar_g9.81_x1000", gradient_x1000),
+        ("gradient_1dof_scalar_g9.81_x1000",
+         repeated(1000, gradient_1dof, 0.3, gravity)),
         ("find_equilibria_1dof", lambda: find_equilibria_1dof(design)),
         ("find_equilibria_1dof_g9.81", lambda: find_equilibria_1dof(gravity)),
         ("trigger_moment", lambda: trigger_moment(design, report)),
@@ -51,7 +75,7 @@ def layers(design):
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
-    ]
+    ] + chain
 
 
 def counted(names):
@@ -90,7 +114,8 @@ def main(argv=None):
             run()
             times.append(time.perf_counter() - start)
         result[name] = {"median_s": statistics.median(times), "runs_s": times}
-    counts = counted(("gradient_1dof", "find_equilibria_1dof"))
+    counts = counted(("gradient_1dof", "find_equilibria_1dof",
+                      "chain_gradient"))
     for name, run in layers(design):
         before = dict(counts)
         run()

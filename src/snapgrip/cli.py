@@ -148,24 +148,23 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     doc = load_config(args.config)
     design = build_design(doc)
     settings = build_solver_settings(doc)
     outputs = []
 
+    def output(name):
+        """Path of output ``name``; ``out`` is created on first use."""
+        out.mkdir(parents=True, exist_ok=True)
+        outputs.append(name)
+        return out / name
+
     def csv(name, header, rows):
-        path = out / name
-        write_csv(path, header, rows)
-        outputs.append(path.name)
-        return path
+        write_csv(output(name), header, rows)
 
     def text(name, content):
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(output(name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
-        outputs.append(path.name)
-        return path
 
     if args.command == "landscape":
         if args.n < 2:
@@ -286,9 +285,7 @@ def _dispatch(args) -> int:
                  for metric, value in sorted(by_case[case].items())]
         pairs += [(f"assert.{a.name}", state)
                   for a, state in zip(rep.assertions, states)]
-        path = out / "feacases.txt"
-        write_key_value(path, pairs)
-        outputs.append(path.name)
+        write_key_value(output("feacases.txt"), pairs)
         columns = ("open_energy", "saddle_energy", "snap_through",
                    "trigger_moment", "grip_force", "closing_time")
         csv("feacases.csv", ["case", "bistable", *columns],

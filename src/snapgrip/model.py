@@ -240,20 +240,32 @@ class GripperDesign:
                 f"payload_mass must be >= 0, got {self.payload_mass}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ChainConfiguration:
-    """Joint angles of the segment chain, one per segment."""
+    """Joint angles of the segment chain, one per segment, packed as
+    float64 bytes: 8 bytes an angle, where a tuple of floats takes 40.
+    Configurations are equal when their angles are equal bit for bit."""
 
-    joint_angles: tuple
+    packed: bytes
 
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.joint_angles)
-        if not all(math.isfinite(a) for a in angles):
+    def __init__(self, joint_angles):
+        angles = np.fromiter(joint_angles, dtype=float)
+        if not np.all(np.isfinite(angles)):
             raise InvalidDesignError("joint angles must be finite")
-        object.__setattr__(self, "joint_angles", angles)
+        object.__setattr__(self, "packed", angles.tobytes())
+
+    def __repr__(self):
+        return f"ChainConfiguration({self.joint_angles!r})"
+
+    @property
+    def joint_angles(self) -> tuple:
+        return tuple(np.frombuffer(self.packed).tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.joint_angles, dtype=float)
+        return np.frombuffer(self.packed).copy()
+
+    def __array__(self, dtype=None, copy=None):
+        return self.as_array()
 
     @property
     def tip_angle(self) -> float:
@@ -339,6 +351,17 @@ def _bend_energy_generic(theta, rest_angle, length, section, material,
     return np.array([scalar(t) for t in arr.ravel()]).reshape(arr.shape)
 
 
+def _bend_moment_generic(theta, rest_angle, length, section, material):
+    """Bending moment of a uniformly bent beam, d/d(theta) of
+    ``_bend_energy_generic``."""
+    d = np.asarray(theta, dtype=float) - rest_angle
+    if isinstance(material, LinearElastic):
+        ei = material.youngs_modulus * section.second_moment
+        return ei / length * d
+    return np.array([moment_curvature(k, section, material)
+                     for k in (d / length).ravel()]).reshape(d.shape)[()]
+
+
 # ---------------------------------------------------------------------------
 # Reduced single-coordinate model
 # ---------------------------------------------------------------------------
@@ -351,17 +374,8 @@ def finger_energy_1dof(theta, finger: FingerDesign):
 
 def finger_gradient_1dof(theta, finger: FingerDesign):
     """d/d(theta) of the finger bending energy (the restoring moment)."""
-    if isinstance(finger.material, LinearElastic):
-        ei = finger.bending_stiffness
-        return ei / finger.length * (np.asarray(theta, dtype=float)
-                                     - finger.rest_angle)
-    arr = np.asarray(theta, dtype=float)
-    kap = (arr - finger.rest_angle) / finger.length
-    if arr.ndim == 0:
-        return moment_curvature(float(kap), finger.cross_section,
-                                finger.material)
-    return np.array([moment_curvature(k, finger.cross_section, finger.material)
-                     for k in kap.ravel()]).reshape(arr.shape)
+    return _bend_moment_generic(theta, finger.rest_angle, finger.length,
+                                finger.cross_section, finger.material)
 
 
 def ring_energy_1dof(theta, ring: RingDesign):
@@ -609,12 +623,12 @@ def sample_landscape(design: GripperDesign, theta_grid) -> EnergyLandscape:
 # Segment-chain model
 # ---------------------------------------------------------------------------
 
-def _check_chain(angles, design: GripperDesign) -> np.ndarray:
-    if isinstance(angles, ChainConfiguration):
-        angles = angles.as_array()
-    arr = np.asarray(angles, dtype=float)
-    n = design.finger.n_segments
-    if arr.shape != (n,):
+def _check_chain(angles, finger: FingerDesign) -> np.ndarray:
+    """Joint angles as a C-ordered float array with one angle per segment
+    on its last axis; any leading axes stack configurations."""
+    arr = np.asarray(angles, dtype=float, order="C")
+    n = finger.n_segments
+    if arr.shape[-1:] != (n,):
         raise InvalidDesignError(
             f"chain configuration has shape {arr.shape}, expected ({n},)")
     return arr
@@ -632,99 +646,102 @@ def _ring_station_weights(design: GripperDesign) -> np.ndarray:
     return w
 
 
-def chain_energy(angles, design: GripperDesign) -> float:
+def _station_angle(phi, w):
+    """w . phi for each chain of ``phi``, of shape (..., 1).  Each is one
+    BLAS dot product, so every chain of a stack gets the bits ``np.dot``
+    gives it alone."""
+    return (phi[..., None, :] @ w[:, None])[..., 0]
+
+
+def _running_sum(v):
+    """Exclusive running sum along the last axis, added in sequence."""
+    out = np.zeros_like(v)
+    np.cumsum(v[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def chain_energy(angles, design: GripperDesign):
     """Total energy of the segment chain (elastic + ring + gravity).
 
     The ring acts on the bend angle at its arc-length station, rescaled to
     the tip-angle convention so the well parameters keep their meaning.
     For one segment with the ring at the tip this reduces exactly to the
-    single-coordinate model.
+    single-coordinate model.  ``angles`` of shape (..., n) give an array of
+    shape (...); a single chain gives a float.
     """
-    phi = _check_chain(angles, design)
     finger = design.finger
-    n = finger.n_segments
-    ell = finger.length / n
-    rest = finger.natural_curvature * ell
-
-    elastic = float(np.sum(_bend_energy_generic(
-        phi, rest, ell, finger.cross_section, finger.material)))
-
-    w = _ring_station_weights(design)
-    psi_r = float(np.dot(w, phi))
-    ring = float(ring_energy_1dof(psi_r / design.ring.attach_fraction,
-                                  design.ring))
+    phi = _check_chain(angles, finger)
+    ell = finger.length / finger.n_segments
+    elastic = _bend_energy_generic(
+        phi, finger.natural_curvature * ell, ell, finger.cross_section,
+        finger.material).sum(axis=-1)
+    psi_r = _station_angle(phi, _ring_station_weights(design))
+    ring = ring_energy_1dof(psi_r / design.ring.attach_fraction,
+                            design.ring)[..., 0]
 
     grav = 0.0
     g = design.gravity
     if g != 0.0:
+        # Segment i starts at tangent psi_i and end advance x_i.  The terms
+        # are added in sequence, segment by segment and then the payload,
+        # with np.cumsum rather than the pairwise np.sum, so the energy
+        # rounds as a running total does.
         seg_mass = finger.linear_density * ell
-        psi = 0.0
-        x = 0.0
-        for p in phi:
-            grav -= g * seg_mass * (x + float(_arc(_MEAN_X, psi, p, ell)))
-            x += float(_arc(_END_DX, psi, p, ell))
-            psi += p
-        grav -= g * design.payload_mass * x
-    return elastic + ring + grav
+        psi = _running_sum(phi)
+        end_dx = _arc(_END_DX, psi, phi, ell)
+        x = _running_sum(end_dx)
+        x_tip = x[..., -1] + end_dx[..., -1]
+        terms = np.concatenate(
+            (-g * seg_mass * (x + _arc(_MEAN_X, psi, phi, ell)),
+             (-g * design.payload_mass * x_tip)[..., None]), axis=-1)
+        grav = np.cumsum(terms, axis=-1)[..., -1]
+    total = elastic + ring + grav
+    return total if phi.ndim > 1 else float(total)
 
 
 def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
-    """Analytic gradient of ``chain_energy`` with respect to joint angles."""
-    phi = _check_chain(angles, design)
+    """Analytic gradient of ``chain_energy`` with respect to joint angles,
+    of the same shape as ``angles``."""
     finger = design.finger
+    phi = _check_chain(angles, finger)
     n = finger.n_segments
     ell = finger.length / n
-    rest = finger.natural_curvature * ell
-
-    if isinstance(finger.material, LinearElastic):
-        grad = finger.bending_stiffness / ell * (phi - rest)
-    else:
-        grad = np.array([moment_curvature((p - rest) / ell,
-                                          finger.cross_section, finger.material)
-                         for p in phi])
+    grad = _bend_moment_generic(phi, finger.natural_curvature * ell, ell,
+                                finger.cross_section, finger.material)
 
     a = design.ring.attach_fraction
     w = _ring_station_weights(design)
-    psi_r = float(np.dot(w, phi))
-    grad += float(ring_gradient_1dof(psi_r / a, design.ring)) / a * w
+    psi_r = _station_angle(phi, w)
+    grad += ring_gradient_1dof(psi_r / a, design.ring) / a * w
 
     g = design.gravity
     if g != 0.0:
+        # Reverse accumulation.  Bending phi_j moves segment j's centroid
+        # and end, and the end carries the after_j = n-1-j segments beyond
+        # it and the payload: the "own" term.  It also turns the start
+        # tangent psi_i of every later segment i, which moves segment i
+        # the same way: the "turn" terms, summed over i > j.
         seg_mass = finger.linear_density * ell
-        psi = np.concatenate(([0.0], np.cumsum(phi)))  # psi[i] before seg i+1
-        dB_dpsi = np.array([_arc(_END_DX_DPSI, psi[i], phi[i], ell)
-                            for i in range(n)])
-        dB_dphi = np.array([_arc(_END_DX_DPHI, psi[i], phi[i], ell)
-                            for i in range(n)])
-        dA_dpsi = np.array([_arc(_MEAN_X_DPSI, psi[i], phi[i], ell)
-                            for i in range(n)])
-        dA_dphi = np.array([_arc(_MEAN_X_DPHI, psi[i], phi[i], ell)
-                            for i in range(n)])
-        # d x_end(i) / d phi_j = dB_dphi[j] + sum_{j < i' <= i} dB_dpsi[i']
-        # d x_com(i) / d phi_j = d x_end(i-1)/d phi_j + dA_dpsi[i] (j < i)
-        #                      = dA_dphi[i]                         (j == i)
-        for j in range(n):
-            acc = 0.0
-            dx_end = dB_dphi[j]          # d x_end / d phi_j at segment i = j
-            acc += dA_dphi[j]            # centroid of segment j itself
-            for i in range(j + 1, n):
-                acc += dx_end + dA_dpsi[i]
-                dx_end += dB_dpsi[i]
-            grad[j] -= g * (seg_mass * acc + design.payload_mass * dx_end)
+        m_p = design.payload_mass
+        psi = _running_sum(phi)
+        after = np.arange(n - 1, -1, -1)
+        b_phi = _arc(_END_DX_DPHI, psi, phi, ell)
+        b_psi = _arc(_END_DX_DPSI, psi, phi, ell)
+        own = (seg_mass * (_arc(_MEAN_X_DPHI, psi, phi, ell) + after * b_phi)
+               + m_p * b_phi)
+        turn = (seg_mass * (_arc(_MEAN_X_DPSI, psi, phi, ell) + after * b_psi)
+                + m_p * b_psi)
+        grad -= g * (own + _running_sum(turn[..., ::-1])[..., ::-1])
     return grad
 
 
 def chain_hessian(angles, design: GripperDesign, h: float = 1e-6) -> np.ndarray:
-    """Hessian by central differences of the analytic gradient."""
-    phi = _check_chain(angles, design)
-    n = phi.size
-    hess = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        hess[:, j] = (chain_gradient(phi + e, design)
-                      - chain_gradient(phi - e, design)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+    """Hessian by central differences of two stacked gradient calls."""
+    phi = _check_chain(angles, design.finger)[..., None, :]
+    step = h * np.eye(phi.shape[-1])
+    hess = (chain_gradient(phi + step, design)
+            - chain_gradient(phi - step, design)) / (2.0 * h)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def forward_kinematics(angles, finger: FingerDesign) -> np.ndarray:
@@ -733,13 +750,7 @@ def forward_kinematics(angles, finger: FingerDesign) -> np.ndarray:
     The first tangent points along +y; joint i rotates the following link
     by the cumulative angle.  Returns an (n+1, 2) array of (x, y).
     """
-    if isinstance(angles, ChainConfiguration):
-        angles = angles.as_array()
-    phi = np.asarray(angles, dtype=float)
-    if phi.shape != (finger.n_segments,):
-        raise InvalidDesignError(
-            f"chain configuration has shape {phi.shape}, "
-            f"expected ({finger.n_segments},)")
+    phi = _check_chain(angles, finger)
     ell = finger.length / finger.n_segments
     psi = np.cumsum(phi)
     xy = np.zeros((finger.n_segments + 1, 2))

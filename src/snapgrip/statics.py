@@ -220,12 +220,14 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     Each load step relaxes from the previous solution (damped Newton,
     the quasi-static stand-in for numerical stabilization).  When the
     branch folds (relaxation fails or the curvature crosses zero) the
-    fold is recorded and the path restarts on the post-snap branch.
+    fold is recorded and the path restarts on the post-snap branch.  A
+    path that leaves ``design.window`` is an error.
     """
     if n_steps < 10:
         raise InvalidArgumentError("n_steps must be >= 10")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
+    window = design.window
     report = find_equilibria_1dof(design)
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
@@ -249,6 +251,9 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
                 raise NonConvergenceError(
                     f"continuation lost the branch at load {tau:.6g}")
         theta = float(sol)
+        if not window.theta_min <= theta <= window.theta_max:
+            raise InvalidArgumentError(f"continuation left the solve window "
+                                       f"at theta = {theta:.6g} rad")
         thetas[i] = theta
     energies = np.asarray(total_energy_1dof(thetas, design), dtype=float)
     return ContinuationPath(taus=taus, thetas=thetas, energies=energies,
@@ -286,7 +291,6 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
         if gnorm < tol:
             return phi
         hess = chain_hessian(phi, design)
-        step = None
         lam = 0.0
         scale = float(np.max(np.abs(hess))) or 1.0
         for _ in range(12):
@@ -295,14 +299,13 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
                 break
             except np.linalg.LinAlgError:
                 lam = max(lam * 10.0, 1e-12 * scale)
-        if step is None:
+        else:
             return None
         alpha = 1.0
         for _ in range(40):
             cand = phi + alpha * step
             g_new = chain_gradient(cand, design)
-            if (float(np.max(np.abs(g_new))) < gnorm * (1.0 - 1e-4)
-                    or float(np.max(np.abs(g_new))) < tol):
+            if float(np.max(np.abs(g_new))) < max(gnorm * (1.0 - 1e-4), tol):
                 phi, g = cand, g_new
                 break
             alpha *= 0.5
@@ -311,14 +314,14 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
     return phi if float(np.max(np.abs(g))) < tol else None
 
 
-def _chain_equilibrium(design, phi) -> Equilibrium:
-    hess = chain_hessian(phi, design)
-    eigs = np.linalg.eigvalsh(hess)
+def _chain_equilibrium(design, phi):
+    """The chain equilibrium at ``phi`` and its ascending Hessian spectrum."""
+    eigs = np.linalg.eigvalsh(chain_hessian(phi, design))
     return Equilibrium(theta=float(np.sum(phi)),
                        energy=float(chain_energy(phi, design)),
                        stable=bool(np.all(eigs > 0.0)),
                        curvature=float(eigs[0]),
-                       configuration=ChainConfiguration(tuple(phi)))
+                       configuration=ChainConfiguration(phi)), eigs
 
 
 def find_equilibria_chain(design: GripperDesign,
@@ -331,8 +334,6 @@ def find_equilibria_chain(design: GripperDesign,
     """
     converged = []
     for seed in seeds:
-        if isinstance(seed, ChainConfiguration):
-            seed = seed.as_array()
         phi = _chain_newton(design, seed)
         if phi is not None:
             converged.append(phi)
@@ -345,7 +346,7 @@ def find_equilibria_chain(design: GripperDesign,
                 break
         else:
             merged.append(phi)
-    result = [_chain_equilibrium(design, phi) for phi in merged]
+    result = [_chain_equilibrium(design, phi)[0] for phi in merged]
     result.sort(key=lambda e: e.theta)
     return result
 
@@ -375,43 +376,34 @@ def saddle_search_chain(design: GripperDesign, minimum_a, minimum_b,
     """
     if n_images < 8:
         raise ValueError("n_images must be >= 8")
-    a = (minimum_a.as_array() if isinstance(minimum_a, ChainConfiguration)
-         else np.asarray(minimum_a, dtype=float))
-    b = (minimum_b.as_array() if isinstance(minimum_b, ChainConfiguration)
-         else np.asarray(minimum_b, dtype=float))
-    for end in (a, b):
-        if float(np.max(np.abs(chain_gradient(end, design)))) > 1e-6:
-            raise ValueError("string endpoints must be converged equilibria")
-        eigs = np.linalg.eigvalsh(chain_hessian(end, design))
-        if not np.all(eigs > 0):
-            raise ValueError("string endpoints must be stable equilibria")
+    ends = np.array([minimum_a, minimum_b], dtype=float)
+    if float(np.max(np.abs(chain_gradient(ends, design)))) > 1e-6:
+        raise ValueError("string endpoints must be converged equilibria")
+    eigs = np.linalg.eigvalsh(chain_hessian(ends, design))
+    if not np.all(eigs > 0):
+        raise ValueError("string endpoints must be stable equilibria")
+    # Step size from the stiffest curvature seen at the endpoints.
+    eta = 0.5 / float(np.max(np.abs(eigs)))
 
     frac = np.linspace(0.0, 1.0, n_images)[:, None]
-    images = (1.0 - frac) * a[None, :] + frac * b[None, :]
-
-    # Step size from the stiffest curvature seen at the endpoints.
-    lam = max(float(np.max(np.abs(np.linalg.eigvalsh(
-        chain_hessian(end, design))))) for end in (a, b))
-    eta = 0.5 / lam
+    images = (1.0 - frac) * ends[0] + frac * ends[1]
 
     for it in range(max_iter):
-        grads = np.array([chain_gradient(img, design) for img in images])
-        energies = np.array([chain_energy(img, design) for img in images])
+        grads = chain_gradient(images, design)
+        energies = chain_energy(images, design)
         climb = int(np.argmax(energies[1:-1])) + 1
 
         if float(np.linalg.norm(grads[climb])) < 10 * climb_tol and it > 20:
             break
 
-        for i in range(1, n_images - 1):
-            tan = images[i + 1] - images[i - 1]
-            norm = float(np.linalg.norm(tan))
-            if norm > 0:
-                tan /= norm
-            proj = float(np.dot(grads[i], tan))
-            if i == climb:
-                images[i] -= eta * (grads[i] - 2.0 * proj * tan)
-            else:
-                images[i] -= eta * (grads[i] - proj * tan)
+        # Every inner image descends along its gradient less the part along
+        # the string's tangent there; the climbing image reverses that part.
+        tan = images[2:] - images[:-2]
+        norm = np.linalg.norm(tan, axis=1, keepdims=True)
+        np.divide(tan, norm, out=tan, where=norm > 0)
+        proj = np.sum(grads[1:-1] * tan, axis=1, keepdims=True)
+        proj[climb - 1] *= 2.0
+        images[1:-1] -= eta * (grads[1:-1] - proj * tan)
 
         images = _reparameterize(images, climb)
     else:
@@ -424,9 +416,8 @@ def saddle_search_chain(design: GripperDesign, minimum_a, minimum_b,
     if float(np.linalg.norm(chain_gradient(polished, design))) > climb_tol:
         raise NonConvergenceError("climbing image failed to reach the "
                                   "gradient tolerance")
-    eq = _chain_equilibrium(design, polished)
-    hess = chain_hessian(polished, design)
-    n_neg = int(np.sum(np.linalg.eigvalsh(hess) < 0.0))
+    eq, eigs = _chain_equilibrium(design, polished)
+    n_neg = int(np.sum(eigs < 0.0))
     if n_neg != 1:
         raise SaddleOrderError(
             f"converged stationary point has {n_neg} unstable directions, "
@@ -447,10 +438,9 @@ def _reparameterize(images, climb):
         if hi - lo < 2:
             continue
         targets = np.linspace(s[lo], s[hi], hi - lo + 1)[1:-1]
-        for k, t in enumerate(targets):
-            j = int(np.searchsorted(s, t, side="right") - 1)
-            j = min(max(j, 0), n - 2)
-            span = s[j + 1] - s[j]
-            w = 0.0 if span == 0 else (t - s[j]) / span
-            out[lo + 1 + k] = (1.0 - w) * images[j] + w * images[j + 1]
+        j = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 2)
+        span = s[j + 1] - s[j]
+        w = np.divide(targets - s[j], span, out=np.zeros_like(span),
+                      where=span != 0)[:, None]
+        out[lo + 1:hi] = (1.0 - w) * images[j] + w * images[j + 1]
     return out

@@ -422,6 +422,23 @@ class TestCli:
                               "an integer, got 2.5\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_failed_run_creates_no_output_directory(self, tmp_path):
+        res = run_cli("sweep", "--param", "finger.n_segments=2.5,3",
+                      "--config", str(BASELINE_CFG), "--out", "o2",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert not (tmp_path / "o2").exists()
+
+    def test_continuation_leaving_the_window_exits_2(self, tmp_path):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
+        res = run_cli("continuation", "--tau-max", "0.05", "--config",
+                      str(cfg), "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert "left the solve window" in res.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mistake", ["config_is_a_directory",
                                          "out_is_a_file",
                                          "config_is_not_utf8"])

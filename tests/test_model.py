@@ -327,6 +327,106 @@ class TestChainReduction:
         d = set_design_value(baseline, "finger.n_segments", 4)
         with pytest.raises(InvalidDesignError):
             chain_energy(np.zeros(3), d)
+        with pytest.raises(InvalidDesignError, match=r"shape \(3,\), "
+                           r"expected \(4,\)"):
+            forward_kinematics(np.zeros(3), d.finger)
+
+
+def _chain_design(baseline, n, gravity, payload=0.0):
+    d = set_design_value(baseline, "finger.n_segments", n)
+    d = set_design_value(d, "gripper.gravity", gravity)
+    return set_design_value(d, "gripper.payload_mass", payload)
+
+
+class TestChainArrays:
+    """The chain model evaluated in whole-array passes."""
+
+    # chain_energy and chain_gradient of the per-segment loop form they
+    # replace, at g = 9.81 and a 0.01 kg payload, on ``_angles(n)``.
+    FROZEN = {
+        1: (0.016114423208531774, [0.020055653811418363]),
+        4: (0.010948562693346119, [
+            0.016455470521840772, 0.022503857264190318,
+            -0.008561606895286903, -0.003089825293419613]),
+        8: (0.01575068870483379, [
+            -0.08437760338394612, -0.07665747690633917, -0.08035517283808379,
+            -0.07206385761068489, -0.010525868645927387,
+            -0.002493919169844116, -0.004534092668131239,
+            0.00035481704864774154]),
+        32: (0.12760081585761113, [
+            -0.4749594950585915, -0.44999361709501495, -0.47010648861233606,
+            -0.4414105724130241, -0.4653719068317734, -0.4367177681737419,
+            -0.4482932899247979, -0.4320128905781612, -0.4559566508894827,
+            -0.4272546072879122, -0.45118643349565496, -0.4465192775311176,
+            -0.4464149790365556, -0.4703707398295151, -0.44171676814666216,
+            -0.4657315319785395, -0.006484256732563901, -0.02272845477547324,
+            0.0057899423690635585, -0.01833040544683063, 0.010181702825911826,
+            -0.005571329333952065, 0.014637525735932069,
+            -0.009416076266574803, 0.01918652410614024, -0.00483871226574639,
+            -0.004310965683453256, -0.0002446812556820988,
+            -0.024282359361265937, 0.004309624155913228, -0.01975490035172038,
+            -0.0030889974210216416]),
+    }
+
+    @staticmethod
+    def _angles(n):
+        # Binary fractions in [-0.375, 0.375], 2**-8 (series branch) at
+        # every fifth joint from the second.
+        k = np.arange(n)
+        phi = ((7 * k) % 13 - 6) / 16.0
+        phi[1::5] = 2.0 ** -8
+        return phi
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 32])
+    def test_matches_frozen_loop_values(self, baseline, n):
+        d = _chain_design(baseline, n, 9.81, 0.01)
+        energy, gradient = self.FROZEN[n]
+        assert chain_energy(self._angles(n), d) == energy
+        np.testing.assert_allclose(chain_gradient(self._angles(n), d),
+                                   gradient, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    @pytest.mark.parametrize("n", [1, 3, 8, 32])
+    def test_stacked_call_equals_each_chain(self, baseline, gravity, n):
+        d = _chain_design(baseline, n, gravity, 0.01)
+        stack = np.random.default_rng(n).uniform(-0.6, 0.6, (2, 3, n))
+        stack[..., ::4] *= 0.01
+        energies, grads = chain_energy(stack, d), chain_gradient(stack, d)
+        hessians = chain_hessian(stack[0], d)
+        assert energies.shape == (2, 3) and grads.shape == (2, 3, n)
+        for i, j in np.ndindex(2, 3):
+            energy = chain_energy(stack[i, j], d)
+            assert isinstance(energy, float)
+            assert self._bits(energies[i, j]) == self._bits(energy)
+            np.testing.assert_array_equal(
+                self._bits(grads[i, j]),
+                self._bits(chain_gradient(stack[i, j], d)))
+        for j in range(3):
+            np.testing.assert_array_equal(
+                self._bits(hessians[j]),
+                self._bits(chain_hessian(stack[0, j], d)))
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_hessian_without_gravity_is_elastic_plus_ring(self, baseline, n):
+        # U = sum EI/(2 ell) (phi_i - rest)^2 + U_r(w . phi / a), so the
+        # Hessian is diag(EI/ell) + U_r''(w . phi / a) / a^2 * w w^T.
+        d = _chain_design(baseline, n, 0.0)
+        ring, a = d.ring, d.ring.attach_fraction
+        w = np.clip(a * n - np.arange(n), 0.0, 1.0)
+        phi = np.random.default_rng(n).uniform(-0.3, 0.5, n)
+        x = float(w @ phi) / a - ring.well_center
+        dd = ring.well_halfwidth ** 2
+        u_r2 = ring.effective_stiffness / (2.0 * dd) * (3.0 * x * x - dd)
+        ell = d.finger.length / n
+        expected = (np.diag(np.full(n, d.finger.bending_stiffness / ell))
+                    + u_r2 / (a * a) * np.outer(w, w))
+        np.testing.assert_allclose(
+            chain_hessian(phi, d), expected, rtol=0.0,
+            atol=1e-6 * float(np.max(np.abs(expected))))
 
 
 class TestKinematics:
@@ -407,3 +507,18 @@ class TestChainConfiguration:
         arr = cfg.as_array()
         arr[0] = 99.0
         assert cfg.as_array()[0] == 0.1
+
+    def test_packed_angles_keep_their_bits(self):
+        angles = np.random.default_rng(3).uniform(-1.0, 1.0, 32)
+        cfg = ChainConfiguration(angles)
+        assert cfg.joint_angles == tuple(angles.tolist())
+        assert all(type(a) is float for a in cfg.joint_angles)
+        np.testing.assert_array_equal(cfg.as_array(), angles)
+        assert cfg == ChainConfiguration(angles.tolist())
+        assert hash(cfg) == hash(ChainConfiguration(angles.tolist()))
+        assert cfg != ChainConfiguration(angles[:-1])
+        assert eval(repr(cfg)) == cfg
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(InvalidDesignError, match="finite"):
+            ChainConfiguration((0.1, math.inf))

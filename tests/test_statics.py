@@ -318,6 +318,14 @@ class TestContinuation:
         assert np.all(path.thetas < 0.35)
         assert np.all(np.diff(path.thetas) >= -1e-9)
 
+    def test_path_leaving_the_window_is_an_error(self, baseline):
+        # Past the fold the closed branch sits at 1.77 rad and more.
+        narrow = replace(baseline, window=SolveWindow(-math.pi, 1.0))
+        with pytest.raises(DomainError, match="left the solve window"):
+            continuation_ramped_load(narrow, 0.05, 200)
+        path = continuation_ramped_load(baseline, 0.05, 200)
+        assert 1.77 < path.thetas.max() < math.pi
+
     def test_path_shapes_consistent(self, baseline):
         path = continuation_ramped_load(baseline, 0.01, 50)
         assert path.taus.shape == path.thetas.shape == path.energies.shape
