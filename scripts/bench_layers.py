@@ -9,9 +9,11 @@ the same script can time two checkouts on the same machine.  Each layer is
 run ``--repeats`` times after one warm-up run; the JSON printed on stdout
 gives every run's time, their median, and how often the layer called
 ``gradient_1dof`` (array form), ``find_equilibria_1dof`` and
-``chain_gradient``.  Counts do not change from run to run.  The chain
-layers evaluate the uniform chain at the open-state tip angle with n = 8,
-32 and 128 segments, without gravity and at g = 9.81.
+``chain_gradient`` and ``moment_curvature``.  Counts do not change from
+run to run.  The chain layers evaluate the uniform chain at the open-state
+tip angle with n = 8, 32 and 128 segments, without gravity and at
+g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
+layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).
 """
 
 import argparse
@@ -19,6 +21,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +41,9 @@ def layers(design):
                                    simulate_1dof)
     from snapgrip.explore import (design_metrics, reproduce_fea_cases,
                                   tune_ring_width)
-    from snapgrip.model import (chain_energy, chain_gradient, chain_hessian,
-                                gradient_1dof, set_design_value,
+    from snapgrip.model import (Yeoh, chain_energy, chain_gradient,
+                                chain_hessian, gradient_1dof,
+                                set_design_value, total_energy_1dof,
                                 uniform_chain)
     from snapgrip.statics import find_equilibria_1dof, trigger_moment
 
@@ -62,6 +66,28 @@ def layers(design):
                 (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
             ]
 
+    yeoh = replace(design, finger=replace(design.finger,
+                                          material=Yeoh(1.0e5)))
+    yeoh_gravity = set_design_value(yeoh, "gripper.gravity", 9.81)
+    yeoh_report = find_equilibria_1dof(yeoh)
+    yeoh_impulse = 5.0 * minimal_trigger_impulse(yeoh, yeoh_report)
+    yeoh_chain = set_design_value(yeoh_gravity, "finger.n_segments", 32)
+    yeoh_phi = uniform_chain(yeoh_chain, yeoh_report.open_state.theta)
+    yeoh_layers = [
+        ("yeoh_gradient_1dof_scalar_g9.81_x1000",
+         repeated(1000, gradient_1dof, 0.3, yeoh_gravity)),
+        ("yeoh_total_energy_1dof_g9.81_x10",
+         repeated(10, total_energy_1dof, 0.3, yeoh_gravity)),
+        ("yeoh_find_equilibria_1dof", lambda: find_equilibria_1dof(yeoh)),
+        ("yeoh_closing_time", lambda: closing_time(yeoh, yeoh_impulse,
+                                                   report=yeoh_report)),
+        ("yeoh_design_metrics_g9.81", lambda: design_metrics(yeoh_gravity)),
+        ("yeoh_chain_energy_n32_g9.81_x10",
+         repeated(10, chain_energy, yeoh_phi, yeoh_chain)),
+        ("yeoh_chain_gradient_n32_g9.81_x10",
+         repeated(10, chain_gradient, yeoh_phi, yeoh_chain)),
+    ]
+
     return [
         ("gradient_1dof_scalar_g9.81_x1000",
          repeated(1000, gradient_1dof, 0.3, gravity)),
@@ -75,7 +101,7 @@ def layers(design):
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
-    ] + chain
+    ] + chain + yeoh_layers
 
 
 def counted(names):
@@ -115,7 +141,7 @@ def main(argv=None):
             times.append(time.perf_counter() - start)
         result[name] = {"median_s": statistics.median(times), "runs_s": times}
     counts = counted(("gradient_1dof", "find_equilibria_1dof",
-                      "chain_gradient"))
+                      "chain_gradient", "moment_curvature"))
     for name, run in layers(design):
         before = dict(counts)
         run()

@@ -45,9 +45,9 @@ class LinearElastic:
     youngs_modulus: float
 
     def __post_init__(self):
-        if not (self.youngs_modulus > 0):
-            raise InvalidDesignError(
-                f"youngs_modulus must be > 0, got {self.youngs_modulus}")
+        if not (0 < self.youngs_modulus < math.inf):
+            raise InvalidDesignError(f"youngs_modulus must be finite and "
+                                     f"> 0, got {self.youngs_modulus}")
 
     def uniaxial_stress(self, stretch):
         return self.youngs_modulus * (stretch - 1.0)
@@ -67,10 +67,13 @@ class Yeoh:
     c30: float = 0.0
 
     def __post_init__(self):
-        if not (self.c10 > 0):
-            raise InvalidDesignError(f"c10 must be > 0, got {self.c10}")
-        lam = np.linspace(0.5, 2.0, 601)
-        stress = self.uniaxial_stress(lam)
+        if not (0 < self.c10 < math.inf):
+            raise InvalidDesignError(f"c10 must be finite and > 0, "
+                                     f"got {self.c10}")
+        if not (math.isfinite(self.c20) and math.isfinite(self.c30)):
+            raise InvalidDesignError(f"c20 and c30 must be finite, got "
+                                     f"{self.c20} and {self.c30}")
+        stress = self.uniaxial_stress(np.linspace(0.5, 2.0, 601))
         if np.any(np.diff(stress) <= 0):
             raise InvalidDesignError(
                 "Yeoh coefficients give non-monotonic uniaxial stress "
@@ -101,14 +104,10 @@ class CrossSection:
     thickness: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.thickness > 0):
+        if not (0 < self.width < math.inf and 0 < self.thickness < math.inf):
             raise InvalidDesignError(
-                f"cross-section width/thickness must be > 0, "
+                f"cross-section width/thickness must be finite and > 0, "
                 f"got {self.width} x {self.thickness}")
-
-    @property
-    def area(self) -> float:
-        return self.width * self.thickness
 
     @property
     def second_moment(self) -> float:
@@ -287,68 +286,79 @@ class EnergyLandscape:
 # Constitutive law: bending moment vs curvature
 # ---------------------------------------------------------------------------
 
+# Curvatures per block of the Yeoh quadrature.  A block's temporaries hold
+# at most (256, 512) floats, 1 MiB; a whole energy scan (96 nodes an
+# angle) in one pass would raise a run's peak memory.
+_KAPPA_BLOCK = 256
+_ENERGY_NODES = 96      # Gauss points along the bend angle, Yeoh energy
+
+
+def _dot_last(v, w):
+    """w . v along the last axis, of shape (..., 1): one BLAS dot a row, so
+    each row of a stack gets the bits ``np.dot`` gives it alone."""
+    return (v[..., None, :] @ w[:, None])[..., 0]
+
+
 def moment_curvature(kappa, section: CrossSection, material: MaterialModel):
     """Bending moment at curvature ``kappa`` (relative to stress-free).
 
     The Yeoh branch integrates the incompressible uniaxial stress through
     the thickness with Gauss quadrature, doubling the point count from 32
-    until converged to 1e-8 relative.  Curvatures that compress the extreme
-    fiber past 10% of full collapse are rejected.
+    until converged to 1e-8 relative, separately for each curvature of an
+    array.  Curvatures that compress the extreme fiber past 10% of full
+    collapse are rejected.
     """
     if isinstance(material, LinearElastic):
         return material.youngs_modulus * section.second_moment * kappa
 
-    kappa = float(kappa)
+    kappa = np.asarray(kappa, dtype=float)
     half_t = section.thickness / 2.0
-    if abs(kappa) * half_t >= 0.9:
+    bad = np.abs(kappa) * half_t >= 0.9
+    if bad.any():
         raise CurvatureOutOfRangeError(
-            f"|kappa|*t/2 = {abs(kappa) * half_t:.3g} >= 0.9: fiber strain "
-            "outside the validity range of the constitutive law")
-    if kappa == 0.0:
-        return 0.0
+            f"|kappa|*t/2 = {abs(kappa[bad][0]) * half_t:.3g} >= 0.9: fiber "
+            "strain outside the validity range of the constitutive law")
 
-    def integral(n):
-        x, w = _gauss_legendre(n)
+    def stress_z(k, x):
         z = half_t * x
-        lam = 1.0 + kappa * z
-        sigma = material.uniaxial_stress(lam)
-        return section.width * half_t * float(np.dot(w, sigma * z))
+        return material.uniaxial_stress(1.0 + k[:, None] * z) * z
 
-    m = integral(32)
-    for n in (64, 128, 256, 512):
-        m_next = integral(n)
-        if abs(m_next - m) <= 1e-8 * max(abs(m_next), 1e-300):
-            return m_next
-        m = m_next
-    return m
+    scale = section.width * half_t
+    (x32, w32), (x64, w64) = _gauss_legendre(32), _gauss_legendre(64)
+    x96 = np.concatenate((x32, x64))
+    flat = kappa.ravel()
+    m = np.empty_like(flat)
+    for start in range(0, flat.size, _KAPPA_BLOCK):
+        todo = np.arange(start, min(start + _KAPPA_BLOCK, flat.size))
+        # The 32- and 64-point rules share one pass over their 96 nodes.
+        v = stress_z(flat[todo], x96)
+        prev = scale * _dot_last(v[:, :32], w32)[:, 0]
+        m_n = m[todo] = scale * _dot_last(v[:, 32:], w64)[:, 0]
+        for n in (128, 256, 512):
+            ok = np.abs(m_n - prev) <= 1e-8 * np.maximum(np.abs(m_n), 1e-300)
+            if ok.all():
+                break
+            todo, prev = todo[~ok], m_n[~ok]
+            x, w = _gauss_legendre(n)
+            m_n = m[todo] = scale * _dot_last(stress_z(flat[todo], x), w)[:, 0]
+    return m.reshape(kappa.shape)[()]
 
 
-def _bend_energy_generic(theta, rest_angle, length, section, material,
-                         n_quad: int = 96):
+def _bend_energy_generic(theta, rest_angle, length, section, material):
     """Elastic energy of a uniformly bent beam, any constitutive law.
 
     Integrates the moment along the bend angle from the stress-free angle;
     for a linear material this is evaluated in closed form.
     """
+    d = np.asarray(theta, dtype=float) - rest_angle
     if isinstance(material, LinearElastic):
         ei = material.youngs_modulus * section.second_moment
-        d = np.asarray(theta, dtype=float) - rest_angle
         return 0.5 * ei / length * d * d
 
-    def scalar(th):
-        span = th - rest_angle
-        if span == 0.0:
-            return 0.0
-        x, w = _gauss_legendre(n_quad)
-        phi = rest_angle + 0.5 * span * (x + 1.0)
-        vals = [moment_curvature((p - rest_angle) / length, section, material)
-                for p in phi]
-        return 0.5 * span * float(np.dot(w, vals))
-
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.array([scalar(t) for t in arr.ravel()]).reshape(arr.shape)
+    x, w = _gauss_legendre(_ENERGY_NODES)
+    phi = rest_angle + 0.5 * d[..., None] * (x + 1.0)
+    m = moment_curvature((phi - rest_angle) / length, section, material)
+    return 0.5 * d * _dot_last(m, w)[..., 0]
 
 
 def _bend_moment_generic(theta, rest_angle, length, section, material):
@@ -358,8 +368,7 @@ def _bend_moment_generic(theta, rest_angle, length, section, material):
     if isinstance(material, LinearElastic):
         ei = material.youngs_modulus * section.second_moment
         return ei / length * d
-    return np.array([moment_curvature(k, section, material)
-                     for k in (d / length).ravel()]).reshape(d.shape)[()]
+    return moment_curvature(d / length, section, material)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +621,6 @@ def second_derivative_1dof(theta, design: GripperDesign, h: float = 1e-6):
 def sample_landscape(design: GripperDesign, theta_grid) -> EnergyLandscape:
     grid = np.asarray(theta_grid, dtype=float)
     f, r, g = energy_components_1dof(grid, design)
-    f = np.broadcast_to(np.asarray(f, dtype=float), grid.shape).copy()
-    r = np.broadcast_to(np.asarray(r, dtype=float), grid.shape).copy()
-    g = np.broadcast_to(np.asarray(g, dtype=float), grid.shape).copy()
     return EnergyLandscape(theta_grid=grid, total=f + r + g,
                            finger=f, ring=r, gravity=g)
 
@@ -646,13 +652,6 @@ def _ring_station_weights(design: GripperDesign) -> np.ndarray:
     return w
 
 
-def _station_angle(phi, w):
-    """w . phi for each chain of ``phi``, of shape (..., 1).  Each is one
-    BLAS dot product, so every chain of a stack gets the bits ``np.dot``
-    gives it alone."""
-    return (phi[..., None, :] @ w[:, None])[..., 0]
-
-
 def _running_sum(v):
     """Exclusive running sum along the last axis, added in sequence."""
     out = np.zeros_like(v)
@@ -675,7 +674,7 @@ def chain_energy(angles, design: GripperDesign):
     elastic = _bend_energy_generic(
         phi, finger.natural_curvature * ell, ell, finger.cross_section,
         finger.material).sum(axis=-1)
-    psi_r = _station_angle(phi, _ring_station_weights(design))
+    psi_r = _dot_last(phi, _ring_station_weights(design))
     ring = ring_energy_1dof(psi_r / design.ring.attach_fraction,
                             design.ring)[..., 0]
 
@@ -711,7 +710,7 @@ def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
 
     a = design.ring.attach_fraction
     w = _ring_station_weights(design)
-    psi_r = _station_angle(phi, w)
+    psi_r = _dot_last(phi, w)
     grad += ring_gradient_1dof(psi_r / a, design.ring) / a * w
 
     g = design.gravity

@@ -2,18 +2,21 @@
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.errors import CurvatureOutOfRangeError, InvalidDesignError
+import snapgrip.model as model
 from snapgrip.model import (ARC_SERIES_SWITCH, ChainConfiguration,
                             CrossSection, FingerDesign, GripperDesign,
                             LinearElastic, RingDesign, Yeoh, chain_energy,
                             chain_gradient, chain_hessian,
-                            finger_energy_1dof, forward_kinematics,
-                            gradient_1dof, gravity_energy_1dof,
+                            finger_energy_1dof, finger_gradient_1dof,
+                            forward_kinematics, gradient_1dof,
+                            gravity_energy_1dof,
                             moment_curvature, ring_energy_1dof,
                             sample_landscape, scalar_energy, scalar_gradient,
                             second_derivative_1dof, set_design_value,
@@ -65,8 +68,180 @@ class TestMomentCurvature:
             moment_curvature(0.95 * 2.0 / sec.thickness, sec, yeoh)
 
     def test_zero_curvature_zero_moment(self):
-        sec = CrossSection(0.015, 0.006)
-        assert moment_curvature(0.0, sec, Yeoh(1.0e5, 0.0, 0.0)) == 0.0
+        sec, yeoh = CrossSection(0.015, 0.006), Yeoh(1.0e5, 0.0, 0.0)
+        moments = [moment_curvature(0.0, sec, yeoh),
+                   moment_curvature(-0.0, sec, yeoh),
+                   moment_curvature([-1.0, 0.0, 1.0], sec, yeoh)[1]]
+        for m in moments:       # +0.0, not -0.0
+            assert m == 0.0 and math.copysign(1.0, m) == 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _loop_moment(kappa, section, material):
+    """The Yeoh moment of one curvature, in the per-curvature form the
+    array law replaced; kept as the bit-for-bit reference."""
+    half_t = section.thickness / 2.0
+
+    def integral(n):
+        x, w = _leggauss(n)
+        z = half_t * x
+        sigma = material.uniaxial_stress(1.0 + kappa * z)
+        return section.width * half_t * float(np.dot(w, sigma * z))
+
+    m = integral(32)
+    for n in (64, 128, 256, 512):
+        m_next = integral(n)
+        if abs(m_next - m) <= 1e-8 * max(abs(m_next), 1e-300):
+            return m_next
+        m = m_next
+    return m
+
+
+def _loop_bend_energy(theta, finger):
+    """The Yeoh bend energy of one angle in the per-angle form, on
+    ``_loop_moment``."""
+    span = theta - finger.rest_angle
+    x, w = _leggauss(96)
+    phi = finger.rest_angle + 0.5 * span * (x + 1.0)
+    vals = [_loop_moment((p - finger.rest_angle) / finger.length,
+                         finger.cross_section, finger.material) for p in phi]
+    return 0.5 * span * float(np.dot(w, vals))
+
+
+class TestYeohArrays:
+    """The Yeoh law evaluated over whole arrays of curvature."""
+
+    SECTION = CrossSection(0.015, 0.006)
+    YEOH = Yeoh(1.0e5, 2.0e4, 0.0)
+
+    # Moments of the per-curvature form this replaced.  Curvature 1e-7
+    # stops at the 512-point rule and 3.16e-7 at 128 (rounding in
+    # 1 + kappa*z keeps the coarse rules apart); the rest, up to the
+    # largest curvature the range check admits, stop at 64.
+    FROZEN_MOMENTS = {
+        -299.99999999999994: -0.20500073297515117,
+        -40.0: -0.0065667435680751085,
+        1e-07: 1.6200000711362912e-11,
+        3.162277660168379e-07: 5.122889871947364e-11,
+        12.5: 0.002027622479174474,
+        150.0: 0.029657407923508784,
+        299.99999999999994: 0.20500073297515117,
+    }
+    # Finger bend energies of the per-angle form, baseline finger.
+    FROZEN_ENERGIES = {
+        -2.0: 0.013232976890494103,
+        -0.85: 0.006101224984475687,
+        0.3: 0.0017129977548867449,
+        2.5: 0.0008205549531646924,
+    }
+    # Chain energy and gradient of the per-curvature form at g = 9.81 and
+    # a 0.01 kg payload, on ``TestChainArrays._angles(n)``.
+    FROZEN_CHAIN = {
+        8: (0.01582615560100556, [
+            -0.08463820290270042, -0.07666761631765681, -0.08053886132711109,
+            -0.07206442370167206, -0.010649722248716213,
+            -0.0024939217897141813, -0.004544232079448883,
+            0.0003549847456010616]),
+        32: (0.13166743910309522, [
+            -0.4832293442711395, -0.4500020427280993, -0.47488459834474067,
+            -0.44137414435920713, -0.46793797740885096, -0.43649013213827725,
+            -0.44830171555788223, -0.43129604468343535, -0.4564319319439683,
+            -0.4255790128923243, -0.4513102870984438, -0.44652770316420193,
+            -0.4464257376147705, -0.47864058904206314, -0.44171660044970884,
+            -0.4705096417109441, -0.006492682365648258, -0.025294525352550837,
+            0.006017578404528131, -0.019553376629520558, 0.010898548720637719,
+            -0.005579754967036423, 0.01631312013151994, -0.00953992986936363,
+            0.022514166935020872, -0.004849470843961309,
+            -0.0043193913165376135, -0.00024451355872877854,
+            -0.02906046909367054, 0.004346052209730196, -0.02232097092879798,
+            -0.0030974230541059994]),
+    }
+
+    def _moment(self, kappa):
+        return moment_curvature(kappa, self.SECTION, self.YEOH)
+
+    def _yeoh_design(self, baseline):
+        return replace(baseline, finger=replace(baseline.finger,
+                                                material=self.YEOH))
+
+    def test_moments_match_frozen_values(self):
+        for kappa, m in self.FROZEN_MOMENTS.items():
+            assert self._moment(kappa) == m
+        kappas = list(self.FROZEN_MOMENTS)
+        assert list(self._moment(kappas)) == list(
+            self.FROZEN_MOMENTS.values())
+
+    def test_bend_energies_match_frozen_values(self, baseline):
+        finger = self._yeoh_design(baseline).finger
+        for theta, e in self.FROZEN_ENERGIES.items():
+            assert finger_energy_1dof(theta, finger) == e
+        assert finger_energy_1dof(finger.rest_angle, finger) == 0.0
+        thetas = np.linspace(-3.0, 3.0, 7)
+        np.testing.assert_array_equal(
+            _bits(finger_energy_1dof(thetas, finger)),
+            _bits([_loop_bend_energy(t, finger) for t in thetas]))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_chain_matches_frozen_values(self, baseline, n):
+        d = _chain_design(self._yeoh_design(baseline), n, 9.81, 0.01)
+        energy, gradient = self.FROZEN_CHAIN[n]
+        phi = TestChainArrays._angles(n)
+        assert chain_energy(phi, d) == energy
+        np.testing.assert_array_equal(_bits(chain_gradient(phi, d)),
+                                      _bits(gradient))
+
+    @pytest.mark.parametrize("material", [Yeoh(1.0e5), YEOH,
+                                          Yeoh(8.0e4, -5.0e3, 2.0e3)])
+    def test_stacked_call_equals_each_curvature(self, material):
+        rng = np.random.default_rng(8)
+        limit = 0.9 / (self.SECTION.thickness / 2.0)
+        line = rng.uniform(-0.99, 0.99, 1000) * limit    # four blocks
+        line[::7] *= 1e-9
+        stack = rng.uniform(-0.99, 0.99, (5, 96)) * limit
+        for kappas in (line, stack):
+            moments = moment_curvature(kappas, self.SECTION, material)
+            assert moments.shape == kappas.shape
+            each = [moment_curvature(k, self.SECTION, material)
+                    for k in kappas.ravel()]
+            loop = [_loop_moment(k, self.SECTION, material)
+                    for k in kappas.ravel()]
+            np.testing.assert_array_equal(_bits(moments).ravel(),
+                                          _bits(each))
+            np.testing.assert_array_equal(_bits(each), _bits(loop))
+        single = self._moment(np.float64(line[3]))
+        assert np.ndim(single) == 0
+        assert _bits(single) == _bits(self._moment(line[3:4])[0])
+
+    def test_out_of_range_raises_beside_nan(self):
+        assert math.isnan(self._moment(math.nan))
+        for kappas in ([math.nan, 500.0], [500.0, math.nan],
+                       [[1.0, math.nan], [-500.0, 2.0]]):
+            with pytest.raises(CurvatureOutOfRangeError,
+                               match=r"\|kappa\|\*t/2 = 1\.5 >= 0\.9"):
+                self._moment(kappas)
+
+    def test_gradient_scan_makes_one_moment_call(self, baseline,
+                                                 monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(np.shape(args[0]))
+            return moment_curvature(*args)
+
+        monkeypatch.setattr(model, "moment_curvature", counting)
+        finger = self._yeoh_design(baseline).finger
+        grid = np.linspace(-math.pi, math.pi, 4096)
+        assert finger_gradient_1dof(grid, finger).shape == (4096,)
+        assert calls == [(4096,)]
+        calls.clear()
+        finger_energy_1dof(grid[:10], finger)
+        assert calls == [(10, 96)]
 
 
 class TestDesignInvariants:
@@ -93,6 +268,19 @@ class TestDesignInvariants:
     def test_yeoh_without_positive_c10_rejected(self):
         with pytest.raises(InvalidDesignError):
             Yeoh(0.0, 1.0e4, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: LinearElastic(v),
+        lambda v: Yeoh(v),
+        lambda v: Yeoh(1.0e5, v),
+        lambda v: Yeoh(1.0e5, 0.0, v),
+        lambda v: CrossSection(v, 0.006),
+        lambda v: CrossSection(0.015, v),
+    ])
+    def test_non_finite_material_or_section_rejected(self, make, bad):
+        with pytest.raises(InvalidDesignError, match="must be finite"):
+            make(bad)
 
     def test_wells_property(self):
         ring = pure_quartic_ring(center=0.35, halfwidth=1.25)
@@ -494,6 +682,15 @@ class TestLandscapeSampling:
         grid = np.linspace(-1.0, 2.0, 11)
         scape = sample_landscape(baseline, grid)
         assert np.array_equal(scape.theta_grid, grid)
+
+    @pytest.mark.parametrize("material", [None, Yeoh(1.0e5)])
+    def test_components_have_the_grid_shape(self, baseline, material):
+        d = baseline if material is None else replace(
+            baseline, finger=replace(baseline.finger, material=material))
+        grid = np.linspace(-1.0, 2.0, 11)
+        scape = sample_landscape(d, grid)
+        for part in (scape.total, scape.finger, scape.ring, scape.gravity):
+            assert isinstance(part, np.ndarray) and part.shape == grid.shape
 
 
 class TestChainConfiguration:
