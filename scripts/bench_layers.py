@@ -13,7 +13,10 @@ gives every run's time, their median, and how often the layer called
 run to run.  The chain layers evaluate the uniform chain at the open-state
 tip angle with n = 8, 32 and 128 segments, without gravity and at
 g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
-layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).
+layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
+``saddle_`` layers time ``saddle_search_chain`` alone, at n = 2, g = 0.3
+and at g = 9.81 with n = 4, 8 and 32; their two minima are solved outside
+the timer.
 """
 
 import argparse
@@ -45,7 +48,9 @@ def layers(design):
                                 chain_hessian, gradient_1dof,
                                 set_design_value, total_energy_1dof,
                                 uniform_chain)
-    from snapgrip.statics import find_equilibria_1dof, trigger_moment
+    from snapgrip.statics import (default_chain_seeds, find_equilibria_1dof,
+                                  find_equilibria_chain, saddle_search_chain,
+                                  trigger_moment)
 
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
@@ -65,6 +70,15 @@ def layers(design):
                  repeated(100, chain_gradient, phi, d)),
                 (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
             ]
+
+    saddles = []
+    for n, g in ((2, 0.3), (4, 9.81), (8, 9.81), (32, 9.81)):
+        d = set_design_value(set_design_value(
+            design, "finger.n_segments", n), "gripper.gravity", g)
+        ends = [e.configuration for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        saddles.append((f"saddle_n{n}_g{g:g}",
+                        lambda d=d, ends=ends: saddle_search_chain(d, *ends)))
 
     yeoh = replace(design, finger=replace(design.finger,
                                           material=Yeoh(1.0e5)))
@@ -101,7 +115,7 @@ def layers(design):
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
-    ] + chain + yeoh_layers
+    ] + chain + saddles + yeoh_layers
 
 
 def counted(names):

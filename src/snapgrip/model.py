@@ -126,14 +126,20 @@ class FingerDesign:
     linear_density: float = 0.1
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise InvalidDesignError(f"length must be > 0, got {self.length}")
-        if not (isinstance(self.n_segments, int) and self.n_segments >= 1):
+        if not (0 < self.length < math.inf):
+            raise InvalidDesignError(
+                f"length must be finite and > 0, got {self.length}")
+        if not math.isfinite(self.natural_curvature):
+            raise InvalidDesignError(f"natural_curvature must be finite, "
+                                     f"got {self.natural_curvature}")
+        if (isinstance(self.n_segments, bool)
+                or not isinstance(self.n_segments, int)
+                or self.n_segments < 1):
             raise InvalidDesignError(
                 f"n_segments must be an int >= 1, got {self.n_segments}")
-        if not (self.linear_density >= 0):
-            raise InvalidDesignError(
-                f"linear_density must be >= 0, got {self.linear_density}")
+        if not (0 <= self.linear_density < math.inf):
+            raise InvalidDesignError(f"linear_density must be finite and "
+                                     f">= 0, got {self.linear_density}")
 
     @property
     def rest_angle(self) -> float:
@@ -173,12 +179,15 @@ class RingDesign:
         if not (0.0 < self.attach_fraction <= 1.0):
             raise InvalidDesignError(
                 f"attach_fraction must be in (0, 1], got {self.attach_fraction}")
-        if not (self.well_halfwidth > 0):
+        if not math.isfinite(self.well_center):
             raise InvalidDesignError(
-                f"well_halfwidth must be > 0, got {self.well_halfwidth}")
-        if not (self.stiffness >= 0):
+                f"well_center must be finite, got {self.well_center}")
+        if not (0 < self.well_halfwidth < math.inf):
+            raise InvalidDesignError(f"well_halfwidth must be finite and "
+                                     f"> 0, got {self.well_halfwidth}")
+        if not (0 <= self.stiffness < math.inf):
             raise InvalidDesignError(
-                f"stiffness must be >= 0, got {self.stiffness}")
+                f"stiffness must be finite and >= 0, got {self.stiffness}")
         if not (0.0 < self.width_scale <= 1.0):
             raise InvalidDesignError(
                 f"width_scale must be in (0, 1], got {self.width_scale}")
@@ -202,8 +211,15 @@ class SolveWindow:
     grid_n: int = 4096
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta_min)
+                and math.isfinite(self.theta_max)):
+            raise InvalidArgumentError("theta_min and theta_max must be "
+                                       "finite")
         if not (self.theta_min < self.theta_max):
             raise InvalidArgumentError("theta_min must be < theta_max")
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
+            raise InvalidArgumentError(
+                f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 100:
             raise InvalidArgumentError("grid_n must be >= 100")
 
@@ -230,13 +246,18 @@ class GripperDesign:
     window: SolveWindow = DEFAULT_WINDOW
 
     def __post_init__(self):
-        if not (self.inertia > 0):
-            raise InvalidDesignError(f"inertia must be > 0, got {self.inertia}")
-        if not (self.damping >= 0):
-            raise InvalidDesignError(f"damping must be >= 0, got {self.damping}")
-        if not (self.payload_mass >= 0):
+        if not (0 < self.inertia < math.inf):
             raise InvalidDesignError(
-                f"payload_mass must be >= 0, got {self.payload_mass}")
+                f"inertia must be finite and > 0, got {self.inertia}")
+        if not (0 <= self.damping < math.inf):
+            raise InvalidDesignError(
+                f"damping must be finite and >= 0, got {self.damping}")
+        if not (0 <= self.payload_mass < math.inf):
+            raise InvalidDesignError(f"payload_mass must be finite and "
+                                     f">= 0, got {self.payload_mass}")
+        if not math.isfinite(self.gravity):
+            raise InvalidDesignError(
+                f"gravity must be finite, got {self.gravity}")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -363,84 +363,33 @@ def default_chain_seeds(design: GripperDesign,
     return [uniform_chain(design, t) for t in tips]
 
 
-def saddle_search_chain(design: GripperDesign, minimum_a, minimum_b,
-                        n_images: int = 11, max_iter: int = 5000,
-                        climb_tol: float = 1e-7) -> Equilibrium:
-    """Transition state between two chain minima by a climbing-image string.
+def saddle_search_chain(design: GripperDesign, minimum_a,
+                        minimum_b) -> Equilibrium:
+    """Transition state between two chain minima by one Newton solve.
 
-    Images are interpolated linearly between the endpoints, relaxed with
-    tangent-projected gradient descent and reparameterized to equal arc
-    length each sweep; the highest image climbs along the tangent.  The
-    converged climbing image is polished by Newton iteration and must have
-    exactly one negative Hessian eigenvalue.
+    The seed is the highest inner point of 11 evenly spaced points on the
+    straight path between the endpoints.  Newton iteration converges it to
+    a stationary point, which must have exactly one negative Hessian
+    eigenvalue.
     """
-    if n_images < 8:
-        raise ValueError("n_images must be >= 8")
     ends = np.array([minimum_a, minimum_b], dtype=float)
     if float(np.max(np.abs(chain_gradient(ends, design)))) > 1e-6:
-        raise ValueError("string endpoints must be converged equilibria")
-    eigs = np.linalg.eigvalsh(chain_hessian(ends, design))
-    if not np.all(eigs > 0):
-        raise ValueError("string endpoints must be stable equilibria")
-    # Step size from the stiffest curvature seen at the endpoints.
-    eta = 0.5 / float(np.max(np.abs(eigs)))
-
-    frac = np.linspace(0.0, 1.0, n_images)[:, None]
-    images = (1.0 - frac) * ends[0] + frac * ends[1]
-
-    for it in range(max_iter):
-        grads = chain_gradient(images, design)
-        energies = chain_energy(images, design)
-        climb = int(np.argmax(energies[1:-1])) + 1
-
-        if float(np.linalg.norm(grads[climb])) < 10 * climb_tol and it > 20:
-            break
-
-        # Every inner image descends along its gradient less the part along
-        # the string's tangent there; the climbing image reverses that part.
-        tan = images[2:] - images[:-2]
-        norm = np.linalg.norm(tan, axis=1, keepdims=True)
-        np.divide(tan, norm, out=tan, where=norm > 0)
-        proj = np.sum(grads[1:-1] * tan, axis=1, keepdims=True)
-        proj[climb - 1] *= 2.0
-        images[1:-1] -= eta * (grads[1:-1] - proj * tan)
-
-        images = _reparameterize(images, climb)
-    else:
-        raise NonConvergenceError("string method exhausted its iteration "
-                                  "budget without converging")
-
-    polished = _chain_newton(design, images[climb], tol=climb_tol * 1e-3)
-    if polished is None:
-        polished = images[climb]
-    if float(np.linalg.norm(chain_gradient(polished, design))) > climb_tol:
-        raise NonConvergenceError("climbing image failed to reach the "
-                                  "gradient tolerance")
-    eq, eigs = _chain_equilibrium(design, polished)
+        raise InvalidArgumentError(
+            "saddle search endpoints must be converged equilibria")
+    if not np.all(np.linalg.eigvalsh(chain_hessian(ends, design)) > 0):
+        raise InvalidArgumentError(
+            "saddle search endpoints must be stable equilibria")
+    frac = np.linspace(0.0, 1.0, 11)[:, None]
+    path = (1.0 - frac) * ends[0] + frac * ends[1]
+    seed = path[1 + int(np.argmax(chain_energy(path[1:-1], design)))]
+    phi = _chain_newton(design, seed, tol=1e-10)
+    if phi is None:
+        raise NonConvergenceError("Newton iteration from the highest point "
+                                  "of the straight path did not converge")
+    eq, eigs = _chain_equilibrium(design, phi)
     n_neg = int(np.sum(eigs < 0.0))
     if n_neg != 1:
         raise SaddleOrderError(
             f"converged stationary point has {n_neg} unstable directions, "
             "expected exactly 1")
     return eq
-
-
-def _reparameterize(images, climb):
-    """Redistribute images by arc length, pinning endpoints and the climber."""
-    seg = np.linalg.norm(np.diff(images, axis=0), axis=1)
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    if s[-1] == 0.0:
-        return images
-    out = images.copy()
-    n = images.shape[0]
-    # Equal spacing on each side of the climbing image.
-    for lo, hi in ((0, climb), (climb, n - 1)):
-        if hi - lo < 2:
-            continue
-        targets = np.linspace(s[lo], s[hi], hi - lo + 1)[1:-1]
-        j = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 2)
-        span = s[j + 1] - s[j]
-        w = np.divide(targets - s[j], span, out=np.zeros_like(span),
-                      where=span != 0)[:, None]
-        out[lo + 1:hi] = (1.0 - w) * images[j] + w * images[j + 1]
-    return out

@@ -282,6 +282,29 @@ class TestDesignInvariants:
         with pytest.raises(InvalidDesignError, match="must be finite"):
             make(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("record, name", [
+        ("finger", "length"), ("finger", "natural_curvature"),
+        ("finger", "linear_density"),
+        ("ring", "attach_fraction"), ("ring", "well_center"),
+        ("ring", "well_halfwidth"), ("ring", "stiffness"),
+        ("ring", "width_scale"),
+        (None, "inertia"), (None, "damping"), (None, "payload_mass"),
+        (None, "gravity"),
+    ])
+    def test_non_finite_design_field_rejected(self, baseline, record, name,
+                                              bad):
+        with pytest.raises(InvalidDesignError):
+            if record is None:
+                replace(baseline, **{name: bad})
+            else:
+                replace(getattr(baseline, record), **{name: bad})
+
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_segment_count_must_be_a_positive_int(self, baseline, n):
+        with pytest.raises(InvalidDesignError, match="n_segments"):
+            replace(baseline.finger, n_segments=n)
+
     def test_wells_property(self):
         ring = pure_quartic_ring(center=0.35, halfwidth=1.25)
         assert ring.wells == (0.35 - 1.25, 0.35 + 1.25)

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snapgrip.errors import (DomainError, NotBistableError,
+import snapgrip.statics as statics
+from snapgrip.errors import (DomainError, InvalidArgumentError,
+                             NonConvergenceError, NotBistableError,
                              SaddleOrderError)
-from snapgrip.model import (SolveWindow, set_design_value, total_energy_1dof,
-                            gradient_1dof, chain_gradient, chain_hessian,
-                            uniform_chain)
+from snapgrip.model import (SolveWindow, Yeoh, set_design_value,
+                            total_energy_1dof, gradient_1dof, chain_gradient,
+                            chain_hessian, uniform_chain)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -152,6 +154,18 @@ class TestFindEquilibria1Dof:
     def test_invalid_window_rejected(self, baseline):
         with pytest.raises(ValueError):
             SolveWindow(1.0, -1.0)
+
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, math.inf), (-math.inf, 1.0), (-1.0, math.inf),
+        (math.nan, 1.0), (-1.0, math.nan)])
+    def test_non_finite_window_rejected(self, bounds):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            SolveWindow(*bounds)
+
+    @pytest.mark.parametrize("grid_n", [150.5, 150.0, True, math.nan])
+    def test_window_grid_must_be_an_integer(self, grid_n):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            SolveWindow(-1.0, 1.0, grid_n)
 
     def test_derived_designs_keep_the_window(self, baseline):
         narrow = set_design_value(baseline, "solver.theta_max", 1.0)
@@ -419,6 +433,81 @@ class TestChainStatics:
                              (saddle, oracle.saddle),
                              (closed, oracle.closed_state)):
             assert abs(chain_eq.theta - tip(eq)) < 1e-11
+
+    # Saddles at g = 9.81, frozen from the climbing-image string method
+    # (polished by Newton to a 1e-10 gradient) that the single Newton
+    # solve replaced: n -> (saddle energy, tip angle).
+    FROZEN_GRAVITY_SADDLES = {
+        2: (0.023749613031387024, 1.0098336548201803),
+        4: (0.02370381857555765, 1.009417229883426),
+        8: (0.023691748173765945, 1.0093452648923895),
+    }
+    FROZEN_YEOH_SADDLE = (0.023704987299396307, 1.0093886353019919)
+
+    @staticmethod
+    def _gravity_saddle(design, n):
+        d = set_design_value(set_design_value(design, "gripper.gravity",
+                                              9.81), "finger.n_segments", n)
+        open_, closed = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        return d, open_, saddle_search_chain(d, open_.configuration,
+                                             closed.configuration), closed
+
+    @pytest.mark.parametrize("n", sorted(FROZEN_GRAVITY_SADDLES))
+    def test_gravity_saddle_matches_frozen_values(self, baseline, n):
+        energy, theta = self.FROZEN_GRAVITY_SADDLES[n]
+        saddle = self._gravity_saddle(baseline, n)[2]
+        assert saddle.energy == pytest.approx(energy, rel=1e-9, abs=0.0)
+        assert abs(saddle.theta - theta) < 1e-8
+
+    def test_yeoh_gravity_saddle_matches_frozen_value(self, baseline):
+        yeoh = replace(baseline, finger=replace(
+            baseline.finger, material=Yeoh(1.0e5, 2.0e4, 0.0)))
+        energy, theta = self.FROZEN_YEOH_SADDLE
+        saddle = self._gravity_saddle(yeoh, 4)[2]
+        assert saddle.energy == pytest.approx(energy, rel=1e-9, abs=0.0)
+        assert abs(saddle.theta - theta) < 1e-8
+
+    def test_gravity_saddles_converge_with_segment_count(self, baseline):
+        saddle_energies, barriers = [], []
+        for n in (8, 16, 32):
+            d, open_, saddle, closed = self._gravity_saddle(baseline, n)
+            eigs = np.linalg.eigvalsh(chain_hessian(
+                saddle.configuration.as_array(), d))
+            assert int(np.sum(eigs < 0.0)) == 1
+            assert saddle.energy > max(open_.energy, closed.energy)
+            saddle_energies.append(saddle.energy)
+            barriers.append(saddle.energy - open_.energy)
+        for values in (saddle_energies, barriers):
+            steps = np.abs(np.diff(values))
+            assert steps[1] < steps[0]
+
+    def test_identical_endpoints_have_no_saddle(self, baseline):
+        d = set_design_value(baseline, "finger.n_segments", 4)
+        open_ = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable][0]
+        with pytest.raises(SaddleOrderError):
+            saddle_search_chain(d, open_.configuration, open_.configuration)
+
+    def test_newton_failure_is_reported(self, baseline, monkeypatch):
+        d = set_design_value(baseline, "finger.n_segments", 4)
+        open_, closed = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        monkeypatch.setattr(statics, "_chain_newton", lambda *a, **k: None)
+        with pytest.raises(NonConvergenceError):
+            saddle_search_chain(d, open_.configuration, closed.configuration)
+
+    def test_unstable_endpoint_is_an_invalid_argument(self, baseline):
+        d = set_design_value(baseline, "finger.n_segments", 4)
+        open_, closed = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        saddle = saddle_search_chain(d, open_.configuration,
+                                     closed.configuration)
+        with pytest.raises(InvalidArgumentError, match="stable"):
+            saddle_search_chain(d, saddle.configuration, closed.configuration)
+        with pytest.raises(InvalidArgumentError, match="converged"):
+            saddle_search_chain(d, uniform_chain(d, 0.0),
+                                closed.configuration)
 
     def test_string_endpoints_must_be_stable(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 4)
