@@ -8,15 +8,20 @@ Usage, from the root of a checkout:
 the same script can time two checkouts on the same machine.  Each layer is
 run ``--repeats`` times after one warm-up run; the JSON printed on stdout
 gives every run's time, their median, and how often the layer called
-``gradient_1dof`` (array form), ``find_equilibria_1dof`` and
-``chain_gradient`` and ``moment_curvature``.  Counts do not change from
-run to run.  The chain layers evaluate the uniform chain at the open-state
-tip angle with n = 8, 32 and 128 segments, without gravity and at
-g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
+``gradient_1dof`` (array form), ``find_equilibria_1dof``,
+``chain_gradient``, ``chain_hessian`` and ``moment_curvature``.  The
+counts include calls made inside the model: each ``chain_hessian`` call
+adds its two stacked ``chain_gradient`` calls, and each Yeoh
+``gradient_1dof`` call its ``moment_curvature`` call.  Counts do not
+change from run to run.  The chain layers evaluate the uniform chain at
+the open-state tip angle with n = 8, 32 and 128 segments, without
+gravity and at g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
 layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
 ``saddle_`` layers time ``saddle_search_chain`` alone, at n = 2, g = 0.3
 and at g = 9.81 with n = 4, 8 and 32; their two minima are solved outside
-the timer.
+the timer.  The ``continuation_`` layers ramp the baseline's closing
+moment to 1.5 times its trigger moment in 50 and 200 steps, without
+gravity and at g = 9.81.
 """
 
 import argparse
@@ -48,7 +53,8 @@ def layers(design):
                                 chain_hessian, gradient_1dof,
                                 set_design_value, total_energy_1dof,
                                 uniform_chain)
-    from snapgrip.statics import (default_chain_seeds, find_equilibria_1dof,
+    from snapgrip.statics import (continuation_ramped_load,
+                                  default_chain_seeds, find_equilibria_1dof,
                                   find_equilibria_chain, saddle_search_chain,
                                   trigger_moment)
 
@@ -79,6 +85,16 @@ def layers(design):
             d, default_chain_seeds(d)) if e.stable]
         saddles.append((f"saddle_n{n}_g{g:g}",
                         lambda d=d, ends=ends: saddle_search_chain(d, *ends)))
+
+    continuation = []
+    for g in (0.0, 9.81):
+        d = set_design_value(design, "gripper.gravity", g)
+        tau_max = 1.5 * trigger_moment(d)
+        for steps in (50, 200):
+            continuation.append((
+                f"continuation_g{g:g}_{steps}_steps",
+                lambda d=d, tau_max=tau_max, steps=steps:
+                    continuation_ramped_load(d, tau_max, steps)))
 
     yeoh = replace(design, finger=replace(design.finger,
                                           material=Yeoh(1.0e5)))
@@ -115,7 +131,7 @@ def layers(design):
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
-    ] + chain + saddles + yeoh_layers
+    ] + chain + saddles + continuation + yeoh_layers
 
 
 def counted(names):
@@ -155,7 +171,7 @@ def main(argv=None):
             times.append(time.perf_counter() - start)
         result[name] = {"median_s": statistics.median(times), "runs_s": times}
     counts = counted(("gradient_1dof", "find_equilibria_1dof",
-                      "chain_gradient", "moment_curvature"))
+                      "chain_gradient", "chain_hessian", "moment_curvature"))
     for name, run in layers(design):
         before = dict(counts)
         run()

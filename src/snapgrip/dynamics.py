@@ -165,26 +165,21 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     if report is None:
         report = find_equilibria_1dof(design)
     if theta_init is None:
-        require_bistable(design, report)
-        theta_open = report.open_state.theta
-        theta_closed = report.closed_state.theta
-        theta_saddle = report.saddle.theta
-        u_saddle = report.saddle.energy
+        theta_init = require_bistable(design, report).open_state.theta
+    theta_open = float(theta_init)
+    closed_minima = [e for e in report.equilibria
+                     if e.stable and e.theta > theta_open]
+    if not closed_minima:
+        raise NotBistableError("no closed stable state to snap into")
+    theta_closed = min(closed_minima, key=lambda e: e.energy).theta
+    saddles = [e for e in report.equilibria
+               if not e.stable and theta_open < e.theta < theta_closed]
+    if saddles:
+        theta_saddle = saddles[0].theta
+        u_saddle = saddles[0].energy
     else:
-        theta_open = float(theta_init)
-        closed_minima = [e for e in report.equilibria
-                         if e.stable and e.theta > theta_open]
-        if not closed_minima:
-            raise NotBistableError("no closed stable state to snap into")
-        theta_closed = min(closed_minima, key=lambda e: e.energy).theta
-        saddles = [e for e in report.equilibria
-                   if not e.stable and theta_open < e.theta < theta_closed]
-        if saddles:
-            theta_saddle = saddles[0].theta
-            u_saddle = saddles[0].energy
-        else:
-            theta_saddle = -math.inf
-            u_saddle = -math.inf
+        theta_saddle = -math.inf
+        u_saddle = -math.inf
 
     omega_closed = natural_frequency(design, theta_closed)
     if dt is None:

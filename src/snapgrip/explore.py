@@ -58,7 +58,15 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.parameters:
-            raise ValueError("a sweep needs at least one parameter")
+            raise InvalidArgumentError("a sweep needs at least one parameter")
+        paths = [path for path, _ in self.parameters]
+        for path, values in self.parameters:
+            if len(values) == 0:
+                raise InvalidArgumentError(f"sweep parameter {path!r} has "
+                                           "no values")
+            if paths.count(path) > 1:
+                raise InvalidArgumentError(f"sweep parameter {path!r} is "
+                                           "given more than once")
         if self.n_points > self.budget:
             raise BudgetExceededError(
                 f"sweep would evaluate {self.n_points} design points, "

@@ -307,9 +307,10 @@ class EnergyLandscape:
 # Constitutive law: bending moment vs curvature
 # ---------------------------------------------------------------------------
 
-# Curvatures per block of the Yeoh quadrature.  A block's temporaries hold
-# at most (256, 512) floats, 1 MiB; a whole energy scan (96 nodes an
-# angle) in one pass would raise a run's peak memory.
+# Curvatures per block of the Yeoh quadrature, and angles per block of the
+# Yeoh bend energy.  A block's temporaries hold at most (256, 512) floats,
+# 1 MiB; a whole energy scan (96 nodes an angle) in one pass would make a
+# run's peak memory grow with the number of angles.
 _KAPPA_BLOCK = 256
 _ENERGY_NODES = 96      # Gauss points along the bend angle, Yeoh energy
 
@@ -377,9 +378,14 @@ def _bend_energy_generic(theta, rest_angle, length, section, material):
         return 0.5 * ei / length * d * d
 
     x, w = _gauss_legendre(_ENERGY_NODES)
-    phi = rest_angle + 0.5 * d[..., None] * (x + 1.0)
-    m = moment_curvature((phi - rest_angle) / length, section, material)
-    return 0.5 * d * _dot_last(m, w)[..., 0]
+    flat = d.ravel()
+    energy = np.empty_like(flat)
+    for start in range(0, flat.size, _KAPPA_BLOCK):
+        part = flat[start:start + _KAPPA_BLOCK]
+        phi = rest_angle + 0.5 * part[:, None] * (x + 1.0)
+        m = moment_curvature((phi - rest_angle) / length, section, material)
+        energy[start:start + _KAPPA_BLOCK] = 0.5 * part * _dot_last(m, w)[:, 0]
+    return energy.reshape(d.shape)[()]
 
 
 def _bend_moment_generic(theta, rest_angle, length, section, material):

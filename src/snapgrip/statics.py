@@ -189,90 +189,66 @@ def _golden_section_max(f, a, b, tol):
     return max(fc, fd)
 
 
-def _newton_1dof(design, theta, tau, tol=1e-12, max_iter=60, h=1e-7):
-    """Damped Newton solve of gradient(theta) = tau.  Returns theta or None."""
-    gradient = scalar_gradient(design)
-    r = gradient(theta) - tau
-    for _ in range(max_iter):
-        if abs(r) < tol:
-            return theta
-        slope = (gradient(theta + h) - gradient(theta - h)) / (2.0 * h)
-        if slope == 0.0:
-            return None
-        step = -r / slope
-        alpha = 1.0
-        for _ in range(40):
-            cand = theta + alpha * step
-            r_new = gradient(cand) - tau
-            if abs(r_new) < abs(r) * (1.0 - 1e-4) or abs(r_new) < tol:
-                theta, r = cand, r_new
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return theta if abs(r) < tol else None
-
-
 def continuation_ramped_load(design: GripperDesign, tau_max: float,
                              n_steps: int) -> ContinuationPath:
     """Trace the equilibrium branch as a closing moment ramps from zero.
 
-    Each load step relaxes from the previous solution (damped Newton,
-    the quasi-static stand-in for numerical stabilization).  When the
-    branch folds (relaxation fails or the curvature crosses zero) the
-    fold is recorded and the path restarts on the post-snap branch.  A
-    path that leaves ``design.window`` is an error.
+    The path starts at the lowest stable equilibrium.  The gradient g is
+    evaluated once on the grid of ``design.window``; each load step walks
+    from the previous angle in the direction the load moves (right for a
+    rising load, left for a falling one) to the first grid cell where g
+    passes the load, and bisects that cell.  A walk that passes a local
+    extremum of g has jumped a fold: the fold is recorded as the load and
+    the previous angle, and the path goes on from the branch it lands on.
+    A walk that runs off the grid is an error.
+
+    The walk reads g only at grid points, so a stable root and the saddle
+    that fall in the same grid cell are not told apart: the fold is then
+    reported one load step early.  That needs a load within about
+    |g''| * h**2 / 2 of the fold, with h the grid spacing (1.5e-3 rad in
+    the default window).
     """
     if n_steps < 10:
         raise InvalidArgumentError("n_steps must be >= 10")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
-    window = design.window
-    report = find_equilibria_1dof(design)
-    stables = [e for e in report.equilibria if e.stable]
+    stables = [e for e in find_equilibria_1dof(design).equilibria
+               if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
-    theta = stables[0].theta
-    theta_hi = max(e.theta for e in report.equilibria) + 2.0
+    window = design.window
+    grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
+    gradient = scalar_gradient(design)
+    # In walk order, with g and the load negated for a falling load, the
+    # stable branch always rises.
+    sign = 1 if tau_max >= 0.0 else -1
+    walk_grid = grid[::sign]
+    walk_g = sign * np.asarray(gradient_1dof(walk_grid, design), dtype=float)
 
     taus = np.linspace(0.0, tau_max, n_steps)
     thetas = np.empty(n_steps)
+    thetas[0] = theta = stables[0].theta
     folds = []
-    for i, tau in enumerate(taus):
-        sol = _newton_1dof(design, theta, tau)
-        on_fold = sol is None
-        if sol is not None:
-            curv = float(second_derivative_1dof(sol, design))
-            on_fold = curv <= 0.0
-        if on_fold:
-            folds.append((float(tau), float(theta)))
-            sol = _post_fold_root(design, tau, theta, theta_hi)
-            if sol is None:
-                raise NonConvergenceError(
-                    f"continuation lost the branch at load {tau:.6g}")
-        theta = float(sol)
-        if not window.theta_min <= theta <= window.theta_max:
+    for i in range(1, n_steps):
+        tau = float(taus[i])
+        k = int(np.count_nonzero(sign * (walk_grid - theta) <= 0.0))
+        past = np.flatnonzero(walk_g[k:] >= sign * tau)
+        if past.size == 0:
             raise InvalidArgumentError(f"continuation left the solve window "
-                                       f"at theta = {theta:.6g} rad")
+                                       f"at load {tau:.6g} N*m")
+        j = k + int(past[0])
+        # g rises from the last load at theta; a fall on the way to the
+        # crossing is a maximum of g passed, so the branch folded.
+        if j > k and np.any(np.diff(walk_g[k:j + 1],
+                                    prepend=sign * taus[i - 1]) < 0.0):
+            folds.append((tau, theta))
+        lo, hi = sorted((float(walk_grid[j - 1]), float(walk_grid[j])))
+        theta = _bracketed_root(lambda t: gradient(t) - tau, lo, hi, -1.0,
+                                xtol=BISECTION_TOL)
         thetas[i] = theta
     energies = np.asarray(total_energy_1dof(thetas, design), dtype=float)
     return ContinuationPath(taus=taus, thetas=thetas, energies=energies,
                             fold_points=tuple(folds))
-
-
-def _post_fold_root(design, tau, theta_from, theta_hi):
-    """Bracket the stable solution beyond a fold and bisect to it."""
-    grid = np.linspace(theta_from, theta_hi, 512)
-    g = np.asarray(gradient_1dof(grid, design), dtype=float) - tau
-    gradient = scalar_gradient(design)
-    for i in range(grid.size - 1, 0, -1):
-        if (g[i - 1] > 0) != (g[i] > 0):
-            sol = _bracketed_root(lambda t: gradient(t) - tau,
-                                  float(grid[i - 1]), float(grid[i]),
-                                  g[i - 1], xtol=BISECTION_TOL)
-            if float(second_derivative_1dof(sol, design)) > 0:
-                return sol
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,17 @@ class TestCli:
                               "an integer, got 2.5\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_repeated_sweep_path_exits_2_without_table(self, tmp_path):
+        res = run_cli("sweep", "--param", "gripper.gravity=1,2",
+                      "--param", "gripper.gravity=3",
+                      "--config", str(BASELINE_CFG), "--out", "out",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "snapgrip: error: sweep parameter 'gripper.gravity' is given "
+            "more than once"]
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_creates_no_output_directory(self, tmp_path):
         res = run_cli("sweep", "--param", "finger.n_segments=2.5,3",
                       "--config", str(BASELINE_CFG), "--out", "o2",

@@ -65,6 +65,17 @@ class TestSweep:
                                   ("ring.well_center", tuple(range(100)))),
                       budget=100)
 
+    @pytest.mark.parametrize("parameters", [
+        (),
+        (("ring.stiffness", ()),),
+        (("gripper.gravity", (1.0, 2.0)), ("gripper.gravity", (3.0,))),
+    ], ids=["no_parameter", "no_values", "repeated_path"])
+    def test_malformed_sweep_is_rejected(self, parameters):
+        with pytest.raises(InvalidArgumentError):
+            SweepSpec(parameters=parameters)
+        with pytest.raises(ValueError):
+            SweepSpec(parameters=parameters)
+
     def test_barrier_identity_on_bistable_rows(self, baseline):
         spec = SweepSpec(parameters=(("ring.stiffness", (0.1, 0.12, 0.14)),),
                          include_closing_time=False,

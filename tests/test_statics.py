@@ -12,7 +12,8 @@ from snapgrip.errors import (DomainError, InvalidArgumentError,
                              SaddleOrderError)
 from snapgrip.model import (SolveWindow, Yeoh, set_design_value,
                             total_energy_1dof, gradient_1dof, chain_gradient,
-                            chain_hessian, uniform_chain)
+                            chain_hessian, second_derivative_1dof,
+                            uniform_chain)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -343,6 +344,66 @@ class TestContinuation:
     def test_path_shapes_consistent(self, baseline):
         path = continuation_ramped_load(baseline, 0.01, 50)
         assert path.taus.shape == path.thetas.shape == path.energies.shape
+
+    # Baseline ramps of 200 steps to 1.5x the trigger moment, traced by
+    # damped Newton continuation before the grid walk replaced it:
+    # gravity -> (tau_max, fold tau, fold theta, final theta).  Both fold
+    # at load step 133.
+    FROZEN_FOLDS = {
+        0.0: (0.037330869835617626, 0.024949777327322332,
+              -0.3981724002038128, 1.8360407624578219),
+        9.81: (0.0357915838648625, 0.023921008311692027,
+               -0.39807243558178895, 1.8311654557621888),
+    }
+
+    @pytest.mark.parametrize("gravity", sorted(FROZEN_FOLDS))
+    def test_fold_matches_frozen_newton_path(self, baseline, gravity):
+        tau_max, fold_tau, fold_theta, final = self.FROZEN_FOLDS[gravity]
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        path = continuation_ramped_load(d, tau_max, 200)
+        (tau, theta), = path.fold_points
+        assert tau == fold_tau == path.taus[133]
+        assert abs(theta - fold_theta) <= 1e-9
+        assert abs(path.thetas[-1] - final) <= 1e-9
+
+    def test_coarse_step_across_the_fold_is_recorded(self, baseline):
+        # Damped Newton landed on the closed branch at step 3 of this
+        # path without seeing a fold.
+        d = baseline
+        for key, value in (("ring.stiffness", 0.24288425947668607),
+                           ("ring.well_center", 0.48512073278622614),
+                           ("ring.well_halfwidth", 0.9470237429533117),
+                           ("finger.natural_curvature", 17.121391488257725)):
+            d = set_design_value(d, key, value)
+        path = continuation_ramped_load(d, 0.15815401085304837, 10)
+        assert path.thetas[2] < -0.2 and path.thetas[3] > 1.6
+        assert path.fold_points == ((path.taus[3], path.thetas[2]),)
+
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_every_point_is_a_stable_root(self, baseline, gravity):
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        tau_max = self.FROZEN_FOLDS[gravity][0]
+        path = continuation_ramped_load(d, tau_max, 200)
+        residual = np.asarray(gradient_1dof(path.thetas, d)) - path.taus
+        assert np.max(np.abs(residual)) <= 1e-9
+        assert np.all(second_derivative_1dof(path.thetas, d) > 0.0)
+
+    def test_negative_load_moves_left_without_a_fold(self, baseline):
+        path = continuation_ramped_load(baseline, -0.1, 100)
+        assert path.fold_points == ()
+        assert path.thetas[0] == pytest.approx(BASELINE_OPEN_THETA, abs=1e-9)
+        assert np.all(np.diff(path.thetas) < 0.0)
+        assert path.thetas[-1] < -1.3
+        residual = np.asarray(gradient_1dof(path.thetas, baseline)) - path.taus
+        assert np.max(np.abs(residual)) <= 1e-9
+
+    def test_negative_load_walking_off_the_window_is_an_error(self,
+                                                              baseline):
+        # The open state sits at -0.856 rad; -0.05 N*m pushes it to -1.17.
+        narrow = replace(baseline, window=SolveWindow(-1.0, math.pi))
+        with pytest.raises(InvalidArgumentError,
+                           match="left the solve window"):
+            continuation_ramped_load(narrow, -0.05, 100)
 
 
 class TestChainStatics:
