@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -26,12 +25,6 @@ from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
 # Below this bend angle the circular-arc kinematics switch to their
 # 4th-order series to avoid 0/0.
 SMALL_ANGLE = 1e-4
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +52,10 @@ class Yeoh:
 
     ``c20``/``c30`` may take any sign, but the uniaxial stress must remain
     monotonically increasing for stretches in [0.5, 2.0]; that is checked
-    by sampling at construction.
+    by sampling at construction.  The bending law integrates the Cauchy
+    stress sigma = lam * dW/dlam over the reference thickness
+    (``moment_curvature``), so the bend energy is not the integral of W
+    over the volume.
     """
 
     c10: float
@@ -307,12 +303,110 @@ class EnergyLandscape:
 # Constitutive law: bending moment vs curvature
 # ---------------------------------------------------------------------------
 
-# Curvatures per block of the Yeoh quadrature, and angles per block of the
-# Yeoh bend energy.  A block's temporaries hold at most (256, 512) floats,
-# 1 MiB; a whole energy scan (96 nodes an angle) in one pass would make a
-# run's peak memory grow with the number of angles.
-_KAPPA_BLOCK = 256
-_ENERGY_NODES = 96      # Gauss points along the bend angle, Yeoh energy
+# The Yeoh law in closed form.  The fiber at height z of the reference
+# thickness stretches to lam = 1 + kappa*z.  With h = t/2, a = kappa*h and
+# I[g] the integral of g over lam in [1 - a, 1 + a], the moment is
+# M = (w / kappa**2) * I[sigma(lam) * (lam - 1)] and the bend energy, its
+# integral along the bend angle, is U = (L * w / kappa) * I[S], where
+# S(lam) is the integral of sigma from 1 to lam.  sigma is a Laurent
+# polynomial in lam, so each integrand is one (powers -3 to 7) plus, in S,
+# a multiple l of log(lam), and with r = 1 / (1 - a**2)
+#
+#     I = a * (P(a**2) + (p1 + p2 * r) * r + l * log(1 - a**2)) + t * atanh(a)
+#
+# for a polynomial P.  M = (w * h**2) * I / a**2 and U = (L * w * h) * a *
+# I / a**2, with the scales folded into the coefficients.  I is O(a**3),
+# so the exact form cancels as a -> 0; below YEOH_SERIES_SWITCH the reduced
+# integral I / a**2 is its odd Taylor series, whose last term there is
+# below 2e-18 of the sum for 12,649 random monotonic laws.  As with the
+# arc terms, one (exact, series) pair of plain-arithmetic functions serves
+# the array form and the float closures; both take atanh and log1p from
+# numpy, whose results differ from ``math``'s in the last bit.
+
+YEOH_SERIES_SWITCH = 0.2
+_YEOH_SERIES_TERMS = 16
+
+
+def _horner(coefficients, x):
+    """sum(coefficients[i] * x**i), by Horner's rule."""
+    total = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        total = total * x + c
+    return total
+
+
+def _reduced_exact(a, atanh_a, log_1ma2, terms):
+    *poly, p1, p2, t, l = terms
+    aa = a * a
+    r = 1.0 / (1.0 - aa)
+    return (a * (_horner(poly, aa) + (p1 + p2 * r) * r + l * log_1ma2)
+            + t * atanh_a) / aa
+
+
+def _reduced_series(a, terms):
+    return a * _horner(terms, a * a)
+
+
+def _laurent_product(p, q):
+    """Product of two Laurent polynomials given as {power: coefficient}."""
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0.0) + a * b
+    return out
+
+
+def _reduced_integral(g, l, scale):
+    """(exact, series) coefficients of scale * I / a**2 for the integrand
+    sum(g[k] * lam**k) + l * log(lam), powers k >= -3."""
+    p1, p2, t = (2.0 * g.get(k, 0.0) for k in (-2, -3, -1))
+    t += 2.0 * l
+    poly = [-2.0 * l] + [0.0] * _YEOH_SERIES_TERMS
+    for k, gk in g.items():     # ((1 + a)**(k+1) - (1 - a)**(k+1)) / (k+1)
+        for j in range(1, k + 2, 2):
+            poly[j // 2] += 2.0 * gk * math.comb(k + 1, j) / (k + 1)
+    # The series adds up the Taylor series of the exact form's terms.
+    series = [poly[m + 1] + p1 + p2 * (m + 2) + t / (2 * m + 3) - l / (m + 1)
+              for m in range(_YEOH_SERIES_TERMS)]
+    exact = poly[:max(g) // 2 + 1] + [p1, p2, t, l]
+    return [scale * c for c in exact], [scale * c for c in series]
+
+
+def _yeoh_terms(section, material, length=None):
+    """``_reduced_integral`` of the Yeoh moment, or with ``length`` of the
+    bend energy."""
+    x = {2: 1.0, 0: -3.0, -1: 2.0}                 # I1 - 3
+    dw = {k: 3.0 * material.c30 * v + 2.0 * material.c20 * x.get(k, 0.0)
+          for k, v in _laurent_product(x, x).items()}   # x*x has x's powers
+    dw[0] += material.c10
+    sigma = _laurent_product({2: 2.0, -1: -2.0}, dw)
+    h = section.thickness / 2.0
+    if length is None:
+        return _reduced_integral(_laurent_product(sigma, {1: 1.0, 0: -1.0}),
+                                 0.0, section.width * h * h)
+    s = {k + 1: v / (k + 1) for k, v in sigma.items() if k != -1}
+    s[0] = -sum(s.values())
+    return _reduced_integral(s, sigma[-1], length * section.width * h)
+
+
+def _yeoh_reduced(a, terms):
+    """The reduced integral on numpy input, series below the switch."""
+    exact, series = terms
+    small = np.abs(a) < YEOH_SERIES_SWITCH
+    safe = np.where(small, 0.5, a)
+    return np.where(small, _reduced_series(a, series),
+                    _reduced_exact(safe, np.arctanh(safe),
+                                   np.log1p(-safe * safe), exact))
+
+
+def _check_strain(a):
+    """``a`` = kappa * t/2, refused where |a| >= 0.9."""
+    bad = np.abs(a) >= 0.9
+    if bad.any():
+        raise CurvatureOutOfRangeError(
+            f"|kappa|*t/2 = {abs(np.extract(bad, a)[0]):.3g} >= 0.9: fiber "
+            "strain outside the validity range of the constitutive law")
+    return a
 
 
 def _dot_last(v, w):
@@ -324,68 +418,32 @@ def _dot_last(v, w):
 def moment_curvature(kappa, section: CrossSection, material: MaterialModel):
     """Bending moment at curvature ``kappa`` (relative to stress-free).
 
-    The Yeoh branch integrates the incompressible uniaxial stress through
-    the thickness with Gauss quadrature, doubling the point count from 32
-    until converged to 1e-8 relative, separately for each curvature of an
-    array.  Curvatures that compress the extreme fiber past 10% of full
-    collapse are rejected.
+    The Yeoh branch integrates the Cauchy stress sigma = lam * dW/dlam of
+    incompressible uniaxial tension over the reference thickness, in
+    closed form (see above), for curvatures of any shape.  The bend
+    energy, the integral of this moment, is therefore not the integral of
+    W over the volume.  Curvatures that compress the extreme fiber past
+    10% of full collapse (|kappa| * t/2 >= 0.9) are rejected.
     """
     if isinstance(material, LinearElastic):
         return material.youngs_modulus * section.second_moment * kappa
-
-    kappa = np.asarray(kappa, dtype=float)
-    half_t = section.thickness / 2.0
-    bad = np.abs(kappa) * half_t >= 0.9
-    if bad.any():
-        raise CurvatureOutOfRangeError(
-            f"|kappa|*t/2 = {abs(kappa[bad][0]) * half_t:.3g} >= 0.9: fiber "
-            "strain outside the validity range of the constitutive law")
-
-    def stress_z(k, x):
-        z = half_t * x
-        return material.uniaxial_stress(1.0 + k[:, None] * z) * z
-
-    scale = section.width * half_t
-    (x32, w32), (x64, w64) = _gauss_legendre(32), _gauss_legendre(64)
-    x96 = np.concatenate((x32, x64))
-    flat = kappa.ravel()
-    m = np.empty_like(flat)
-    for start in range(0, flat.size, _KAPPA_BLOCK):
-        todo = np.arange(start, min(start + _KAPPA_BLOCK, flat.size))
-        # The 32- and 64-point rules share one pass over their 96 nodes.
-        v = stress_z(flat[todo], x96)
-        prev = scale * _dot_last(v[:, :32], w32)[:, 0]
-        m_n = m[todo] = scale * _dot_last(v[:, 32:], w64)[:, 0]
-        for n in (128, 256, 512):
-            ok = np.abs(m_n - prev) <= 1e-8 * np.maximum(np.abs(m_n), 1e-300)
-            if ok.all():
-                break
-            todo, prev = todo[~ok], m_n[~ok]
-            x, w = _gauss_legendre(n)
-            m_n = m[todo] = scale * _dot_last(stress_z(flat[todo], x), w)[:, 0]
-    return m.reshape(kappa.shape)[()]
+    a = _check_strain(np.asarray(kappa, dtype=float) * (section.thickness
+                                                        / 2.0))
+    # + 0.0 makes the moment at zero curvature +0.0, not -0.0.
+    return (_yeoh_reduced(a, _yeoh_terms(section, material)) + 0.0)[()]
 
 
 def _bend_energy_generic(theta, rest_angle, length, section, material):
-    """Elastic energy of a uniformly bent beam, any constitutive law.
-
-    Integrates the moment along the bend angle from the stress-free angle;
-    for a linear material this is evaluated in closed form.
-    """
+    """Elastic energy of a uniformly bent beam, any constitutive law: the
+    integral of the moment along the bend angle from the stress-free
+    angle, in closed form."""
     d = np.asarray(theta, dtype=float) - rest_angle
     if isinstance(material, LinearElastic):
         ei = material.youngs_modulus * section.second_moment
         return 0.5 * ei / length * d * d
-
-    x, w = _gauss_legendre(_ENERGY_NODES)
-    flat = d.ravel()
-    energy = np.empty_like(flat)
-    for start in range(0, flat.size, _KAPPA_BLOCK):
-        part = flat[start:start + _KAPPA_BLOCK]
-        phi = rest_angle + 0.5 * part[:, None] * (x + 1.0)
-        m = moment_curvature((phi - rest_angle) / length, section, material)
-        energy[start:start + _KAPPA_BLOCK] = 0.5 * part * _dot_last(m, w)[:, 0]
-    return energy.reshape(d.shape)[()]
+    a = _check_strain(d / length * (section.thickness / 2.0))
+    return (a * _yeoh_reduced(a, _yeoh_terms(section, material,
+                                             length)))[()]
 
 
 def _bend_moment_generic(theta, rest_angle, length, section, material):
@@ -592,27 +650,52 @@ def _plus_scalar_gravity(design, elastic, mean_x, end_dx):
     return total
 
 
+def _scalar_yeoh(finger, terms):
+    """Tip angle -> (a, reduced integral at a) of a Yeoh finger on floats,
+    a = kappa * t/2, with the operations of the array form."""
+    rest, length = finger.rest_angle, finger.length
+    half_t = finger.cross_section.thickness / 2.0
+    exact, series = terms
+
+    def reduced(theta):
+        a = (theta - rest) / length * half_t
+        if abs(a) >= 0.9:
+            _check_strain(a)
+        if abs(a) < YEOH_SERIES_SWITCH:
+            return a, _reduced_series(a, series)
+        return a, float(_reduced_exact(a, np.arctanh(a), np.log1p(-a * a),
+                                       exact))
+
+    return reduced
+
+
 def scalar_gradient(design: GripperDesign) -> Callable[[float], float]:
     """``gradient_1dof`` of ``design`` as a float -> float function.
 
-    For the linear material the design's constants are read once and the
-    terms are evaluated with plain floats and ``math``, in the same order
-    of operations as the array form, so the result is equal bit for bit
-    at a fraction of the cost.  Yeoh designs wrap the array form.
+    The design's constants are read once and the terms are evaluated with
+    plain floats and ``math`` (numpy for the Yeoh law's atanh and log1p),
+    in the same order of operations as the array form, so the result is
+    equal bit for bit at a fraction of the cost.
     """
-    if not isinstance(design.finger.material, LinearElastic):
-        return lambda theta: float(gradient_1dof(theta, design))
     finger, ring = design.finger, design.ring
-    k_f = finger.bending_stiffness / finger.length
-    rest = finger.rest_angle
     d = ring.well_halfwidth
     k_r = ring.effective_stiffness / (2.0 * d * d)
     dd = d * d
     center = ring.well_center
+    if isinstance(finger.material, LinearElastic):
+        k_f = finger.bending_stiffness / finger.length
+        rest = finger.rest_angle
 
-    def elastic(theta):
-        x = theta - center
-        return k_f * (theta - rest) + k_r * x * (x * x - dd)
+        def elastic(theta):
+            x = theta - center
+            return k_f * (theta - rest) + k_r * x * (x * x - dd)
+    else:
+        moment = _scalar_yeoh(finger, _yeoh_terms(finger.cross_section,
+                                                  finger.material))
+
+        def elastic(theta):
+            x = theta - center
+            return moment(theta)[1] + 0.0 + k_r * x * (x * x - dd)
 
     return _plus_scalar_gravity(design, elastic, _MEAN_X_DPHI, _END_DX_DPHI)
 
@@ -620,21 +703,29 @@ def scalar_gradient(design: GripperDesign) -> Callable[[float], float]:
 def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
     """``total_energy_1dof`` of ``design`` as a float -> float function,
     equal bit for bit; see ``scalar_gradient``."""
-    if not isinstance(design.finger.material, LinearElastic):
-        return lambda theta: float(total_energy_1dof(theta, design))
     finger, ring = design.finger, design.ring
-    k_f = 0.5 * finger.bending_stiffness / finger.length
-    rest = finger.rest_angle
     d = ring.well_halfwidth
     k_r = ring.effective_stiffness / (8.0 * d * d)
     dd = d * d
     center = ring.well_center
+    if isinstance(finger.material, LinearElastic):
+        k_f = 0.5 * finger.bending_stiffness / finger.length
+        rest = finger.rest_angle
 
-    def elastic(theta):
-        e = theta - rest
-        x = theta - center
-        q = x * x - dd
-        return k_f * e * e + k_r * q * q
+        def elastic(theta):
+            e = theta - rest
+            x = theta - center
+            q = x * x - dd
+            return k_f * e * e + k_r * q * q
+    else:
+        bend = _scalar_yeoh(finger, _yeoh_terms(
+            finger.cross_section, finger.material, finger.length))
+
+        def elastic(theta):
+            a, reduced = bend(theta)
+            x = theta - center
+            q = x * x - dd
+            return a * reduced + k_r * q * q
 
     return _plus_scalar_gravity(design, elastic, _MEAN_X, _END_DX)
 
