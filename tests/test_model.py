@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.errors import CurvatureOutOfRangeError, InvalidDesignError
 import snapgrip.model as model
-from snapgrip.model import (ARC_SERIES_SWITCH, ChainConfiguration,
+from snapgrip.model import (ARC_SERIES_SWITCH, YEOH_SERIES_SWITCH,
+                            ChainConfiguration,
                             CrossSection, FingerDesign, GripperDesign,
                             LinearElastic, RingDesign, Yeoh, chain_energy,
                             chain_gradient, chain_hessian,
@@ -81,87 +81,81 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
-
-
-def _loop_moment(kappa, section, material):
-    """The Yeoh moment of one curvature, in the per-curvature form the
-    array law replaced; kept as the bit-for-bit reference."""
-    half_t = section.thickness / 2.0
-
-    def integral(n):
-        x, w = _leggauss(n)
-        z = half_t * x
-        sigma = material.uniaxial_stress(1.0 + kappa * z)
-        return section.width * half_t * float(np.dot(w, sigma * z))
-
-    m = integral(32)
-    for n in (64, 128, 256, 512):
-        m_next = integral(n)
-        if abs(m_next - m) <= 1e-8 * max(abs(m_next), 1e-300):
-            return m_next
-        m = m_next
-    return m
-
-
-def _loop_bend_energy(theta, finger):
-    """The Yeoh bend energy of one angle in the per-angle form, on
-    ``_loop_moment``."""
-    span = theta - finger.rest_angle
-    x, w = _leggauss(96)
-    phi = finger.rest_angle + 0.5 * span * (x + 1.0)
-    vals = [_loop_moment((p - finger.rest_angle) / finger.length,
-                         finger.cross_section, finger.material) for p in phi]
-    return 0.5 * span * float(np.dot(w, vals))
+def _switch_angles(finger):
+    """Two pairs of adjacent tip angles, one either side of the rest
+    angle, whose |kappa| * t/2 straddles the Yeoh series switch."""
+    rest, length = finger.rest_angle, finger.length
+    half_t = finger.cross_section.thickness / 2.0
+    angles = []
+    for sign in (1.0, -1.0):
+        theta = rest + sign * YEOH_SERIES_SWITCH / half_t * length
+        while abs((theta - rest) / length * half_t) >= YEOH_SERIES_SWITCH:
+            theta = np.nextafter(theta, rest)
+        while abs((theta - rest) / length * half_t) < YEOH_SERIES_SWITCH:
+            theta = np.nextafter(theta, sign * math.inf)
+        angles += [float(np.nextafter(theta, rest)), float(theta)]
+    return angles
 
 
 class TestYeohArrays:
-    """The Yeoh law evaluated over whole arrays of curvature."""
+    """The closed-form Yeoh law over whole arrays of curvature."""
 
     SECTION = CrossSection(0.015, 0.006)
     YEOH = Yeoh(1.0e5, 2.0e4, 0.0)
+    RTOL = 1e-13
 
-    # Moments of the per-curvature form this replaced.  Curvature 1e-7
-    # stops at the 512-point rule and 3.16e-7 at 128 (rounding in
-    # 1 + kappa*z keeps the coarse rules apart); the rest, up to the
-    # largest curvature the range check admits, stop at 64.
+    # 17-digit references, by 30-digit mpmath quadrature of the defining
+    # integrals, not of the closed form: the moment is w times the
+    # integral of sigma(1 + kappa*z) * z over the thickness.  The keys
+    # include the largest curvature the range check admits and the two
+    # curvatures either side of the series switch (|kappa| * t/2 = 0.2).
     FROZEN_MOMENTS = {
-        -299.99999999999994: -0.20500073297515117,
-        -40.0: -0.0065667435680751085,
-        1e-07: 1.6200000711362912e-11,
-        3.162277660168379e-07: 5.122889871947364e-11,
-        12.5: 0.002027622479174474,
-        150.0: 0.029657407923508784,
-        299.99999999999994: 0.20500073297515117,
+        -299.99999999999994: -0.20500073297515343,
+        -40.0: -0.0065667435680751278,
+        1e-07: 1.6200000000000000e-11,
+        3.162277660168379e-07: 5.1228898094727744e-11,
+        12.5: 0.0020276224791744800,
+        66.66666666666666: 0.011209292026989041,
+        66.66666666666667: 0.011209292026989043,
+        150.0: 0.029657407923508878,
+        299.99999999999994: 0.20500073297515343,
     }
-    # Finger bend energies of the per-angle form, baseline finger.
+    # Baseline-finger bend energies: L * w times the integral over the
+    # thickness of S(1 + kappa*z), S the integral of sigma from 1.  The
+    # angles -4 and 7 rad take the exact branch.
     FROZEN_ENERGIES = {
-        -2.0: 0.013232976890494103,
-        -0.85: 0.006101224984475687,
-        0.3: 0.0017129977548867449,
-        2.5: 0.0008205549531646924,
+        -4.0: 0.032410134313364393,
+        -2.0: 0.013232976890494141,
+        -0.85: 0.0061012249844757045,
+        0.3: 0.0017129977548867499,
+        2.5: 0.00082055495316469479,
+        7.0: 0.030092654625796359,
     }
-    # Chain energy and gradient of the per-curvature form at g = 9.81 and
-    # a 0.01 kg payload, on ``TestChainArrays._angles(n)``.
+    # Chain energy and gradient at g = 9.81 and a 0.01 kg payload on
+    # ``TestChainArrays._angles(n)``: the segments' bend terms as above,
+    # the ring and gravity terms in mpmath, their gradient by 80-digit
+    # numerical differentiation.
     FROZEN_CHAIN = {
-        8: (0.01582615560100556, [
-            -0.08463820290270042, -0.07666761631765681, -0.08053886132711109,
-            -0.07206442370167206, -0.010649722248716213,
-            -0.0024939217897141813, -0.004544232079448883,
-            0.0003549847456010616]),
-        32: (0.13166743910309522, [
-            -0.4832293442711395, -0.4500020427280993, -0.47488459834474067,
-            -0.44137414435920713, -0.46793797740885096, -0.43649013213827725,
-            -0.44830171555788223, -0.43129604468343535, -0.4564319319439683,
-            -0.4255790128923243, -0.4513102870984438, -0.44652770316420193,
-            -0.4464257376147705, -0.47864058904206314, -0.44171660044970884,
-            -0.4705096417109441, -0.006492682365648258, -0.025294525352550837,
-            0.006017578404528131, -0.019553376629520558, 0.010898548720637719,
-            -0.005579754967036423, 0.01631312013151994, -0.00953992986936363,
-            0.022514166935020872, -0.004849470843961309,
-            -0.0043193913165376135, -0.00024451355872877854,
-            -0.02906046909367054, 0.004346052209730196, -0.02232097092879798,
-            -0.0030974230541059994]),
+        8: (0.015826155601005577, [
+            -0.084638202902700414, -0.076667616317656791,
+            -0.080538861327111080, -0.072064423701672025,
+            -0.010649722248716233, -0.0024939217897141841,
+            -0.0045442320794488922, 0.00035498474560106398]),
+        32: (0.13166743910309542, [
+            -0.48322934427113970, -0.45000204272809936, -0.47488459834474075,
+            -0.44137414435920712, -0.46793797740885105, -0.43649013213827730,
+            -0.44830171555788227, -0.43129604468343534, -0.45643193194396833,
+            -0.42557901289232430, -0.45131028709844383, -0.44652770316420197,
+            -0.44642573761477050, -0.47864058904206331, -0.44171660044970884,
+            -0.47050964171094419, -0.0064926823656482651,
+            -0.025294525352550904, 0.0060175784045281567,
+            -0.019553376629520608, 0.010898548720637760,
+            -0.0055797549670364300, 0.016313120131519997,
+            -0.0095399298693636495, 0.022514166935020949,
+            -0.0048494708439613172, -0.0043193913165376205,
+            -0.00024451355872877139, -0.029060469093670629,
+            0.0043460522097302098, -0.022320970928798047,
+            -0.0030974230541060064]),
     }
 
     def _moment(self, kappa):
@@ -173,36 +167,41 @@ class TestYeohArrays:
 
     def test_moments_match_frozen_values(self):
         for kappa, m in self.FROZEN_MOMENTS.items():
-            assert self._moment(kappa) == m
+            assert self._moment(kappa) == pytest.approx(m, rel=self.RTOL,
+                                                        abs=0.0)
         kappas = list(self.FROZEN_MOMENTS)
-        assert list(self._moment(kappas)) == list(
-            self.FROZEN_MOMENTS.values())
+        np.testing.assert_array_equal(
+            _bits(self._moment(kappas)),
+            _bits([self._moment(k) for k in kappas]))
 
     def test_bend_energies_match_frozen_values(self, baseline):
         finger = self._yeoh_design(baseline).finger
         for theta, e in self.FROZEN_ENERGIES.items():
-            assert finger_energy_1dof(theta, finger) == e
+            assert finger_energy_1dof(theta, finger) == pytest.approx(
+                e, rel=self.RTOL, abs=0.0)
         assert finger_energy_1dof(finger.rest_angle, finger) == 0.0
-        thetas = np.linspace(-3.0, 3.0, 7)
+        thetas = np.concatenate([np.linspace(-3.0, 3.0, 7),
+                                 list(self.FROZEN_ENERGIES)])
         np.testing.assert_array_equal(
             _bits(finger_energy_1dof(thetas, finger)),
-            _bits([_loop_bend_energy(t, finger) for t in thetas]))
+            _bits([finger_energy_1dof(t, finger) for t in thetas]))
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_chain_matches_frozen_values(self, baseline, n):
         d = _chain_design(self._yeoh_design(baseline), n, 9.81, 0.01)
         energy, gradient = self.FROZEN_CHAIN[n]
         phi = TestChainArrays._angles(n)
-        assert chain_energy(phi, d) == energy
-        np.testing.assert_array_equal(_bits(chain_gradient(phi, d)),
-                                      _bits(gradient))
+        assert chain_energy(phi, d) == pytest.approx(energy, rel=self.RTOL,
+                                                     abs=0.0)
+        np.testing.assert_allclose(chain_gradient(phi, d), gradient,
+                                   rtol=self.RTOL, atol=0.0)
 
     @pytest.mark.parametrize("material", [Yeoh(1.0e5), YEOH,
                                           Yeoh(8.0e4, -5.0e3, 2.0e3)])
     def test_stacked_call_equals_each_curvature(self, material):
         rng = np.random.default_rng(8)
         limit = 0.9 / (self.SECTION.thickness / 2.0)
-        line = rng.uniform(-0.99, 0.99, 1000) * limit    # four blocks
+        line = rng.uniform(-0.99, 0.99, 1000) * limit
         line[::7] *= 1e-9
         stack = rng.uniform(-0.99, 0.99, (5, 96)) * limit
         for kappas in (line, stack):
@@ -210,14 +209,25 @@ class TestYeohArrays:
             assert moments.shape == kappas.shape
             each = [moment_curvature(k, self.SECTION, material)
                     for k in kappas.ravel()]
-            loop = [_loop_moment(k, self.SECTION, material)
-                    for k in kappas.ravel()]
             np.testing.assert_array_equal(_bits(moments).ravel(),
                                           _bits(each))
-            np.testing.assert_array_equal(_bits(each), _bits(loop))
         single = self._moment(np.float64(line[3]))
         assert np.ndim(single) == 0
         assert _bits(single) == _bits(self._moment(line[3:4])[0])
+
+    @pytest.mark.parametrize("material", [Yeoh(1.0e5), YEOH,
+                                          Yeoh(8.0e4, -5.0e3, 2.0e3)])
+    def test_branches_meet_at_the_series_switch(self, baseline, material):
+        # Adjacent angles either side of |kappa| * t/2 = 0.2 take the
+        # series and the exact form; the law moves by 2e-16 between them.
+        finger = replace(self._yeoh_design(baseline).finger,
+                         material=material)
+        angles = np.array(_switch_angles(finger))
+        kappas = (angles - finger.rest_angle) / finger.length
+        for values in (moment_curvature(kappas, self.SECTION, material),
+                       finger_energy_1dof(angles, finger)):
+            for lo, hi in (values[:2], values[2:]):
+                assert hi == pytest.approx(lo, rel=5e-14, abs=0.0)
 
     def test_out_of_range_raises_beside_nan(self):
         assert math.isnan(self._moment(math.nan))
@@ -241,8 +251,8 @@ class TestYeohArrays:
         assert finger_gradient_1dof(grid, finger).shape == (4096,)
         assert calls == [(4096,)]
         calls.clear()
-        finger_energy_1dof(grid[:10], finger)
-        assert calls == [(10, 96)]
+        finger_energy_1dof(grid[:10], finger)   # closed form, no moments
+        assert calls == []
 
     def test_energy_scan_memory_does_not_grow_with_the_grid(self, baseline):
         # One pass over the whole (10001, 96) curvature stack peaked at
@@ -502,13 +512,32 @@ class TestScalarClosures:
             assert gradient(t) == float(gradient_1dof(t, d))
             assert energy(t) == float(total_energy_1dof(t, d))
 
-    def test_yeoh_material_wraps_array_form(self, baseline):
-        d = replace(baseline, gravity=9.81, finger=replace(
-            baseline.finger, material=Yeoh(1.0e5, 2.0e4, 0.0)))
+    @pytest.mark.parametrize("gravity", [0.0, 9.81, -3.3])
+    @pytest.mark.parametrize("material", [Yeoh(1.0e5), Yeoh(1.0e5, 2.0e4),
+                                          Yeoh(8.0e4, -5.0e3, 2.0e3)])
+    def test_yeoh_material_matches_array_form(self, baseline, gravity,
+                                              material):
+        # The angles reach both branches of the law: |kappa| * t/2 passes
+        # 0.2 at 5.33 rad from the rest angle and the range limit at 24.
+        d = replace(baseline, gravity=gravity, payload_mass=0.005,
+                    finger=replace(baseline.finger, material=material))
+        rest = d.finger.rest_angle
+        angles = np.concatenate([
+            np.linspace(rest - 23.9, rest + 23.9, 4001),
+            _switch_angles(d.finger), [rest, 0.0, -0.0]])
         gradient, energy = scalar_gradient(d), scalar_energy(d)
-        for t in (-2.0, -0.85, -ARC_SERIES_SWITCH / 2, 0.3, 1.6):
-            assert gradient(t) == float(gradient_1dof(t, d))
-            assert energy(t) == float(total_energy_1dof(t, d))
+        np.testing.assert_array_equal(
+            self._bits([gradient(t) for t in angles.tolist()]),
+            self._bits(gradient_1dof(angles, d)))
+        np.testing.assert_array_equal(
+            self._bits([energy(t) for t in angles.tolist()]),
+            self._bits(total_energy_1dof(angles, d)))
+        for f in (gradient, energy):
+            assert math.isnan(f(math.nan))
+            for t in (rest - 24.1, rest + 24.1):
+                with pytest.raises(CurvatureOutOfRangeError,
+                                   match=r"\|kappa\|\*t/2 = 0\.904 >= 0\.9"):
+                    f(t)
 
     def test_infinite_angle_gives_nan_under_gravity(self, baseline):
         d = set_design_value(baseline, "gripper.gravity", 9.81)
