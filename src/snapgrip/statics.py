@@ -98,6 +98,12 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
     energy (saddle energy minus open-state energy).  Fewer equilibria give
     a monostable report; bistability is never fabricated.
     """
+    return _assemble_report(_scan_equilibria(design)[0])
+
+
+def _scan_equilibria(design: GripperDesign):
+    """(equilibria sorted by bend angle, window grid, ``gradient_1dof`` on
+    the grid) of ``find_equilibria_1dof``."""
     window = design.window
     grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
     g = np.asarray(gradient_1dof(grid, design), dtype=float)
@@ -121,7 +127,7 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
                                       stable=curv > 0.0,
                                       curvature=curv))
     equilibria.sort(key=lambda e: e.theta)
-    return _assemble_report(equilibria)
+    return equilibria, grid, g
 
 
 def _assemble_report(equilibria) -> EquilibriumReport:
@@ -212,18 +218,16 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
         raise InvalidArgumentError("n_steps must be >= 10")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
-    stables = [e for e in find_equilibria_1dof(design).equilibria
-               if e.stable]
+    equilibria, grid, g = _scan_equilibria(design)
+    stables = [e for e in equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
-    window = design.window
-    grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
     gradient = scalar_gradient(design)
     # In walk order, with g and the load negated for a falling load, the
     # stable branch always rises.
     sign = 1 if tau_max >= 0.0 else -1
     walk_grid = grid[::sign]
-    walk_g = sign * np.asarray(gradient_1dof(walk_grid, design), dtype=float)
+    walk_g = sign * g[::sign]
 
     taus = np.linspace(0.0, tau_max, n_steps)
     thetas = np.empty(n_steps)
