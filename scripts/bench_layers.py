@@ -11,9 +11,11 @@ gives every run's time, their median, and how often the layer called
 ``gradient_1dof`` (array form), ``find_equilibria_1dof``,
 ``chain_gradient``, ``chain_hessian`` and ``moment_curvature``.  The
 counts include calls made inside the model: each ``chain_hessian`` call
-adds its two stacked ``chain_gradient`` calls, and each Yeoh
-``gradient_1dof`` call its ``moment_curvature`` call.  Counts do not
-change from run to run.  The chain layers evaluate the uniform chain at
+adds its two stacked ``chain_gradient`` calls, and each array-form Yeoh
+``gradient_1dof`` or ``chain_gradient`` call its ``moment_curvature``
+call.  The Yeoh float closures (``scalar_gradient``, ``scalar_energy``)
+and the Yeoh bend energy evaluate the closed form themselves and make no
+``moment_curvature`` call.  Counts do not change from run to run.  The chain layers evaluate the uniform chain at
 the open-state tip angle with n = 8, 32 and 128 segments, without
 gravity and at g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
 layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
