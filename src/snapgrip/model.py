@@ -310,13 +310,13 @@ class EnergyLandscape:
 # U = (L w/kappa) I[S], S(lam) the integral of sigma from 1 to lam.  sigma
 # is a Laurent polynomial, so with r = 1/(1 - a**2) and a polynomial P
 #     I = a (P(a**2) + (p1 + p2 r) r + l log(1 - a**2)) + t atanh(a).
-# M and U are the reduced integral I/a**2 times w h**2 and L w h a (folded
-# into the coefficients).  It cancels as a -> 0, so below
-# YEOH_SERIES_SWITCH it is its odd Taylor series, whose last term there is
-# below 2e-18 of the sum for 12,649 random monotonic laws.  As for the arc
-# terms, one (exact, series) pair serves the array form and the float
-# closures; both take atanh and log1p from numpy, not ``math``, whose
-# results differ in the last bit.
+# M is w h**2 and U is L w h a times the reduced integral I/a**2 (the
+# constants are folded into its coefficients).  Its exact form cancels as
+# a -> 0, so below YEOH_SERIES_SWITCH it is its odd Taylor series, whose
+# last term there is below 2e-18 of the sum for 12,649 random monotonic
+# laws.  As for the arc terms, one (exact, series) pair serves the array
+# form and the float closures; both take atanh and log1p from numpy, not
+# ``math``, whose results differ in the last bit.
 
 YEOH_SERIES_SWITCH = 0.2
 _YEOH_SERIES_TERMS = 16
