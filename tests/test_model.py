@@ -11,10 +11,9 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from snapgrip.errors import CurvatureOutOfRangeError, InvalidDesignError
 import snapgrip.model as model
 from snapgrip.model import (ARC_SERIES_SWITCH, YEOH_SERIES_SWITCH,
-                            ChainConfiguration,
-                            CrossSection, FingerDesign, GripperDesign,
-                            LinearElastic, RingDesign, Yeoh, chain_energy,
-                            chain_gradient, chain_hessian,
+                            ChainConfiguration, CrossSection, FingerDesign,
+                            GripperDesign, LinearElastic, RingDesign, Yeoh,
+                            chain_energy, chain_gradient, chain_hessian,
                             finger_energy_1dof, finger_gradient_1dof,
                             forward_kinematics, gradient_1dof,
                             gravity_energy_1dof,
