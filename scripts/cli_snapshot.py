@@ -1,0 +1,108 @@
+"""Run a fixed set of snapgrip CLI commands and keep everything they leave.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/cli_snapshot.py --src PATH --out DIR
+
+``--src`` is the ``src`` directory to import, so the same script can
+snapshot two checkouts.  Twelve invocations run on each of three
+configurations: ``configs/baseline.cfg``, a copy with a Yeoh finger
+(c10 = 1e5 Pa) and a copy with gravity on (g = 9.81 m/s^2), 36 commands
+in all.  Each one runs as ``python -m snapgrip.cli`` in its own directory
+``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
+``stderr`` and, under ``files/``, every output the command wrote except
+``run_manifest.txt`` (it carries a timestamp).  The script exits 1 if any
+command exits non-zero.
+
+Outputs are byte-deterministic, so ``diff -r`` of two snapshots shows
+every byte that a change moved.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE_CFG = ROOT / "configs" / "baseline.cfg"
+
+# Configuration name -> keys set on top of the baseline configuration.
+CONFIGS = {
+    "baseline": {},
+    "yeoh": {"material.model": "yeoh", "material.c10": "1e5"},
+    "gravity": {"gripper.gravity": "9.81"},
+}
+
+# Command name -> CLI arguments, without --config and --out.
+COMMANDS = {
+    "closingtime": ["closingtime"],
+    "closingtime_hard_kick": ["closingtime", "--impulse", "1e-3"],
+    "closingtime_untriggered": ["closingtime", "--impulse", "1e-4"],
+    "simulate_open": ["simulate", "--theta0", "-0.85", "--omega0", "60",
+                      "--t-end", "0.02", "--plot"],
+    "simulate_closed": ["simulate", "--theta0", "1.5", "--dt", "1e-5",
+                        "--t-end", "0.01"],
+    "feacases": ["feacases", "--plot"],
+    "sweep": ["sweep", "--param", "ring.stiffness=0.1:0.14:5",
+              "--param", "finger.natural_curvature=18,20,22"],
+    "equilibria": ["equilibria"],
+    "trigger": ["trigger"],
+    "tunering": ["tunering", "--target-barrier", "0.01"],
+    "gravitycheck": ["gravitycheck"],
+    "continuation": ["continuation", "--tau-max", "0.03", "--steps", "50"],
+}
+
+
+def write_config(path: Path, overrides: dict) -> None:
+    """The baseline configuration with the keys of ``overrides`` replaced."""
+    lines = [line for line in BASELINE_CFG.read_text().splitlines()
+             if line.partition("=")[0].strip() not in overrides]
+    lines += [f"{key} = {value}" for key, value in overrides.items()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run(src: Path, cfg: Path, argv, where: Path) -> int:
+    """Run one CLI command in ``where`` and store what it leaves there."""
+    where.mkdir(parents=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run(
+        [sys.executable, "-m", "snapgrip.cli", *argv, "--config", str(cfg),
+         "--out", "files"],
+        capture_output=True, cwd=where, env=env)
+    (where / "exit_code").write_text(f"{res.returncode}\n")
+    (where / "stdout").write_bytes(res.stdout)
+    (where / "stderr").write_bytes(res.stderr)
+    (where / "files" / "run_manifest.txt").unlink(missing_ok=True)
+    return res.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True,
+                        help="the src directory of the checkout to run")
+    parser.add_argument("--out", required=True,
+                        help="new directory for the snapshot")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    out = Path(args.out).resolve()
+    out.mkdir(parents=True)
+
+    failed = []
+    for config, overrides in CONFIGS.items():
+        cfg = out / f"{config}.cfg"
+        write_config(cfg, overrides)
+        for name, command in COMMANDS.items():
+            code = run(src, cfg, command, out / config / name)
+            if code != 0:
+                failed.append(f"{config}/{name} exited {code}")
+    for line in failed:
+        print(line, file=sys.stderr)
+    print(f"{len(CONFIGS) * len(COMMANDS)} commands, {len(failed)} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
