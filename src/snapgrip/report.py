@@ -81,33 +81,42 @@ def _ticks(lo, hi, n=5):
 
 
 def _svg_header(parts):
+    """The document head, white background and the two axis lines."""
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                  f'width="{_W}" height="{_H}" '
                  f'viewBox="0 0 {_W} {_H}">')
     parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-
-
-def _axes(parts, xlabel, ylabel, xlo, xhi, ylo, yhi, sx, sy):
     parts.append(f'<g stroke="black" stroke-width="1" fill="none">'
                  f'<path d="M {_ML} {_MT} V {_H - _MB} H {_W - _MR}"/></g>')
-    for t in _ticks(xlo, xhi):
-        px = sx(t)
-        parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
-                     f'y2="{_H - _MB + 5}" stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
-                     f'font-size="11" text-anchor="middle">{t:.4g}</text>')
+
+
+def _y_ticks(parts, ylo, yhi, sy):
     for t in _ticks(ylo, yhi):
         py = sy(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '
                      f'y2="{py:.2f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
                      f'text-anchor="end">{t:.4g}</text>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
-                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
+
+
+def _y_label(parts, ylabel):
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>')
+
+
+def _axes(parts, xlabel, ylabel, xlo, xhi, ylo, yhi, sx, sy):
+    for t in _ticks(xlo, xhi):
+        px = sx(t)
+        parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
+                     f'y2="{_H - _MB + 5}" stroke="black"/>')
+        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
+                     f'font-size="11" text-anchor="middle">{t:.4g}</text>')
+    _y_ticks(parts, ylo, yhi, sy)
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
+                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
+    _y_label(parts, ylabel)
 
 
 def svg_line_plot(x, series: dict, xlabel: str, ylabel: str,
@@ -180,14 +189,7 @@ def svg_grouped_bars(groups, series: dict, ylabel: str) -> str:
 
     parts = []
     _svg_header(parts)
-    parts.append(f'<g stroke="black" stroke-width="1" fill="none">'
-                 f'<path d="M {_ML} {_MT} V {_H - _MB} H {_W - _MR}"/></g>')
-    for t in _ticks(ylo, yhi):
-        py = sy(t)
-        parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '
-                     f'y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
-                     f'text-anchor="end">{t:.4g}</text>')
+    _y_ticks(parts, ylo, yhi, sy)
     base_y = sy(0.0)
     for gi, group in enumerate(groups):
         x0 = _ML + gi * cluster + cluster * 0.1
@@ -208,8 +210,6 @@ def svg_grouped_bars(groups, series: dict, ylabel: str) -> str:
         parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * si}" '
                      f'font-size="12" text-anchor="end" '
                      f'fill="{color}">{name}</text>')
-    parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" font-size="13" '
-                 f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>')
+    _y_label(parts, ylabel)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
