@@ -1,24 +1,24 @@
 """Passive snap-through dynamics of the reduced model.
 
-The equation of motion is J*theta'' = -dU/dtheta - c*theta' + tau_ext,
-integrated with a fixed-step classical Runge-Kutta scheme so acceptance
-runs are bit-reproducible.  An energy audit (mechanical + cumulative
-dissipation) is carried along as an extra state.
+The equation of motion is J*theta'' = -dU/dtheta - c*theta', with no
+actuator or sensor in the loop, integrated with a fixed-step classical
+Runge-Kutta scheme so acceptance runs are bit-reproducible.  An energy
+audit (mechanical + cumulative dissipation) is carried along as an extra
+state.  A closing run starts at the open state of the design's
+equilibrium report and reads the saddle and closed state from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NonFiniteStateError,
-                     NotBistableError, StepSizeError)
+from .errors import InvalidArgumentError, NonFiniteStateError, StepSizeError
 from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, scalar_energy,
-                    scalar_gradient, second_derivative_1dof,
-                    set_design_value)
+                    scalar_gradient, set_design_value)
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -26,6 +26,12 @@ from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
 CLOSURE_BAND = 0.05       # rad
 CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
+CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
+# calibrate_inertia kicks with this times the minimal trigger impulse.
+CALIBRATION_IMPULSE_FACTOR = 5.0
+# Most steps a recorded simulation may take; at about 0.32 KiB a step, a
+# trajectory stays under about 340 MiB.
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,20 +57,14 @@ class ClosingEvent:
     peak_velocity: float
 
 
-def natural_frequency(design: GripperDesign, at) -> float:
-    """Small-oscillation angular frequency sqrt(U''/J) at a stable point."""
-    if isinstance(at, Equilibrium):
-        if not at.stable:
-            raise ValueError("natural frequency is undefined at an "
-                             "unstable equilibrium")
-        theta = at.theta
-    else:
-        theta = float(at)
-    curv = float(second_derivative_1dof(theta, design))
-    if curv <= 0.0:
-        raise ValueError("natural frequency is undefined where the energy "
-                         "curvature is not positive")
-    return math.sqrt(curv / design.inertia)
+def natural_frequency(design: GripperDesign,
+                      equilibrium: Equilibrium) -> float:
+    """Small-oscillation angular frequency sqrt(U''/J) at a stable
+    equilibrium of the reduced model, from its recorded curvature."""
+    if not equilibrium.stable:
+        raise ValueError("natural frequency is undefined at an "
+                         "unstable equilibrium")
+    return math.sqrt(equilibrium.curvature / design.inertia)
 
 
 def _check_step(design: GripperDesign, theta_init: float, dt: float,
@@ -80,25 +80,24 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
             f"{MAX_STEP_FRACTION / omega:.3g} s at the nearest equilibrium")
 
 
-def _make_rhs(design: GripperDesign,
-              external_moment: Optional[Callable]):
+def _make_rhs(design: GripperDesign):
     inv_j = 1.0 / design.inertia
     c = design.damping
     gradient = scalar_gradient(design)
 
-    def rhs(t, theta, omega):
-        tau = external_moment(t, theta) if external_moment is not None else 0.0
-        acc = (-gradient(theta) - c * omega + tau) * inv_j
+    def rhs(theta, omega):
+        acc = (-gradient(theta) - c * omega) * inv_j
         return omega, acc, c * omega * omega
 
     return rhs
 
 
 def _rk4_step(rhs, t, theta, omega, diss, dt):
-    k1t, k1w, k1d = rhs(t, theta, omega)
-    k2t, k2w, k2d = rhs(t + dt / 2, theta + dt / 2 * k1t, omega + dt / 2 * k1w)
-    k3t, k3w, k3d = rhs(t + dt / 2, theta + dt / 2 * k2t, omega + dt / 2 * k2w)
-    k4t, k4w, k4d = rhs(t + dt, theta + dt * k3t, omega + dt * k3w)
+    """One step from time ``t``, which only names the step in an error."""
+    k1t, k1w, k1d = rhs(theta, omega)
+    k2t, k2w, k2d = rhs(theta + dt / 2 * k1t, omega + dt / 2 * k1w)
+    k3t, k3w, k3d = rhs(theta + dt / 2 * k2t, omega + dt / 2 * k2w)
+    k4t, k4w, k4d = rhs(theta + dt * k3t, omega + dt * k3w)
     theta += dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
     omega += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
     diss += dt / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
@@ -116,19 +115,22 @@ def _require_finite(**values) -> None:
 
 
 def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
-                  external_moment: Optional[Callable] = None,
                   dt: float = 2e-5, t_end: float = 0.1) -> Trajectory:
     """Integrate the passive dynamics and record every step.
 
-    ``external_moment`` is an optional callable (t, theta) -> N*m.  The
-    step size is checked against the small-oscillation period at the
-    nearest stable equilibrium before integration starts.
+    A run of more than MAX_STEPS steps is refused.  The step size is
+    checked against the small-oscillation period at the nearest stable
+    equilibrium before integration starts.
     """
     if not (dt > 0 and t_end > dt):
         raise InvalidArgumentError("need dt > 0 and t_end > dt")
     _require_finite(theta_init=theta_init, omega_init=omega_init, t_end=t_end)
+    if t_end / dt > MAX_STEPS:
+        raise InvalidArgumentError(
+            f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
+            f"{MAX_STEPS} steps")
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
-    rhs = _make_rhs(design, external_moment)
+    rhs = _make_rhs(design)
     energy_at = scalar_energy(design)
 
     n = int(round(t_end / dt))
@@ -144,48 +146,26 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
 
 
 def closing_time(design: GripperDesign, perturbation_impulse: float,
-                 dt: Optional[float] = None, t_max: float = 1.0,
-                 theta_init: Optional[float] = None,
                  report: Optional[EquilibriumReport] = None) -> ClosingEvent:
     """Kick the open state with an angular impulse and time the closure.
 
     Closure means staying within CLOSURE_BAND of the closed state for
     CLOSURE_HOLD seconds; the reported time is the moment the band is
-    entered.  Runs stop early once the remaining mechanical energy can no
-    longer cross the barrier.  By default the run starts at the open
-    equilibrium, which requires a bistable design; pass ``theta_init`` to
-    start elsewhere (for example at the pre-trim open angle of a design
-    whose open state has been trimmed away), in which case only a closed
-    stable state is required.  ``report`` is the design's equilibrium
-    report, if already solved.
+    entered.  A run ends without closure once the remaining mechanical
+    energy can no longer cross the barrier, or after CLOSING_T_MAX
+    seconds.  The design must be bistable: the run starts at the open
+    state of its equilibrium report (``report``, solved unless given) and
+    reads the saddle and closed state from the same report.
     """
     _require_finite(perturbation_impulse=perturbation_impulse)
-    if theta_init is not None:
-        _require_finite(theta_init=theta_init)
-    if report is None:
-        report = find_equilibria_1dof(design)
-    if theta_init is None:
-        theta_init = require_bistable(design, report).open_state.theta
-    theta_open = float(theta_init)
-    closed_minima = [e for e in report.equilibria
-                     if e.stable and e.theta > theta_open]
-    if not closed_minima:
-        raise NotBistableError("no closed stable state to snap into")
-    theta_closed = min(closed_minima, key=lambda e: e.energy).theta
-    saddles = [e for e in report.equilibria
-               if not e.stable and theta_open < e.theta < theta_closed]
-    if saddles:
-        theta_saddle = saddles[0].theta
-        u_saddle = saddles[0].energy
-    else:
-        theta_saddle = -math.inf
-        u_saddle = -math.inf
+    report = require_bistable(design, report)
+    theta_open = report.open_state.theta
+    theta_saddle, u_saddle = report.saddle.theta, report.saddle.energy
+    theta_closed = report.closed_state.theta
 
-    omega_closed = natural_frequency(design, theta_closed)
-    if dt is None:
-        dt = min(2e-5, 0.02 / omega_closed)
+    dt = min(2e-5, 0.02 / natural_frequency(design, report.closed_state))
     _check_step(design, theta_open, dt, report)
-    rhs = _make_rhs(design, None)
+    rhs = _make_rhs(design)
     energy_at = scalar_energy(design)
 
     theta = theta_open
@@ -195,7 +175,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     peak = abs(omega)
     entered_at = None
     t = 0.0
-    n = int(round(t_max / dt))
+    n = int(round(CLOSING_T_MAX / dt))
     for i in range(n):
         theta, omega, diss = _rk4_step(rhs, t, theta, omega, diss, dt)
         t = (i + 1) * dt
@@ -301,16 +281,15 @@ def _average_ranks(values) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[where]
 
 
-def calibrate_inertia(design: GripperDesign, target_time: float,
-                      impulse_factor: float = 5.0,
-                      damping_ratio: float = 1.0,
-                      max_iter: int = 60):
+def calibrate_inertia(design: GripperDesign, target_time: float):
     """Fit the effective inertia so the triggered closing time hits a target.
 
-    For each trial inertia the damping is re-derived as ``damping_ratio``
-    of critical at the closed state, then the closing time is measured by
-    simulation.  Bisection on log-inertia; returns (inertia, damping).
-    The procedure is the documented calibration step: the reference
+    For each trial inertia the damping is re-derived as critical at the
+    closed state, then the closing time of a kick with
+    CALIBRATION_IMPULSE_FACTOR times the minimal trigger impulse is
+    measured by simulation.  Bisection on log-inertia to within 1e-4 s of
+    the target, in at most 60 steps; returns (inertia, damping).  The
+    procedure is the documented calibration step: the reference
     experiments report outcomes, not inertia or damping.
     """
     report = require_bistable(design)
@@ -319,15 +298,16 @@ def calibrate_inertia(design: GripperDesign, target_time: float,
     def miss(log_j):
         # Inertia and damping leave the equilibria unchanged.
         j = math.exp(log_j)
-        c = 2.0 * damping_ratio * math.sqrt(curv * j)
+        c = 2.0 * math.sqrt(curv * j)
         d = replace(design, inertia=j, damping=c)
-        impulse = impulse_factor * minimal_trigger_impulse(d, report)
+        impulse = (CALIBRATION_IMPULSE_FACTOR
+                   * minimal_trigger_impulse(d, report))
         event = closing_time(d, impulse, report=report)
         t = event.closing_time if event.triggered else math.inf
         return t - target_time
 
     # A lighter finger closes faster, so the miss is negative at the low end.
     j = math.exp(_bracketed_root(miss, math.log(1e-8), math.log(1e-2), -1.0,
-                                 ftol=1e-4, max_iter=max_iter))
-    c = 2.0 * damping_ratio * math.sqrt(curv * j)
+                                 ftol=1e-4, max_iter=60))
+    c = 2.0 * math.sqrt(curv * j)
     return j, c

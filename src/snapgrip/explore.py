@@ -166,6 +166,7 @@ def run_sweep(base: GripperDesign, spec: SweepSpec) -> SweepTable:
 PLACEMENT_DELTA = 0.15
 THINNER_WIDTH_FACTOR = 0.5
 HIGHER_CURVATURE = 25.0   # 1/m, up from the reference 20 1/m
+EQUAL_BARRIER_TOL = 0.05  # relative, "equal barrier" of the combined move
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,10 +302,10 @@ def reproduce_fea_cases(base: GripperDesign,
 
 
 def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
-                             object_halfwidth: float,
-                             barrier_tol: float = 0.05):
+                             object_halfwidth: float):
     """Search curvature-up + ring-lower moves for a force gain at equal barrier.
 
+    Equal means within EQUAL_BARRIER_TOL of the base barrier, relative.
     Returns (attach_delta, grip_force, snap_through) for the first matching
     point, or None.
     """
@@ -319,7 +320,7 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
         m = design_metrics(d, object_halfwidth, include_closing_time=False)
         if not m["bistable"]:
             continue
-        if (abs(m["snap_through"] - target) < barrier_tol * target
+        if (abs(m["snap_through"] - target) < EQUAL_BARRIER_TOL * target
                 and m["grip_force"] > base_metrics["grip_force"]):
             return float(delta), m["grip_force"], m["snap_through"]
     return None
@@ -329,10 +330,10 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
 # Ring trimming and grip force
 # ---------------------------------------------------------------------------
 
-def tune_ring_width(design: GripperDesign, target_barrier: float,
-                    tol: float = 1e-9, max_iter: int = 60) -> float:
+def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
     """Trim the ring (bisection on width_scale) to a target barrier.
 
+    The bisection stops within 1e-9 J of the target, or after 60 steps.
     The barrier is verified to be monotone in the width over the bracket
     before bisecting.  Raises TargetUnreachable when even a vanishing ring
     keeps the barrier above the target.  Each trial width is solved once.
@@ -377,7 +378,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float,
 
     return _bracketed_root(
         lambda w: barrier(w) - target_barrier, lo, hi,
-        samples[0] - target_barrier, ftol=tol, max_iter=max_iter)
+        samples[0] - target_barrier, ftol=1e-9, max_iter=60)
 
 
 def grip_force_estimate(design: GripperDesign, object_halfwidth: float,

@@ -25,6 +25,9 @@ from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
 # Below this bend angle the circular-arc kinematics switch to their
 # 4th-order series to avoid 0/0.
 SMALL_ANGLE = 1e-4
+# rad, step of the central differences of the gradient that give the 1-DOF
+# energy curvature and the chain Hessian.
+DIFFERENCE_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +727,9 @@ def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
     return _plus_scalar_gravity(design, elastic, _MEAN_X, _END_DX)
 
 
-def second_derivative_1dof(theta, design: GripperDesign, h: float = 1e-6):
+def second_derivative_1dof(theta, design: GripperDesign):
     """Curvature of the energy, central difference of the analytic gradient."""
+    h = DIFFERENCE_STEP
     return (gradient_1dof(theta + h, design)
             - gradient_1dof(theta - h, design)) / (2.0 * h)
 
@@ -846,8 +850,9 @@ def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
     return grad
 
 
-def chain_hessian(angles, design: GripperDesign, h: float = 1e-6) -> np.ndarray:
+def chain_hessian(angles, design: GripperDesign) -> np.ndarray:
     """Hessian by central differences of two stacked gradient calls."""
+    h = DIFFERENCE_STEP
     phi = _check_chain(angles, design.finger)[..., None, :]
     step = h * np.eye(phi.shape[-1])
     hess = (chain_gradient(phi + step, design)
