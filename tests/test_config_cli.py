@@ -396,6 +396,8 @@ class TestCli:
         (["simulate", "--theta0", "-0.85", "--omega0", "1e200",
           "--t-end", "0.001"], {"gripper.gravity": "9.81"}),
         (["simulate", "--theta0", "-0.85", "--t-end", "inf"], {}),
+        (["simulate", "--theta0", "-0.85", "--dt", "1e-300"], {}),
+        (["simulate", "--theta0", "-0.85", "--t-end", "1e300"], {}),
         (["continuation", "--tau-max", "inf"], {}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
