@@ -27,8 +27,6 @@ CLOSURE_BAND = 0.05       # rad
 CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
 CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
-# calibrate_inertia kicks with this times the minimal trigger impulse.
-CALIBRATION_IMPULSE_FACTOR = 5.0
 # Most steps a recorded simulation may take; at about 0.32 KiB a step, a
 # trajectory stays under about 340 MiB.
 MAX_STEPS = 10 ** 6
@@ -285,9 +283,8 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
     """Fit the effective inertia so the triggered closing time hits a target.
 
     For each trial inertia the damping is re-derived as critical at the
-    closed state, then the closing time of a kick with
-    CALIBRATION_IMPULSE_FACTOR times the minimal trigger impulse is
-    measured by simulation.  Bisection on log-inertia to within 1e-4 s of
+    closed state, then the closing time of a kick with 5 times the minimal
+    trigger impulse is measured by simulation.  Bisection on log-inertia to within 1e-4 s of
     the target, in at most 60 steps; returns (inertia, damping).  The
     procedure is the documented calibration step: the reference
     experiments report outcomes, not inertia or damping.
@@ -300,8 +297,7 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
         j = math.exp(log_j)
         c = 2.0 * math.sqrt(curv * j)
         d = replace(design, inertia=j, damping=c)
-        impulse = (CALIBRATION_IMPULSE_FACTOR
-                   * minimal_trigger_impulse(d, report))
+        impulse = 5.0 * minimal_trigger_impulse(d, report)
         event = closing_time(d, impulse, report=report)
         t = event.closing_time if event.triggered else math.inf
         return t - target_time

@@ -25,9 +25,8 @@ from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
 # Below this bend angle the circular-arc kinematics switch to their
 # 4th-order series to avoid 0/0.
 SMALL_ANGLE = 1e-4
-# rad, step of the central differences of the gradient that give the 1-DOF
-# energy curvature and the chain Hessian.
-DIFFERENCE_STEP = 1e-6
+# Step of the central differences that give the energy curvature and Hessian.
+DIFFERENCE_STEP = 1e-6    # rad
 
 
 # ---------------------------------------------------------------------------

@@ -106,19 +106,6 @@ def _y_label(parts, ylabel):
                  f'{(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>')
 
 
-def _axes(parts, xlabel, ylabel, xlo, xhi, ylo, yhi, sx, sy):
-    for t in _ticks(xlo, xhi):
-        px = sx(t)
-        parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
-                     f'y2="{_H - _MB + 5}" stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
-                     f'font-size="11" text-anchor="middle">{t:.4g}</text>')
-    _y_ticks(parts, ylo, yhi, sy)
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
-                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
-    _y_label(parts, ylabel)
-
-
 def svg_line_plot(x, series: dict, xlabel: str, ylabel: str,
                   markers=()) -> str:
     """Polyline plot of one or more named series over a shared abscissa.
@@ -147,7 +134,16 @@ def svg_line_plot(x, series: dict, xlabel: str, ylabel: str,
 
     parts = []
     _svg_header(parts)
-    _axes(parts, xlabel, ylabel, xlo, xhi, ylo, yhi, sx, sy)
+    for t in _ticks(xlo, xhi):
+        px = sx(t)
+        parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
+                     f'y2="{_H - _MB + 5}" stroke="black"/>')
+        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
+                     f'font-size="11" text-anchor="middle">{t:.4g}</text>')
+    _y_ticks(parts, ylo, yhi, sy)
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
+                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
+    _y_label(parts, ylabel)
     for idx, (name, vals) in enumerate(ys.items()):
         color = _COLORS[idx % len(_COLORS)]
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}"
