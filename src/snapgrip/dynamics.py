@@ -27,8 +27,8 @@ CLOSURE_BAND = 0.05       # rad
 CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
 CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
-# Most steps a recorded simulation may take; at about 0.32 KiB a step, a
-# trajectory stays under about 340 MiB.
+# Most steps a recorded simulation may take; at about 0.3 KiB a step, a
+# trajectory holds at most about 300 MiB.
 MAX_STEPS = 10 ** 6
 
 
