@@ -15,7 +15,10 @@ adds its two stacked ``chain_gradient`` calls, and each array-form Yeoh
 ``gradient_1dof`` or ``chain_gradient`` call its ``moment_curvature``
 call.  The Yeoh float closures (``scalar_gradient``, ``scalar_energy``)
 and the Yeoh bend energy evaluate the closed form themselves and make no
-``moment_curvature`` call.  Counts do not change from run to run.  The chain layers evaluate the uniform chain at
+``moment_curvature`` call.  Counts do not change from run to run.  The
+``closing_time`` layers kick the baseline with 5 times its minimal trigger
+impulse, without gravity and at g = 9.81; their equilibrium reports are
+solved outside the timer.  The chain layers evaluate the uniform chain at
 the open-state tip angle with n = 8, 32 and 128 segments, without
 gravity and at g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
 layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
@@ -63,6 +66,8 @@ def layers(design):
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
     impulse = 5.0 * minimal_trigger_impulse(design, report)
+    gravity_report = find_equilibria_1dof(gravity)
+    gravity_impulse = 5.0 * minimal_trigger_impulse(gravity, gravity_report)
 
     chain = []
     for n in (8, 32, 128):
@@ -128,6 +133,8 @@ def layers(design):
         ("trigger_moment", lambda: trigger_moment(design, report)),
         ("closing_time", lambda: closing_time(design, impulse,
                                               report=report)),
+        ("closing_time_g9.81", lambda: closing_time(
+            gravity, gravity_impulse, report=gravity_report)),
         ("simulate_1dof_5000_steps", lambda: simulate_1dof(
             design, report.open_state.theta, 60.0, dt=2e-5, t_end=0.1)),
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),

@@ -26,9 +26,11 @@ from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
 CLOSURE_BAND = 0.05       # rad
 CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
+CLOSING_STEP_FRACTION = 0.02  # closing-run dt = this / closed-state frequency,
+                              # or 2e-5 s if that is less
 CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
-# Most steps a recorded simulation may take; at about 0.3 KiB a step, a
-# trajectory holds at most about 300 MiB.
+# Most steps a recorded simulation or a closing run may take; at about
+# 0.3 KiB a recorded step, a trajectory holds at most about 300 MiB.
 MAX_STEPS = 10 ** 6
 
 
@@ -78,32 +80,39 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
             f"{MAX_STEP_FRACTION / omega:.3g} s at the nearest equilibrium")
 
 
-def _make_rhs(design: GripperDesign):
+def _rk4_stepper(design: GripperDesign, dt: float):
+    """The classical RK4 step of length ``dt`` for ``design``.
+
+    The returned ``step(i, theta, omega, diss)`` advances the state from
+    time ``i * dt``; the dissipated energy integrates c*omega^2.  Each
+    stage is evaluated inline on floats, in the order of operations of
+    theta' = omega, omega' = (-dU/dtheta - c*omega) / J.  ``i`` only names
+    the step in the error raised when the state leaves the finite range.
+    """
     inv_j = 1.0 / design.inertia
     c = design.damping
     gradient = scalar_gradient(design)
+    half, sixth = dt / 2, dt / 6
+    isfinite = math.isfinite
 
-    def rhs(theta, omega):
-        acc = (-gradient(theta) - c * omega) * inv_j
-        return omega, acc, c * omega * omega
+    def step(i, theta, omega, diss):
+        k1w = (-gradient(theta) - c * omega) * inv_j
+        k2t = omega + half * k1w
+        k2w = (-gradient(theta + half * omega) - c * k2t) * inv_j
+        k3t = omega + half * k2w
+        k3w = (-gradient(theta + half * k2t) - c * k3t) * inv_j
+        k4t = omega + dt * k3w
+        k4w = (-gradient(theta + dt * k3t) - c * k4t) * inv_j
+        theta += sixth * (omega + 2 * k2t + 2 * k3t + k4t)
+        diss += sixth * (c * omega * omega + 2 * (c * k2t * k2t)
+                         + 2 * (c * k3t * k3t) + c * k4t * k4t)
+        omega += sixth * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if not (isfinite(theta) and isfinite(omega) and isfinite(diss)):
+            raise NonFiniteStateError(
+                f"the state left the finite range by t = {i * dt + dt:.6g} s")
+        return theta, omega, diss
 
-    return rhs
-
-
-def _rk4_step(rhs, t, theta, omega, diss, dt):
-    """One step from time ``t``, which only names the step in an error."""
-    k1t, k1w, k1d = rhs(theta, omega)
-    k2t, k2w, k2d = rhs(theta + dt / 2 * k1t, omega + dt / 2 * k1w)
-    k3t, k3w, k3d = rhs(theta + dt / 2 * k2t, omega + dt / 2 * k2w)
-    k4t, k4w, k4d = rhs(theta + dt * k3t, omega + dt * k3w)
-    theta += dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-    omega += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    diss += dt / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-    if not (math.isfinite(theta) and math.isfinite(omega)
-            and math.isfinite(diss)):
-        raise NonFiniteStateError(
-            f"the state left the finite range by t = {t + dt:.6g} s")
-    return theta, omega, diss
+    return step
 
 
 def _require_finite(**values) -> None:
@@ -128,7 +137,7 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
             f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
             f"{MAX_STEPS} steps")
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
-    rhs = _make_rhs(design)
+    step = _rk4_stepper(design, dt)
     energy_at = scalar_energy(design)
 
     n = int(round(t_end / dt))
@@ -139,7 +148,7 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
         rows.append((i * dt, theta, omega,
                      energy_at(theta) + half_j * omega * omega, diss))
         if i < n:
-            theta, omega, diss = _rk4_step(rhs, i * dt, theta, omega, diss, dt)
+            theta, omega, diss = step(i, theta, omega, diss)
     return Trajectory(*np.array(rows).T.copy())
 
 
@@ -153,7 +162,8 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     energy can no longer cross the barrier, or after CLOSING_T_MAX
     seconds.  The design must be bistable: the run starts at the open
     state of its equilibrium report (``report``, solved unless given) and
-    reads the saddle and closed state from the same report.
+    reads the saddle and closed state from the same report.  A run that
+    would take more than MAX_STEPS steps is refused before it starts.
     """
     _require_finite(perturbation_impulse=perturbation_impulse)
     report = require_bistable(design, report)
@@ -161,9 +171,15 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     theta_saddle, u_saddle = report.saddle.theta, report.saddle.energy
     theta_closed = report.closed_state.theta
 
-    dt = min(2e-5, 0.02 / natural_frequency(design, report.closed_state))
+    dt = min(2e-5, CLOSING_STEP_FRACTION
+             / natural_frequency(design, report.closed_state))
+    n = int(round(CLOSING_T_MAX / dt))
+    if n > MAX_STEPS:
+        raise InvalidArgumentError(
+            f"a closing run of {CLOSING_T_MAX:g} s takes {n} steps of "
+            f"{dt:.3g} s, over the limit of {MAX_STEPS} steps")
     _check_step(design, theta_open, dt, report)
-    rhs = _make_rhs(design)
+    step = _rk4_stepper(design, dt)
     energy_at = scalar_energy(design)
 
     theta = theta_open
@@ -172,16 +188,17 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     half_j = 0.5 * design.inertia
     peak = abs(omega)
     entered_at = None
-    t = 0.0
-    n = int(round(CLOSING_T_MAX / dt))
+    band, hold = CLOSURE_BAND, CLOSURE_HOLD
     for i in range(n):
-        theta, omega, diss = _rk4_step(rhs, t, theta, omega, diss, dt)
-        t = (i + 1) * dt
-        peak = max(peak, abs(omega))
-        if abs(theta - theta_closed) <= CLOSURE_BAND:
+        theta, omega, diss = step(i, theta, omega, diss)
+        speed = abs(omega)
+        if speed > peak:
+            peak = speed
+        if abs(theta - theta_closed) <= band:
+            t = (i + 1) * dt
             if entered_at is None:
                 entered_at = t
-            elif t - entered_at >= CLOSURE_HOLD:
+            elif t - entered_at >= hold:
                 return ClosingEvent(triggered=True, closing_time=entered_at,
                                     peak_velocity=peak)
         else:
@@ -284,8 +301,10 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
 
     For each trial inertia the damping is re-derived as critical at the
     closed state, then the closing time of a kick with 5 times the minimal
-    trigger impulse is measured by simulation.  Bisection on log-inertia to within 1e-4 s of
-    the target, in at most 60 steps; returns (inertia, damping).  The
+    trigger impulse is measured by simulation.  Bisection on log-inertia
+    over [1e-8, 1e-2] kg m^2 to within 1e-4 s of the target, in at most 60
+    steps; the low end rises where a closing run would take more than
+    MAX_STEPS steps.  Returns (inertia, damping).  The
     procedure is the documented calibration step: the reference
     experiments report outcomes, not inertia or damping.
     """
@@ -303,7 +322,11 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
         return t - target_time
 
     # A lighter finger closes faster, so the miss is negative at the low end.
-    j = math.exp(_bracketed_root(miss, math.log(1e-8), math.log(1e-2), -1.0,
+    # That end is 1e-8 kg m^2, or the lightest finger whose closing run
+    # stays within MAX_STEPS steps of CLOSING_STEP_FRACTION / omega.
+    j_lo = max(1e-8, curv * (CLOSING_T_MAX
+                             / (CLOSING_STEP_FRACTION * MAX_STEPS)) ** 2)
+    j = math.exp(_bracketed_root(miss, math.log(j_lo), math.log(1e-2), -1.0,
                                  ftol=1e-4, max_iter=60))
     c = 2.0 * math.sqrt(curv * j)
     return j, c

@@ -399,6 +399,7 @@ class TestCli:
         (["simulate", "--theta0", "-0.85", "--dt", "1e-300"], {}),
         (["simulate", "--theta0", "-0.85", "--t-end", "1e300"], {}),
         (["continuation", "--tau-max", "inf"], {}),
+        (["closingtime"], {"gripper.inertia": "1e-11"}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):

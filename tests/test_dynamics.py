@@ -1,5 +1,6 @@
 """Passive snap dynamics: integration fidelity, closure timing, calibration."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ from snapgrip.errors import (DomainError, InvalidArgumentError,
                              StepSizeError)
 from snapgrip.model import set_design_value
 from snapgrip.statics import find_equilibria_1dof
-from snapgrip.dynamics import (MAX_STEPS, calibrate_inertia, closing_time,
+from snapgrip.dynamics import (CLOSING_STEP_FRACTION, CLOSING_T_MAX,
+                               MAX_STEPS, calibrate_inertia, closing_time,
                                closing_time_vs_frequency_study,
                                FrequencyStudyRow, frequency_study_spearman,
                                gravity_trigger_check, minimal_trigger_impulse,
@@ -126,6 +128,22 @@ class TestSimulate:
                 traj.total_mechanical_energy[-1],
                 traj.dissipated[-1]) == end_state
 
+    @pytest.mark.parametrize("gravity, digest", [
+        (0.0, "21af7c06cb9b0c934a7b85c72031e863"
+              "a5e9e9ccdb6c57354523f1a6c5465a66"),
+        (9.81, "7c75b6bb689b1e26eed7a64048072e75"
+               "8599e1983969cbf72c5a86877cdb0abc"),
+    ])
+    def test_frozen_trajectory_bits(self, baseline, gravity, digest):
+        # SHA-256 of all five columns of the 1,001 rows above.  A reordered
+        # RK4 operation can move rows in the middle and leave the end state.
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        traj = simulate_1dof(d, -0.85, 60.0, t_end=0.02)
+        columns = (traj.times, traj.thetas, traj.velocities,
+                   traj.total_mechanical_energy, traj.dissipated)
+        data = b"".join(c.astype("<f8").tobytes() for c in columns)
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestClosingTime:
 
@@ -159,20 +177,64 @@ class TestClosingTime:
         with pytest.raises(NotBistableError):
             closing_time(d, 1e-4)
 
-    @pytest.mark.parametrize("gravity, expected", [
-        (0.0, (0.020880000000000003, 1981.9701274475933)),
-        (9.81, (0.021560000000000003, 1919.522515789995)),
-    ])
-    def test_frozen_closing_times(self, baseline, gravity, expected):
-        # Recorded when every RK4 stage evaluated the array-form gradient.
-        d = set_design_value(baseline, "gripper.gravity", gravity)
-        event = closing_time(d, 5.0 * minimal_trigger_impulse(d))
-        assert (event.closing_time, event.peak_velocity) == expected
+    @pytest.mark.parametrize("overrides, factor, expected", [
+        ({}, 5.0, (0.020880000000000003, 1981.9701274475933)),
+        ({"gripper.gravity": 9.81}, 5.0,
+         (0.021560000000000003, 1919.522515789995)),
+        # A design inside the value bands of the sweep benchmark.
+        ({"ring.stiffness": 0.13, "gripper.gravity": 7.0}, 5.0,
+         (0.01768, 2038.8404353052842)),
+        ({"gripper.payload_mass": 0.005, "gripper.gravity": 9.81}, 5.0,
+         (0.023180000000000003, 1802.9585117667277)),
+        # Too weak a kick: the run ends without closure.
+        ({}, 0.9, (math.nan, 356.75462294056683)),
+    ], ids=["0.0-expected0", "9.81-expected1", "sweep_band", "payload",
+            "weak_kick"])
+    def test_frozen_closing_times(self, baseline, overrides, factor,
+                                  expected):
+        # The first two rows were recorded when every RK4 stage evaluated
+        # the array-form gradient, the others when each stage called the
+        # float closure through a separate right-hand-side function.
+        d = baseline
+        for key, value in overrides.items():
+            d = set_design_value(d, key, value)
+        event = closing_time(d, factor * minimal_trigger_impulse(d))
+        time, peak = expected
+        assert event.triggered is not math.isnan(time)
+        assert event.peak_velocity == peak
+        if event.triggered:
+            assert event.closing_time == time
+        else:
+            assert math.isnan(event.closing_time)
+
+    @pytest.mark.parametrize("run", [
+        lambda d: simulate_1dof(d, -0.85, 1e8, dt=2e-5, t_end=1e-3),
+        lambda d: closing_time(d, 1e8 * d.inertia),
+    ], ids=["simulate_1dof", "closing_time"])
+    def test_non_finite_state_names_the_time(self, baseline, run):
+        # The third step overflows; the message names the end of that step.
+        with pytest.raises(NonFiniteStateError,
+                           match=r"by t = 6e-05 s$"):
+            run(baseline)
 
     @pytest.mark.parametrize("impulse", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, baseline, impulse):
         with pytest.raises(InvalidArgumentError, match="finite"):
             closing_time(baseline, impulse)
+
+    @pytest.mark.parametrize("inertia, steps", [
+        (1e-11, 5523246),
+        # Just lighter than the lightest finger the limit admits, 3.0506e-10.
+        (3.05e-10, 1000102),
+    ])
+    def test_run_past_the_step_limit_is_refused(self, baseline, report,
+                                                inertia, steps):
+        # The refusal comes before any step.
+        d = replace(baseline, inertia=inertia)
+        with pytest.raises(InvalidArgumentError,
+                           match=f" {steps} steps .* limit of {MAX_STEPS} "):
+            closing_time(d, 5.0 * minimal_trigger_impulse(d, report),
+                         report=report)
 
 
 class TestNaturalFrequency:
@@ -286,6 +348,19 @@ class TestCalibration:
         event = closing_time(d, imp)
         assert event.triggered
         assert event.closing_time == pytest.approx(target, abs=5e-4)
+
+    def test_bracket_starts_at_the_lightest_admitted_finger(self, baseline):
+        # At a closed-state curvature of 20 N m/rad, 1e-8 kg m^2 would take
+        # 2.2 million closing steps.  No inertia in the bracket reaches a
+        # closure in 0.1 ms, so bisection ends at the bracket's low end.
+        d = set_design_value(baseline, "ring.stiffness", 20.0)
+        curv = find_equilibria_1dof(d).closed_state.curvature
+        j_lo = curv * (CLOSING_T_MAX
+                       / (CLOSING_STEP_FRACTION * MAX_STEPS)) ** 2
+        assert j_lo > 1e-8
+        j, c = calibrate_inertia(d, 1e-4)
+        assert j == pytest.approx(j_lo, rel=1e-9)
+        assert c == pytest.approx(2.0 * math.sqrt(curv * j), rel=1e-12)
 
     def test_shipped_calibration_is_a_fixed_point(self, baseline):
         # The config ships critical damping at the closed state.
