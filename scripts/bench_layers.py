@@ -26,18 +26,27 @@ layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
 and at g = 9.81 with n = 4, 8 and 32; their two minima are solved outside
 the timer.  The ``continuation_`` layers ramp the baseline's closing
 moment to 1.5 times its trigger moment in 50 and 200 steps, without
-gravity and at g = 9.81.
+gravity and at g = 9.81.  The ``cli_snapthrough_cold`` layer runs
+``python -m snapgrip.cli snapthrough --config configs/baseline.cfg`` in a
+fresh interpreter that imports ``--src``, so it includes start-up and
+imports; besides its wall time it records the child's CPU time (user +
+system, from the ``os.wait4`` rusage) as ``cpu_median_s`` and
+``cpu_runs_s``, and it has no call counts.
 """
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BASELINE_CFG = ROOT / "configs" / "baseline.cfg"
 
 
 def repeated(times, f, *args):
@@ -143,6 +152,22 @@ def layers(design):
     ] + chain + saddles + continuation + yeoh_layers
 
 
+def cold_cli(src, workdir):
+    """Wall and child CPU seconds of one cold ``snapthrough`` call of the
+    checkout whose ``src`` directory is ``src``."""
+    argv = [sys.executable, "-m", "snapgrip.cli", "snapthrough",
+            "--config", str(BASELINE_CFG), "--out", workdir]
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=workdir, stdout=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=src))
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"{' '.join(argv)} exited with {proc.returncode}")
+    return wall, usage.ru_utime + usage.ru_stime
+
+
 def counted(names):
     """Wrap each named model/statics function in every snapgrip module that
     binds it; returns the call counter."""
@@ -168,7 +193,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from snapgrip.config import build_design, load_config
-    design = build_design(load_config(ROOT / "configs" / "baseline.cfg"))
+    design = build_design(load_config(BASELINE_CFG))
 
     result = {}
     for name, run in layers(design):
@@ -179,6 +204,13 @@ def main(argv=None):
             run()
             times.append(time.perf_counter() - start)
         result[name] = {"median_s": statistics.median(times), "runs_s": times}
+    with tempfile.TemporaryDirectory() as workdir:
+        cold_cli(args.src, workdir)
+        walls, cpus = map(list, zip(*(cold_cli(args.src, workdir)
+                                      for _ in range(args.repeats))))
+    result["cli_snapthrough_cold"] = {
+        "median_s": statistics.median(walls), "runs_s": walls,
+        "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus}
     counts = counted(("gradient_1dof", "find_equilibria_1dof",
                       "chain_gradient", "chain_hessian", "moment_curvature"))
     for name, run in layers(design):

@@ -19,10 +19,10 @@ from .config import (build_design, build_solver_settings, load_config,
                      serialize_config)
 from .dynamics import (closing_time, gravity_trigger_check,
                        minimal_trigger_impulse, simulate_1dof)
-from .errors import DomainError
+from .errors import DomainError, InvalidArgumentError
 from .explore import (SweepSpec, grip_force_estimate, reproduce_fea_cases,
                       run_sweep, tune_ring_width)
-from .model import sample_landscape, set_design_value
+from .model import MAX_GRID_POINTS, sample_landscape, set_design_value
 from .report import (fmt, svg_grouped_bars, svg_line_plot, write_csv,
                      write_key_value, write_manifest)
 from .statics import (continuation_ramped_load, find_equilibria_1dof,
@@ -167,8 +167,9 @@ def _dispatch(args) -> int:
             fh.write(content)
 
     if args.command == "landscape":
-        if args.n < 2:
-            raise DomainError(f"--n must be at least 2, got {args.n}")
+        if not 2 <= args.n <= MAX_GRID_POINTS:
+            raise InvalidArgumentError(f"--n must be in [2, "
+                                       f"{MAX_GRID_POINTS}], got {args.n}")
         grid = np.linspace(design.window.theta_min, design.window.theta_max,
                            args.n)
         land = sample_landscape(design, grid)

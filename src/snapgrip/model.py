@@ -27,6 +27,11 @@ from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
 SMALL_ANGLE = 1e-4
 # Step of the central differences that give the energy curvature and Hessian.
 DIFFERENCE_STEP = 1e-6    # rad
+# Most points a sampled grid may have: a landscape's angles, the solve
+# window's scan and a continuation's load steps.  Memory and time grow
+# with each; a continuation walks the scan once per load step, so its
+# time grows with the product of the two.
+MAX_GRID_POINTS = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,10 @@ class SolveWindow:
         if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
             raise InvalidArgumentError(
                 f"grid_n must be an integer, got {self.grid_n!r}")
-        if self.grid_n < 100:
-            raise InvalidArgumentError("grid_n must be >= 100")
+        if not 100 <= self.grid_n <= MAX_GRID_POINTS:
+            raise InvalidArgumentError(
+                f"grid_n must be in [100, {MAX_GRID_POINTS}], "
+                f"got {self.grid_n}")
 
 
 DEFAULT_WINDOW = SolveWindow(-math.pi, math.pi)
@@ -955,7 +962,8 @@ KEY_SPECS = {
     "solver.theta_max": _KeySpec("window.theta_max",
                                  DEFAULT_WINDOW.theta_max),
     "solver.grid_n": _KeySpec("window.grid_n", DEFAULT_WINDOW.grid_n,
-                              lambda v: v >= 100, "must be >= 100", int),
+                              lambda v: 100 <= v <= MAX_GRID_POINTS,
+                              f"must be in [100, {MAX_GRID_POINTS}]", int),
     "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
     "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
     "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,

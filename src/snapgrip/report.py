@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import platform
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyDataError
 
@@ -47,6 +50,8 @@ def write_manifest(path, config_text: str, version: str, command: str,
     write_key_value(path, [
         ("config_sha256", digest),
         ("tool_version", version),
+        ("python_version", platform.python_version()),
+        ("numpy_version", np.__version__),
         ("command", command),
         ("timestamp", stamp),
         ("outputs", ";".join(str(o) for o in outputs)),

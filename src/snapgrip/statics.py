@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, NonConvergenceError,
                      NotBistableError, SaddleOrderError)
-from .model import (ChainConfiguration, GripperDesign, chain_energy,
-                    chain_gradient, chain_hessian, gradient_1dof,
-                    scalar_gradient, second_derivative_1dof,
+from .model import (MAX_GRID_POINTS, ChainConfiguration, GripperDesign,
+                    chain_energy, chain_gradient, chain_hessian,
+                    gradient_1dof, scalar_gradient, second_derivative_1dof,
                     total_energy_1dof, uniform_chain)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
@@ -214,8 +214,9 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     |g''| * h**2 / 2 of the fold, with h the grid spacing (1.5e-3 rad in
     the default window).
     """
-    if n_steps < 10:
-        raise InvalidArgumentError("n_steps must be >= 10")
+    if not 10 <= n_steps <= MAX_GRID_POINTS:
+        raise InvalidArgumentError(f"n_steps must be in [10, "
+                                   f"{MAX_GRID_POINTS}], got {n_steps}")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
     equilibria, grid, g = _scan_equilibria(design)

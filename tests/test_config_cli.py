@@ -1,5 +1,6 @@
 """Configuration grammar, serialization, plots, and CLI contract tests."""
 
+import json
 import math
 import subprocess
 import sys
@@ -11,9 +12,9 @@ from snapgrip.config import (ConfigDocument, build_design,
                              build_solver_settings, default_config,
                              load_config, parse_config, serialize_config)
 from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
-from snapgrip.model import (KEY_SPECS, CrossSection, FingerDesign,
-                            GripperDesign, LinearElastic, RingDesign,
-                            SolveWindow, Yeoh, set_design_value)
+from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
+                            FingerDesign, GripperDesign, LinearElastic,
+                            RingDesign, SolveWindow, Yeoh, set_design_value)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import snap_through_energy
 from tests.conftest import BASELINE_CFG, child_env, run_cli
@@ -266,8 +267,8 @@ class TestCli:
         csv = (tmp_path / "snapthrough.csv").read_text()
         assert "\r" not in csv
         manifest = (tmp_path / "run_manifest.txt").read_text()
-        for key in ("config_sha256", "tool_version", "command", "timestamp",
-                    "outputs"):
+        for key in ("config_sha256", "tool_version", "python_version",
+                    "numpy_version", "command", "timestamp", "outputs"):
             assert key in manifest
 
     def test_monostable_design_exits_2_without_traceback(self, tmp_path):
@@ -400,6 +401,10 @@ class TestCli:
         (["simulate", "--theta0", "-0.85", "--t-end", "1e300"], {}),
         (["continuation", "--tau-max", "inf"], {}),
         (["closingtime"], {"gripper.inertia": "1e-11"}),
+        (["landscape", "--n", str(MAX_GRID_POINTS + 1)], {}),
+        (["continuation", "--tau-max", "0.05",
+          "--steps", str(MAX_GRID_POINTS + 1)], {}),
+        (["equilibria"], {"solver.grid_n": str(MAX_GRID_POINTS + 1)}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):
@@ -530,3 +535,49 @@ class TestCli:
     def test_version_flag(self, tmp_path):
         res = run_cli("--version", cwd=tmp_path)
         assert res.returncode == 0
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+def run_python(code, tmp_path, **variables):
+    """Run ``code`` in a fresh interpreter whose environment sets none of
+    the variables OpenBLAS reads except ``variables``; returns stdout."""
+    env = {k: v for k, v in child_env().items()
+           if k not in BLAS_THREAD_VARIABLES}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=tmp_path, env={**env, **variables})
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+class TestStartup:
+    """``import snapgrip`` loads numpy with one OpenBLAS thread unless the
+    caller chose a thread count, and leaves ``os.environ`` as it was."""
+
+    @pytest.mark.parametrize("first, variables", [
+        ("", {}),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}),
+        ("", {"OMP_NUM_THREADS": "2"}),
+        ("import numpy", {}),
+    ])
+    def test_import_leaves_the_environment_unchanged(self, tmp_path, first,
+                                                     variables):
+        out = run_python(
+            f"import json, os\n{first}\nbefore = dict(os.environ)\n"
+            "import snapgrip\n"
+            "assert dict(os.environ) == before\n"
+            f"print(json.dumps({{k: os.environ.get(k) "
+            f"for k in {BLAS_THREAD_VARIABLES!r}}}))",
+            tmp_path, **variables)
+        assert json.loads(out) == {k: variables.get(k)
+                                   for k in BLAS_THREAD_VARIABLES}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_import_starts_no_blas_threads(self, tmp_path):
+        out = run_python("import os, snapgrip\n"
+                         "print(len(os.listdir('/proc/self/task')))",
+                         tmp_path)
+        assert out.strip() == "1"

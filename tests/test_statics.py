@@ -10,10 +10,10 @@ import snapgrip.statics as statics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonConvergenceError, NotBistableError,
                              SaddleOrderError)
-from snapgrip.model import (SolveWindow, Yeoh, set_design_value,
-                            total_energy_1dof, gradient_1dof, chain_gradient,
-                            chain_hessian, second_derivative_1dof,
-                            uniform_chain)
+from snapgrip.model import (MAX_GRID_POINTS, SolveWindow, Yeoh,
+                            set_design_value, total_energy_1dof,
+                            gradient_1dof, chain_gradient, chain_hessian,
+                            second_derivative_1dof, uniform_chain)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -167,6 +167,13 @@ class TestFindEquilibria1Dof:
     def test_window_grid_must_be_an_integer(self, grid_n):
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             SolveWindow(-1.0, 1.0, grid_n)
+
+    @pytest.mark.parametrize("grid_n", [99, MAX_GRID_POINTS + 1])
+    def test_window_grid_outside_its_range_rejected(self, grid_n):
+        with pytest.raises(InvalidArgumentError, match="must be in"):
+            SolveWindow(-1.0, 1.0, grid_n)
+        largest = SolveWindow(-1.0, 1.0, MAX_GRID_POINTS)
+        assert largest.grid_n == MAX_GRID_POINTS
 
     def test_derived_designs_keep_the_window(self, baseline):
         narrow = set_design_value(baseline, "solver.theta_max", 1.0)
