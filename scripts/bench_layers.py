@@ -5,9 +5,14 @@ Usage, from the root of a checkout:
     python3 scripts/bench_layers.py [--src PATH] [--repeats N]
 
 ``--src`` is the ``src`` directory to import (default: this checkout's), so
-the same script can time two checkouts on the same machine.  Each layer is
-run ``--repeats`` times after one warm-up run; the JSON printed on stdout
-gives every run's time, their median, and how often the layer called
+the same script can time two checkouts on the same machine.  The layers
+come in five groups (1-DOF, chain, saddle, continuation, Yeoh), and each
+group runs in its own fresh child interpreter (``--group NAME`` runs one
+group in the calling process).  So a layer's time does not depend on
+what earlier layers left behind, such as the allocator's state after the
+Yeoh set-up's large temporaries.  Each layer is run ``--repeats`` times
+after one warm-up run; the JSON printed on stdout gives every run's
+time, their median, and how often the layer called
 ``gradient_1dof`` (array form), ``find_equilibria_1dof``,
 ``chain_gradient``, ``chain_hessian`` and ``moment_curvature``.  The
 counts include calls made inside the model: each ``chain_hessian`` call
@@ -26,7 +31,9 @@ layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
 and at g = 9.81 with n = 4, 8 and 32; their two minima are solved outside
 the timer.  The ``continuation_`` layers ramp the baseline's closing
 moment to 1.5 times its trigger moment in 50 and 200 steps, without
-gravity and at g = 9.81.  The ``cli_snapthrough_cold`` layer runs
+gravity and at g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in
+1,000 steps on a ``solver.grid_n`` = 10^5 scan grid, where the cost of
+each load step's walk shows.  The ``cli_snapthrough_cold`` layer runs
 ``python -m snapgrip.cli snapthrough --config configs/baseline.cfg`` in a
 fresh interpreter that imports ``--src``, so it includes start-up and
 imports; besides its wall time it records the child's CPU time (user +
@@ -57,83 +64,19 @@ def repeated(times, f, *args):
     return run
 
 
-def layers(design):
-    """(name, zero-argument callable) for each timed layer."""
+def one_dof_layers(design):
     from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                    simulate_1dof)
     from snapgrip.explore import (design_metrics, reproduce_fea_cases,
                                   tune_ring_width)
-    from snapgrip.model import (Yeoh, chain_energy, chain_gradient,
-                                chain_hessian, gradient_1dof,
-                                set_design_value, total_energy_1dof,
-                                uniform_chain)
-    from snapgrip.statics import (continuation_ramped_load,
-                                  default_chain_seeds, find_equilibria_1dof,
-                                  find_equilibria_chain, saddle_search_chain,
-                                  trigger_moment)
+    from snapgrip.model import gradient_1dof, set_design_value
+    from snapgrip.statics import find_equilibria_1dof, trigger_moment
 
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
     impulse = 5.0 * minimal_trigger_impulse(design, report)
     gravity_report = find_equilibria_1dof(gravity)
     gravity_impulse = 5.0 * minimal_trigger_impulse(gravity, gravity_report)
-
-    chain = []
-    for n in (8, 32, 128):
-        for g in (0.0, 9.81):
-            d = set_design_value(set_design_value(
-                design, "finger.n_segments", n), "gripper.gravity", g)
-            phi = uniform_chain(d, report.open_state.theta)
-            tag = f"n{n}_g{g:g}"
-            chain += [
-                (f"chain_energy_{tag}_x100",
-                 repeated(100, chain_energy, phi, d)),
-                (f"chain_gradient_{tag}_x100",
-                 repeated(100, chain_gradient, phi, d)),
-                (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
-            ]
-
-    saddles = []
-    for n, g in ((2, 0.3), (4, 9.81), (8, 9.81), (32, 9.81)):
-        d = set_design_value(set_design_value(
-            design, "finger.n_segments", n), "gripper.gravity", g)
-        ends = [e.configuration for e in find_equilibria_chain(
-            d, default_chain_seeds(d)) if e.stable]
-        saddles.append((f"saddle_n{n}_g{g:g}",
-                        lambda d=d, ends=ends: saddle_search_chain(d, *ends)))
-
-    continuation = []
-    for g in (0.0, 9.81):
-        d = set_design_value(design, "gripper.gravity", g)
-        tau_max = 1.5 * trigger_moment(d)
-        for steps in (50, 200):
-            continuation.append((
-                f"continuation_g{g:g}_{steps}_steps",
-                lambda d=d, tau_max=tau_max, steps=steps:
-                    continuation_ramped_load(d, tau_max, steps)))
-
-    yeoh = replace(design, finger=replace(design.finger,
-                                          material=Yeoh(1.0e5)))
-    yeoh_gravity = set_design_value(yeoh, "gripper.gravity", 9.81)
-    yeoh_report = find_equilibria_1dof(yeoh)
-    yeoh_impulse = 5.0 * minimal_trigger_impulse(yeoh, yeoh_report)
-    yeoh_chain = set_design_value(yeoh_gravity, "finger.n_segments", 32)
-    yeoh_phi = uniform_chain(yeoh_chain, yeoh_report.open_state.theta)
-    yeoh_layers = [
-        ("yeoh_gradient_1dof_scalar_g9.81_x1000",
-         repeated(1000, gradient_1dof, 0.3, yeoh_gravity)),
-        ("yeoh_total_energy_1dof_g9.81_x10",
-         repeated(10, total_energy_1dof, 0.3, yeoh_gravity)),
-        ("yeoh_find_equilibria_1dof", lambda: find_equilibria_1dof(yeoh)),
-        ("yeoh_closing_time", lambda: closing_time(yeoh, yeoh_impulse,
-                                                   report=yeoh_report)),
-        ("yeoh_design_metrics_g9.81", lambda: design_metrics(yeoh_gravity)),
-        ("yeoh_chain_energy_n32_g9.81_x10",
-         repeated(10, chain_energy, yeoh_phi, yeoh_chain)),
-        ("yeoh_chain_gradient_n32_g9.81_x10",
-         repeated(10, chain_gradient, yeoh_phi, yeoh_chain)),
-    ]
-
     return [
         ("gradient_1dof_scalar_g9.81_x1000",
          repeated(1000, gradient_1dof, 0.3, gravity)),
@@ -149,7 +92,106 @@ def layers(design):
         ("design_metrics_g9.81", lambda: design_metrics(gravity)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
-    ] + chain + saddles + continuation + yeoh_layers
+    ]
+
+
+def chain_layers(design):
+    from snapgrip.model import (chain_energy, chain_gradient, chain_hessian,
+                                set_design_value, uniform_chain)
+    from snapgrip.statics import find_equilibria_1dof
+
+    open_theta = find_equilibria_1dof(design).open_state.theta
+    chain = []
+    for n in (8, 32, 128):
+        for g in (0.0, 9.81):
+            d = set_design_value(set_design_value(
+                design, "finger.n_segments", n), "gripper.gravity", g)
+            phi = uniform_chain(d, open_theta)
+            tag = f"n{n}_g{g:g}"
+            chain += [
+                (f"chain_energy_{tag}_x100",
+                 repeated(100, chain_energy, phi, d)),
+                (f"chain_gradient_{tag}_x100",
+                 repeated(100, chain_gradient, phi, d)),
+                (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
+            ]
+    return chain
+
+
+def saddle_layers(design):
+    from snapgrip.model import set_design_value
+    from snapgrip.statics import (default_chain_seeds, find_equilibria_chain,
+                                  saddle_search_chain)
+
+    saddles = []
+    for n, g in ((2, 0.3), (4, 9.81), (8, 9.81), (32, 9.81)):
+        d = set_design_value(set_design_value(
+            design, "finger.n_segments", n), "gripper.gravity", g)
+        ends = [e.configuration for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        saddles.append((f"saddle_n{n}_g{g:g}",
+                        lambda d=d, ends=ends: saddle_search_chain(d, *ends)))
+    return saddles
+
+
+def continuation_layers(design):
+    from snapgrip.model import MAX_GRID_POINTS, set_design_value
+    from snapgrip.statics import continuation_ramped_load, trigger_moment
+
+    continuation = []
+    for g in (0.0, 9.81):
+        d = set_design_value(design, "gripper.gravity", g)
+        tau_max = 1.5 * trigger_moment(d)
+        for steps in (50, 200):
+            continuation.append((
+                f"continuation_g{g:g}_{steps}_steps",
+                lambda d=d, tau_max=tau_max, steps=steps:
+                    continuation_ramped_load(d, tau_max, steps)))
+    fine = set_design_value(design, "solver.grid_n", MAX_GRID_POINTS)
+    tau_max = 1.5 * trigger_moment(fine)
+    continuation.append((
+        "continuation_g0_1000_steps_grid1e5",
+        lambda: continuation_ramped_load(fine, tau_max, 1000)))
+    return continuation
+
+
+def yeoh_layers(design):
+    from snapgrip.dynamics import closing_time, minimal_trigger_impulse
+    from snapgrip.explore import design_metrics
+    from snapgrip.model import (Yeoh, chain_energy, chain_gradient,
+                                gradient_1dof, set_design_value,
+                                total_energy_1dof, uniform_chain)
+    from snapgrip.statics import find_equilibria_1dof
+
+    yeoh = replace(design, finger=replace(design.finger,
+                                          material=Yeoh(1.0e5)))
+    yeoh_gravity = set_design_value(yeoh, "gripper.gravity", 9.81)
+    yeoh_report = find_equilibria_1dof(yeoh)
+    yeoh_impulse = 5.0 * minimal_trigger_impulse(yeoh, yeoh_report)
+    yeoh_chain = set_design_value(yeoh_gravity, "finger.n_segments", 32)
+    yeoh_phi = uniform_chain(yeoh_chain, yeoh_report.open_state.theta)
+    return [
+        ("yeoh_gradient_1dof_scalar_g9.81_x1000",
+         repeated(1000, gradient_1dof, 0.3, yeoh_gravity)),
+        ("yeoh_total_energy_1dof_g9.81_x10",
+         repeated(10, total_energy_1dof, 0.3, yeoh_gravity)),
+        ("yeoh_find_equilibria_1dof", lambda: find_equilibria_1dof(yeoh)),
+        ("yeoh_closing_time", lambda: closing_time(yeoh, yeoh_impulse,
+                                                   report=yeoh_report)),
+        ("yeoh_design_metrics_g9.81", lambda: design_metrics(yeoh_gravity)),
+        ("yeoh_chain_energy_n32_g9.81_x10",
+         repeated(10, chain_energy, yeoh_phi, yeoh_chain)),
+        ("yeoh_chain_gradient_n32_g9.81_x10",
+         repeated(10, chain_gradient, yeoh_phi, yeoh_chain)),
+    ]
+
+
+# Layer groups, in output order: name -> function of the baseline design
+# that does the group's set-up and returns its (name, zero-argument
+# callable) layers.
+GROUPS = {"1dof": one_dof_layers, "chain": chain_layers,
+          "saddle": saddle_layers, "continuation": continuation_layers,
+          "yeoh": yeoh_layers}
 
 
 def cold_cli(src, workdir):
@@ -186,24 +228,49 @@ def counted(names):
     return counts
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
+def time_group(group, repeats):
+    """Time and count the layers of one group in this process."""
     from snapgrip.config import build_design, load_config
     design = build_design(load_config(BASELINE_CFG))
-
     result = {}
-    for name, run in layers(design):
+    for name, run in GROUPS[group](design):
         run()
         times = []
-        for _ in range(args.repeats):
+        for _ in range(repeats):
             start = time.perf_counter()
             run()
             times.append(time.perf_counter() - start)
         result[name] = {"median_s": statistics.median(times), "runs_s": times}
+    counts = counted(("gradient_1dof", "find_equilibria_1dof",
+                      "chain_gradient", "chain_hessian", "moment_curvature"))
+    for name, run in GROUPS[group](design):
+        before = dict(counts)
+        run()
+        result[name]["calls"] = {k: counts[k] - before[k] for k in counts}
+    return result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--group", choices=GROUPS,
+                        help="time this layer group in this process and "
+                             "print its JSON (default: every group, each "
+                             "in a fresh child interpreter)")
+    args = parser.parse_args(argv)
+    if args.group:
+        sys.path.insert(0, args.src)
+        print(json.dumps(time_group(args.group, args.repeats)))
+        return
+
+    result = {}
+    for group in GROUPS:
+        child = subprocess.run(
+            [sys.executable, __file__, "--src", args.src,
+             "--repeats", str(args.repeats), "--group", group],
+            stdout=subprocess.PIPE, text=True, check=True)
+        result.update(json.loads(child.stdout))
     with tempfile.TemporaryDirectory() as workdir:
         cold_cli(args.src, workdir)
         walls, cpus = map(list, zip(*(cold_cli(args.src, workdir)
@@ -211,12 +278,6 @@ def main(argv=None):
     result["cli_snapthrough_cold"] = {
         "median_s": statistics.median(walls), "runs_s": walls,
         "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus}
-    counts = counted(("gradient_1dof", "find_equilibria_1dof",
-                      "chain_gradient", "chain_hessian", "moment_curvature"))
-    for name, run in layers(design):
-        before = dict(counts)
-        run()
-        result[name]["calls"] = {k: counts[k] - before[k] for k in counts}
     print(json.dumps(result, indent=1))
 
 

@@ -22,15 +22,17 @@ import numpy as np
 from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
                      InvalidDesignError)
 
-# Below this bend angle the circular-arc kinematics switch to their
-# 4th-order series to avoid 0/0.
+# Below this bend angle ``tip_chord`` switches to its 2nd-order series to
+# avoid 0/0.  The arc terms of the gravity model switch at
+# ARC_SERIES_SWITCH instead.
 SMALL_ANGLE = 1e-4
 # Step of the central differences that give the energy curvature and Hessian.
 DIFFERENCE_STEP = 1e-6    # rad
 # Most points a sampled grid may have: a landscape's angles, the solve
 # window's scan and a continuation's load steps.  Memory and time grow
-# with each; a continuation walks the scan once per load step, so its
-# time grows with the product of the two.
+# with each; a continuation's load step binary-searches the scan and reads
+# only the grid cells it walks, so its time grows with steps x log(grid
+# points) plus the cells walked, not with their product.
 MAX_GRID_POINTS = 10 ** 5
 
 
@@ -501,8 +503,10 @@ def ring_gradient_1dof(theta, ring: RingDesign):
 # below ARC_SERIES_SWITCH, where both branches agree to ~1e-10 relative.
 #
 # Each term is a pair of plain-arithmetic functions, shared by the array
-# form (``_arc``) and the float closures below, so both give the same bits.
-# ``c, s`` are cos/sin of psi and ``cp, sp`` cos/sin of psi + phi.
+# form (``_arcs``) and the float closures below, so both give the same bits.
+# ``c, s`` are cos/sin of psi and ``cp, sp`` cos/sin of psi + phi.  One
+# ``_arcs`` pass evaluates every term a caller needs on the same (psi, phi)
+# from one set of cos/sin and one branch mask.
 
 ARC_SERIES_SWITCH = 1e-2
 
@@ -571,16 +575,26 @@ _MEAN_X_DPSI = (_mean_x_dpsi_exact, _mean_x_dpsi_series)
 _MEAN_X_DPHI = (_mean_x_dphi_exact, _mean_x_dphi_series)
 
 
-def _arc(term, psi, phi, ell):
-    """One arc term on numpy input, series below the switch."""
-    exact, series = term
+def _arcs(terms, psi, phi, ell):
+    """Arc terms on numpy input, one result per (exact, series) pair.
+
+    cos/sin of psi and of psi + phi and the branch mask are computed once
+    for all terms.  The series is evaluated only if some |phi| is below
+    ARC_SERIES_SWITCH and the exact form only if some is not; np.where
+    picks between them only when both are needed.
+    """
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(psi), np.sin(psi)
     small = np.abs(phi) < ARC_SERIES_SWITCH
+    if small.all():
+        return [series(c, s, phi, ell) for _, series in terms]
+    cp, sp = np.cos(psi + phi), np.sin(psi + phi)
+    if not small.any():
+        return [exact(c, s, cp, sp, phi, ell) for exact, _ in terms]
     safe = np.where(small, 1.0, phi)
-    return np.where(small, series(c, s, phi, ell),
-                    exact(c, s, np.cos(psi + phi), np.sin(psi + phi), safe,
-                          ell))
+    return [np.where(small, series(c, s, phi, ell),
+                     exact(c, s, cp, sp, safe, ell))
+            for exact, series in terms]
 
 
 def gravity_energy_1dof(theta, design: GripperDesign):
@@ -592,9 +606,8 @@ def gravity_energy_1dof(theta, design: GripperDesign):
     g = design.gravity
     if g == 0.0:
         return np.zeros_like(np.asarray(theta, dtype=float))[()]
-    length = design.finger.length
-    x_com = _arc(_MEAN_X, 0.0, theta, length)
-    x_tip = _arc(_END_DX, 0.0, theta, length)
+    x_com, x_tip = _arcs((_MEAN_X, _END_DX), 0.0, theta,
+                         design.finger.length)
     return -g * (design.finger.mass * x_com + design.payload_mass * x_tip)
 
 
@@ -602,10 +615,9 @@ def gravity_gradient_1dof(theta, design: GripperDesign):
     g = design.gravity
     if g == 0.0:
         return np.zeros_like(np.asarray(theta, dtype=float))[()]
-    length = design.finger.length
-    return -g * (design.finger.mass * _arc(_MEAN_X_DPHI, 0.0, theta, length)
-                 + design.payload_mass * _arc(_END_DX_DPHI, 0.0, theta,
-                                              length))
+    x_com, x_tip = _arcs((_MEAN_X_DPHI, _END_DX_DPHI), 0.0, theta,
+                         design.finger.length)
+    return -g * (design.finger.mass * x_com + design.payload_mass * x_tip)
 
 
 def energy_components_1dof(theta, design: GripperDesign):
@@ -809,11 +821,11 @@ def chain_energy(angles, design: GripperDesign):
         # rounds as a running total does.
         seg_mass = finger.linear_density * ell
         psi = _running_sum(phi)
-        end_dx = _arc(_END_DX, psi, phi, ell)
+        end_dx, mean_x = _arcs((_END_DX, _MEAN_X), psi, phi, ell)
         x = _running_sum(end_dx)
         x_tip = x[..., -1] + end_dx[..., -1]
         terms = np.concatenate(
-            (-g * seg_mass * (x + _arc(_MEAN_X, psi, phi, ell)),
+            (-g * seg_mass * (x + mean_x),
              (-g * design.payload_mass * x_tip)[..., None]), axis=-1)
         grav = np.cumsum(terms, axis=-1)[..., -1]
     total = elastic + ring + grav
@@ -846,12 +858,11 @@ def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
         m_p = design.payload_mass
         psi = _running_sum(phi)
         after = np.arange(n - 1, -1, -1)
-        b_phi = _arc(_END_DX_DPHI, psi, phi, ell)
-        b_psi = _arc(_END_DX_DPSI, psi, phi, ell)
-        own = (seg_mass * (_arc(_MEAN_X_DPHI, psi, phi, ell) + after * b_phi)
-               + m_p * b_phi)
-        turn = (seg_mass * (_arc(_MEAN_X_DPSI, psi, phi, ell) + after * b_psi)
-                + m_p * b_psi)
+        m_phi, m_psi, b_phi, b_psi = _arcs(
+            (_MEAN_X_DPHI, _MEAN_X_DPSI, _END_DX_DPHI, _END_DX_DPSI),
+            psi, phi, ell)
+        own = seg_mass * (m_phi + after * b_phi) + m_p * b_phi
+        turn = seg_mass * (m_psi + after * b_psi) + m_p * b_psi
         grad -= g * (own + _running_sum(turn[..., ::-1])[..., ::-1])
     return grad
 

@@ -195,6 +195,20 @@ def _golden_section_max(f, a, b, tol):
     return max(fc, fd)
 
 
+def _first_at_least(values, target, start):
+    """Index of the first of ``values[start:]`` that is >= ``target``, or
+    None, read in windows that double in size from ``start``: the cost
+    grows with the distance to the hit, not with the array."""
+    width = 16
+    while start < values.size:
+        hits = np.flatnonzero(values[start:start + width] >= target)
+        if hits.size:
+            return start + int(hits[0])
+        start += width
+        width *= 2
+    return None
+
+
 def continuation_ramped_load(design: GripperDesign, tau_max: float,
                              n_steps: int) -> ContinuationPath:
     """Trace the equilibrium branch as a closing moment ramps from zero.
@@ -206,7 +220,9 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     passes the load, and bisects that cell.  A walk that passes a local
     extremum of g has jumped a fold: the fold is recorded as the load and
     the previous angle, and the path goes on from the branch it lands on.
-    A walk that runs off the grid is an error.
+    A walk that runs off the grid is an error.  A step finds its start by
+    binary search and reads g forward in windows of doubling size, so it
+    costs O(log n) plus the cells walked on an n-point grid.
 
     The walk reads g only at grid points, so a stable root and the saddle
     that fall in the same grid cell are not told apart: the fold is then
@@ -229,6 +245,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     sign = 1 if tau_max >= 0.0 else -1
     walk_grid = grid[::sign]
     walk_g = sign * g[::sign]
+    walk_key = sign * walk_grid     # ascending
 
     taus = np.linspace(0.0, tau_max, n_steps)
     thetas = np.empty(n_steps)
@@ -236,12 +253,12 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     folds = []
     for i in range(1, n_steps):
         tau = float(taus[i])
-        k = int(np.count_nonzero(sign * (walk_grid - theta) <= 0.0))
-        past = np.flatnonzero(walk_g[k:] >= sign * tau)
-        if past.size == 0:
+        # The walk starts past every grid point at or behind theta.
+        k = int(np.searchsorted(walk_key, sign * theta, side="right"))
+        j = _first_at_least(walk_g, sign * tau, k)
+        if j is None:
             raise InvalidArgumentError(f"continuation left the solve window "
                                        f"at load {tau:.6g} N*m")
-        j = k + int(past[0])
         # g rises from the last load at theta; a fall on the way to the
         # crossing is a maximum of g passed, so the branch folded.
         if j > k and np.any(np.diff(walk_g[k:j + 1],

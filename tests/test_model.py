@@ -1,5 +1,6 @@
 """Energy model unit tests: constitutive laws, reduced model, chain model."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,13 +11,14 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.errors import CurvatureOutOfRangeError, InvalidDesignError
 import snapgrip.model as model
-from snapgrip.model import (ARC_SERIES_SWITCH, YEOH_SERIES_SWITCH,
+from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
+                            YEOH_SERIES_SWITCH,
                             ChainConfiguration, CrossSection, FingerDesign,
                             GripperDesign, LinearElastic, RingDesign, Yeoh,
                             chain_energy, chain_gradient, chain_hessian,
                             finger_energy_1dof, finger_gradient_1dof,
                             forward_kinematics, gradient_1dof,
-                            gravity_energy_1dof,
+                            gravity_energy_1dof, gravity_gradient_1dof,
                             moment_curvature, ring_energy_1dof,
                             sample_landscape, scalar_energy, scalar_gradient,
                             second_derivative_1dof, set_design_value,
@@ -681,6 +683,120 @@ class TestChainArrays:
         np.testing.assert_allclose(
             chain_hessian(phi, d), expected, rtol=0.0,
             atol=1e-6 * float(np.max(np.abs(expected))))
+
+
+def _digest(value):
+    """First 64 bits of the sha256 of a result's type, shape and float64
+    bytes."""
+    arr = np.asarray(value, dtype=float)
+    head = f"{type(value).__name__}{arr.shape}".encode()
+    return hashlib.sha256(head + arr.tobytes()).hexdigest()[:16]
+
+
+def _arc_stack(kind, n):
+    """Three chains of n joint angles: every |phi| at or above
+    ARC_SERIES_SWITCH ("exact"), every |phi| below it ("series"), or both
+    ("mixed"), with the switch and its neighbour below among them."""
+    s = ARC_SERIES_SWITCH
+    below = float(np.nextafter(s, 0.0))
+    k = np.arange(3 * n).reshape(3, n)
+    frac = ((37 * k) % 101) / 101.0
+    sign = np.where(k % 3 == 0, -1.0, 1.0)
+    exact = sign * (s + 0.5 * frac)
+    series = sign * s * frac
+    if kind == "exact":
+        exact[0, :2] = s, -s
+        return exact
+    if kind == "series":
+        series[0, 1:3] = below, -below
+        return series
+    mixed = np.where(k % 4 == 1, series, exact)
+    mixed[1, :2] = below, -below
+    mixed[2, :2] = s, -s
+    return mixed
+
+
+class TestArcBits:
+    """The arc kinematics keep their bits: sha256 digests of the chain
+    model and of the 1-DOF gravity terms at g = 9.81 and a 0.01 kg
+    payload, frozen from the form that evaluated each arc term on its own
+    and picked the series or exact branch with ``np.where``.  They were
+    taken with numpy 2.4 on x86-64; a numpy whose sin/cos round
+    differently moves them with no change in snapgrip."""
+
+    CHAIN = {
+        "n8_exact": {
+            "chain_energy": "d4e13b0e80340115",
+            "chain_gradient": "7f14b9e12e970e7d",
+            "chain_hessian": "2142ffef7179d25c",
+        },
+        "n8_series": {
+            "chain_energy": "467f4d5e581bae7f",
+            "chain_gradient": "957bb9aebf0b8bdb",
+            "chain_hessian": "4057d3b24dbc33dc",
+        },
+        "n8_mixed": {
+            "chain_energy": "658a452c1fdd1ea6",
+            "chain_gradient": "bd8575cd5cad2987",
+            "chain_hessian": "c890344dc0d09a39",
+        },
+        "n32_exact": {
+            "chain_energy": "a500038e1c486f2b",
+            "chain_gradient": "29e27e81ddca423c",
+            "chain_hessian": "6d540fb2016fc2bd",
+        },
+        "n32_series": {
+            "chain_energy": "9b456587868327a4",
+            "chain_gradient": "26e0fd4f378a0ce6",
+            "chain_hessian": "fbfba7e29bfe383e",
+        },
+        "n32_mixed": {
+            "chain_energy": "19f8fda3d62836b9",
+            "chain_gradient": "6d62279d519af6ea",
+            "chain_hessian": "3a35720a29e712aa",
+        },
+    }
+    GRAVITY = {
+        "window_grid": {
+            "gravity_energy_1dof": "19fdb8f056fdb864",
+            "gravity_gradient_1dof": "bf484ee4572bf30f",
+        },
+        "scalar_exact": {
+            "gravity_energy_1dof": "7309a196efe7a875",
+            "gravity_gradient_1dof": "6a2c4ea42e2c8310",
+        },
+        "scalar_series": {
+            "gravity_energy_1dof": "ef5f14f2b2f8d14e",
+            "gravity_gradient_1dof": "294e2d08c6545e1d",
+        },
+    }
+
+    @staticmethod
+    def _design(baseline, n=1):
+        return _chain_design(baseline, n, 9.81, 0.01)
+
+    @staticmethod
+    def _angles(where):
+        if where == "window_grid":
+            w = DEFAULT_WINDOW
+            return np.linspace(w.theta_min, w.theta_max, w.grid_n)
+        return {"scalar_exact": 0.3, "scalar_series": 0.004}[where]
+
+    @pytest.mark.parametrize("kind", ["exact", "series", "mixed"])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_chain_digests(self, baseline, n, kind):
+        d, phi = self._design(baseline, n), _arc_stack(kind, n)
+        assert {f.__name__: _digest(f(phi, d)) for f in (
+            chain_energy, chain_gradient, chain_hessian)} == \
+            self.CHAIN[f"n{n}_{kind}"]
+
+    @pytest.mark.parametrize(
+        "where", ["window_grid", "scalar_exact", "scalar_series"])
+    def test_gravity_1dof_digests(self, baseline, where):
+        d, theta = self._design(baseline), self._angles(where)
+        assert {f.__name__: _digest(f(theta, d)) for f in (
+            gravity_energy_1dof, gravity_gradient_1dof)} == \
+            self.GRAVITY[where]
 
 
 class TestKinematics:

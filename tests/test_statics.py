@@ -404,6 +404,20 @@ class TestContinuation:
         residual = np.asarray(gradient_1dof(path.thetas, baseline)) - path.taus
         assert np.max(np.abs(residual)) <= 1e-9
 
+    def test_walk_search_matches_a_full_scan(self):
+        # The reference reads every value past ``start``, as each load
+        # step did before the search went in windows of doubling size.
+        # A rising array puts the first hit at every index in turn.
+        walk = np.cumsum(np.random.default_rng(3).normal(size=300))
+        for values in (np.arange(300.0), walk):
+            for start in (0, 1, 15, 16, 17, 47, 48, 299, 300, 301):
+                for target in (values.min() - 1.0, *values,
+                               values.max() + 1.0):
+                    past = np.flatnonzero(values[start:] >= target)
+                    expected = start + int(past[0]) if past.size else None
+                    assert statics._first_at_least(values, target,
+                                                   start) == expected
+
     def test_negative_load_walking_off_the_window_is_an_error(self,
                                                               baseline):
         # The open state sits at -0.856 rad; -0.05 N*m pushes it to -1.17.
