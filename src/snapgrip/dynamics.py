@@ -29,6 +29,12 @@ MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
 CLOSING_STEP_FRACTION = 0.02  # closing-run dt = this / closed-state frequency,
                               # or 2e-5 s if that is less
 CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
+# Safety margin of the energy certificate of a closing run, as a fraction of
+# the band's energy depth u_edge - U_closed.  Over the 364 closing runs of
+# the certificate tests (undamped to critically damped), the RK4 mechanical
+# energy inside the band rose at most 2.7e-14 of that depth above an
+# earlier in-band value below u_edge.
+CERTIFICATE_MARGIN = 1e-6
 # Most steps a recorded simulation or a closing run may take; at about
 # 0.3 KiB a recorded step, a trajectory holds at most about 300 MiB.
 MAX_STEPS = 10 ** 6
@@ -164,6 +170,18 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     state of its equilibrium report (``report``, solved unless given) and
     reads the saddle and closed state from the same report.  A run that
     would take more than MAX_STEPS steps is refused before it starts.
+
+    A run inside the band may end before the hold is over, with the
+    event the full hold would give.  With damping >= 0 the mechanical
+    energy E = U + J*omega^2/2 never rises.  So once E, plus
+    CERTIFICATE_MARGIN of the band's depth, is below the energy
+    u_edge = min U(theta_closed -+ CLOSURE_BAND) of both band edges, the
+    motion cannot reach an edge; once 2(E - U_closed)/J is also below the
+    squared peak speed so far, the speed cannot pass that peak.  This
+    applies only where the closed state is the report's only equilibrium
+    in the band and the band lies inside the design's window, so that
+    U_closed is the least energy in the band, and only where the hold
+    ends before CLOSING_T_MAX.
     """
     _require_finite(perturbation_impulse=perturbation_impulse)
     report = require_bistable(design, report)
@@ -182,13 +200,28 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     step = _rk4_stepper(design, dt)
     energy_at = scalar_energy(design)
 
+    band, hold = CLOSURE_BAND, CLOSURE_HOLD
+    window = design.window
+    u_closed = report.closed_state.energy
+    certify = (window.theta_min <= theta_closed - band
+               and theta_closed + band <= window.theta_max
+               and all(e is report.closed_state
+                       or abs(e.theta - theta_closed) > band
+                       for e in report.equilibria))
+    if certify:
+        u_edge = min(energy_at(theta_closed - band),
+                     energy_at(theta_closed + band))
+        margin = CERTIFICATE_MARGIN * (u_edge - u_closed)
+        e_cap = u_edge - margin
+        certify = margin > 0.0      # a band too flat to resolve proves nothing
+    t_end = n * dt      # the time of the last step, as the loop computes it
+
     theta = theta_open
     omega = perturbation_impulse / design.inertia
     diss = 0.0
     half_j = 0.5 * design.inertia
     peak = abs(omega)
     entered_at = None
-    band, hold = CLOSURE_BAND, CLOSURE_HOLD
     for i in range(n):
         theta, omega, diss = step(i, theta, omega, diss)
         speed = abs(omega)
@@ -198,9 +231,17 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
             t = (i + 1) * dt
             if entered_at is None:
                 entered_at = t
+                proving = certify and t_end - entered_at >= hold
             elif t - entered_at >= hold:
                 return ClosingEvent(triggered=True, closing_time=entered_at,
                                     peak_velocity=peak)
+            if proving:
+                mech = energy_at(theta) + half_j * omega * omega
+                if (mech < e_cap
+                        and mech + margin - u_closed < half_j * peak * peak):
+                    return ClosingEvent(triggered=True,
+                                        closing_time=entered_at,
+                                        peak_velocity=peak)
         else:
             entered_at = None
         if theta < theta_saddle:

@@ -27,8 +27,6 @@ from .statics import (EquilibriumReport, _bracketed_root,
 RING_RADIUS_STIFFNESS_SLOPE = 4.0
 RING_SPLAY_WELL_SLOPE = 0.4
 
-CASE_NAMES = ("ring_higher", "ring_lower", "thinner_ring", "higher_curvature")
-
 
 def ring_placement_variant(design: GripperDesign,
                            delta_fraction: float) -> GripperDesign:

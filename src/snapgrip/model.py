@@ -51,9 +51,6 @@ class LinearElastic:
             raise InvalidDesignError(f"youngs_modulus must be finite and "
                                      f"> 0, got {self.youngs_modulus}")
 
-    def uniaxial_stress(self, stretch):
-        return self.youngs_modulus * (stretch - 1.0)
-
 
 @dataclass(frozen=True, slots=True)
 class Yeoh:
@@ -502,8 +499,9 @@ def ring_gradient_1dof(theta, ring: RingDesign):
 # power of phi in the denominator), so all switch to a fifth-order series
 # below ARC_SERIES_SWITCH, where both branches agree to ~1e-10 relative.
 #
-# Each term is a pair of plain-arithmetic functions, shared by the array
-# form (``_arcs``) and the float closures below, so both give the same bits.
+# Each term is a pair of plain-arithmetic functions used by the array form
+# (``_arcs``); the float closures below write out the psi = 0 forms of four
+# of them with the same operations, so both give the same bits.
 # ``c, s`` are cos/sin of psi and ``cp, sp`` cos/sin of psi + phi.  One
 # ``_arcs`` pass evaluates every term a caller needs on the same (psi, phi)
 # from one set of cos/sin and one branch mask.
@@ -640,28 +638,52 @@ def gradient_1dof(theta, design: GripperDesign):
             + gravity_gradient_1dof(theta, design))
 
 
-def _plus_scalar_gravity(design, elastic, mean_x, end_dx):
-    """``elastic`` plus the gravity term built from two arc terms at psi = 0
-    (``mean_x`` for the finger's mass, ``end_dx`` for the payload), on
-    floats."""
+def _plus_scalar_gravity(design, elastic, derivative):
+    """``elastic`` plus the gravity term at psi = 0, on floats: the
+    finger's mass times the centroid advance (``_MEAN_X``) and the payload
+    times the tip advance (``_END_DX``), or their phi derivatives
+    (``_MEAN_X_DPHI``, ``_END_DX_DPHI``) if ``derivative``.
+
+    The four arc terms are written out at c = cos 0 = 1 and s = sin 0 = 0
+    with the operations of the pairs above, so every value keeps its bits:
+    1.0 * x is x and -0.0 + x is x for every float x, while each 0.0 + x
+    stays, since it maps -0.0 to +0.0.
+    """
     g = design.gravity
     if g == 0.0:
         return elastic
     finger = design.finger
     m_f, m_p, ell = finger.mass, design.payload_mass, finger.length
-    (a_exact, a_series), (b_exact, b_series) = mean_x, end_dx
+    neg_g = -g
+    cos, sin, isinf = math.cos, math.sin, math.isinf
 
-    def total(theta):
-        if abs(theta) < ARC_SERIES_SWITCH:
-            a = a_series(1.0, 0.0, theta, ell)
-            b = b_series(1.0, 0.0, theta, ell)
-        elif math.isinf(theta):     # numpy gives NaN here too
-            return math.nan
-        else:
-            cp, sp = math.cos(theta), math.sin(theta)
-            a = a_exact(1.0, 0.0, cp, sp, theta, ell)
-            b = b_exact(1.0, 0.0, cp, sp, theta, ell)
-        return elastic(theta) + -g * (m_f * a + m_p * b)
+    if derivative:
+        def total(t):
+            if abs(t) < ARC_SERIES_SWITCH:
+                a = ell * (1.0 / 6 + t * (t * (-1.0 / 40 + t * (
+                    0.0 + t / 1008))))
+                b = ell * (0.5 + t * (t * (-0.125 + t * (0.0 + t / 144))))
+            elif isinf(t):      # numpy gives NaN here too
+                return math.nan
+            else:
+                cp, sp = cos(t), sin(t)
+                a = ell * ((1.0 - cp) * t - 2.0 * (t - sp + 0.0)) / (t * t * t)
+                b = ell * (sp * t - (1.0 - cp)) / (t * t)
+            return elastic(t) + neg_g * (m_f * a + m_p * b)
+    else:
+        def total(t):
+            if abs(t) < ARC_SERIES_SWITCH:
+                a = ell * (0.0 + t * (1.0 / 6 + t * (t * (-1.0 / 120 + t * (
+                    0.0 + t / 5040)))))
+                b = ell * (0.0 + t * (0.5 + t * (t * (-1.0 / 24 + t * (
+                    0.0 + t / 720)))))
+            elif isinf(t):      # numpy gives NaN here too
+                return math.nan
+            else:
+                cp, sp = cos(t), sin(t)
+                a = ell * (t - sp + 0.0) / (t * t)
+                b = ell * (1.0 - cp) / t
+            return elastic(t) + neg_g * (m_f * a + m_p * b)
 
     return total
 
@@ -712,7 +734,7 @@ def scalar_gradient(design: GripperDesign) -> Callable[[float], float]:
             x = theta - center
             return moment(theta)[1] + 0.0 + k_r * x * (x * x - dd)
 
-    return _plus_scalar_gravity(design, elastic, _MEAN_X_DPHI, _END_DX_DPHI)
+    return _plus_scalar_gravity(design, elastic, derivative=True)
 
 
 def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
@@ -742,7 +764,7 @@ def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
             q = x * x - dd
             return a * reduced + k_r * q * q
 
-    return _plus_scalar_gravity(design, elastic, _MEAN_X, _END_DX)
+    return _plus_scalar_gravity(design, elastic, derivative=False)
 
 
 def second_derivative_1dof(theta, design: GripperDesign):

@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import random
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from snapgrip import dynamics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonFiniteStateError, NotBistableError,
                              StepSizeError)
@@ -235,6 +238,98 @@ class TestClosingTime:
                            match=f" {steps} steps .* limit of {MAX_STEPS} "):
             closing_time(d, 5.0 * minimal_trigger_impulse(d, report),
                          report=report)
+
+
+def _sweep_band_runs(baseline):
+    """(design, report, impulse) for 60 bistable designs drawn inside the
+    value bands of the sweep benchmark, each kicked with 4.4, 4.6, 5, 8 and
+    20 times its minimal trigger impulse."""
+    rng = random.Random("closing-certificate")
+    runs = []
+    designs = 0
+    while designs < 60:
+        d = baseline
+        for key, lo, hi in (("ring.stiffness", 0.115, 0.135),
+                            ("finger.natural_curvature", 17.0, 23.0),
+                            ("gripper.gravity", 3.0, 9.81),
+                            ("gripper.payload_mass", 0.0, 0.01)):
+            d = set_design_value(d, key, rng.uniform(lo, hi))
+        r = find_equilibria_1dof(d)
+        if not r.bistable:
+            continue
+        designs += 1
+        impulse = minimal_trigger_impulse(d, r)
+        runs += [(d, r, f * impulse) for f in (4.4, 4.6, 5.0, 8.0, 20.0)]
+    return runs
+
+
+def _weakly_damped_runs(baseline):
+    """(design, report, impulse) for the baseline with its damping scaled
+    by 0 to 1, each kicked with 1.05 to 20 times the minimal impulse: the
+    swings that end near a band edge."""
+    r = find_equilibria_1dof(baseline)
+    impulse = minimal_trigger_impulse(baseline, r)
+    return [(replace(baseline, damping=scale * baseline.damping), r,
+             f * impulse)
+            for scale in (0.0, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+            for f in (1.05, 1.5, 2.0, 3.0, 4.5, 6.0, 10.0, 20.0)]
+
+
+class TestClosingCertificate:
+    """A closing run that ends early on its energy certificate gives the
+    event of the full hold."""
+
+    @pytest.mark.parametrize("runs, triggered, digest", [
+        (_sweep_band_runs, 253, "2eee8ba7d709bb6d71aef1dd419e41dd"
+                                "5bb8052f30bb706050e0718a57bfec8a"),
+        (_weakly_damped_runs, 30, "b31bff82451b545c5f9a86ce8d41b404"
+                                  "f9866d4c9efc4a8ce7cc51d497b5b8ec"),
+    ], ids=["sweep_band", "weakly_damped"])
+    def test_events_keep_their_bits(self, baseline, runs, triggered, digest):
+        # SHA-256 of (triggered, closing_time, peak_velocity) of every run,
+        # recorded when each triggered run stepped through the whole hold.
+        events = [closing_time(d, impulse, report=r)
+                  for d, r, impulse in runs(baseline)]
+        assert sum(e.triggered for e in events) == triggered
+        data = b"".join(struct.pack("<?dd", e.triggered, e.closing_time,
+                                    e.peak_velocity) for e in events)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("t_max, closes", [
+        (0.0235, False), (0.02585, False), (0.02595, True)])
+    def test_no_early_end_when_the_hold_would_pass_the_limit(
+            self, baseline, monkeypatch, t_max, closes):
+        # The baseline enters the band at 0.02088 s, so its hold ends with
+        # the step at 0.02588 s.
+        monkeypatch.setattr(dynamics, "CLOSING_T_MAX", t_max)
+        event = closing_time(baseline,
+                             5.0 * minimal_trigger_impulse(baseline))
+        assert event.triggered is closes
+        assert event.peak_velocity == 1981.9701274475933
+        if closes:
+            assert event.closing_time == 0.020880000000000003
+
+    @pytest.mark.parametrize("gravity, steps, full_hold_steps", [
+        (0.0, 1064, 1294), (9.81, 1099, 1328)])
+    def test_baseline_run_ends_before_the_hold(self, baseline, monkeypatch,
+                                               gravity, steps,
+                                               full_hold_steps):
+        made = dynamics._rk4_stepper
+        count = 0
+
+        def counting_stepper(design, dt):
+            step = made(design, dt)
+
+            def counted(*state):
+                nonlocal count
+                count += 1
+                return step(*state)
+            return counted
+
+        monkeypatch.setattr(dynamics, "_rk4_stepper", counting_stepper)
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        assert closing_time(d, 5.0 * minimal_trigger_impulse(d)).triggered
+        assert count == steps < full_hold_steps
 
 
 class TestNaturalFrequency:

@@ -483,12 +483,15 @@ class TestGradients:
 class TestScalarClosures:
     """The float closures equal the array functions bit for bit."""
 
-    # 100,001 angles across the window, plus both sides of the series switch.
+    # 100,001 angles across the window, plus both sides of the series switch
+    # and the signed zeros and subnormals where a dropped 0.0 + x would flip
+    # the sign of a zero.
     ANGLES = np.concatenate([
         np.linspace(-math.pi, math.pi, 100_001),
         [ARC_SERIES_SWITCH, -ARC_SERIES_SWITCH,
          np.nextafter(ARC_SERIES_SWITCH, 0.0),
-         np.nextafter(-ARC_SERIES_SWITCH, 0.0), 0.0, 1e-300]])
+         np.nextafter(-ARC_SERIES_SWITCH, 0.0), 0.0, 1e-300,
+         -0.0, -1e-300, 5e-324, -5e-324]])
 
     @staticmethod
     def _bits(values):
