@@ -15,8 +15,9 @@ after one warm-up run; the JSON printed on stdout gives every run's
 time, their median, and how often the layer called
 ``gradient_1dof`` (array form), ``find_equilibria_1dof``,
 ``chain_gradient``, ``chain_hessian`` and ``moment_curvature``.  The
-counts include calls made inside the model: each ``chain_hessian`` call
-adds its two stacked ``chain_gradient`` calls, and each array-form Yeoh
+counts include calls made inside the model: each ``chain_hessian`` and
+``chain_gradient_hessian`` call adds its one stacked ``chain_gradient``
+call (rows phi and phi +- h e_k), and each array-form Yeoh
 ``gradient_1dof`` or ``chain_gradient`` call its ``moment_curvature``
 call.  The Yeoh float closures (``scalar_gradient``, ``scalar_energy``)
 and the Yeoh bend energy evaluate the closed form themselves and make no
@@ -25,22 +26,24 @@ and the Yeoh bend energy evaluate the closed form themselves and make no
 impulse, without gravity and at g = 9.81; their equilibrium reports are
 solved outside the timer.  The ``design_metrics`` layers use the same
 factor, since the default 1.5 never closes the baseline and would time a
-run that stops below the barrier.  The chain layers evaluate the uniform chain at
-the open-state tip angle with n = 8, 32 and 128 segments, without
-gravity and at g = 9.81.  The ``yeoh_`` layers repeat the main 1-DOF and n = 32 chain
-layers on the baseline design with a Yeoh finger (c10 = 1e5 Pa).  The
-``saddle_`` layers time ``saddle_search_chain`` alone, at n = 2, g = 0.3
-and at g = 9.81 with n = 4, 8 and 32; their two minima are solved outside
-the timer.  The ``continuation_`` layers ramp the baseline's closing
-moment to 1.5 times its trigger moment in 50 and 200 steps, without
-gravity and at g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in
-1,000 steps on a ``solver.grid_n`` = 10^5 scan grid, where the cost of
-each load step's walk shows.  The ``cli_snapthrough_cold`` layer runs
-``python -m snapgrip.cli snapthrough --config configs/baseline.cfg`` in a
-fresh interpreter that imports ``--src``, so it includes start-up and
-imports; besides its wall time it records the child's CPU time (user +
-system, from the ``os.wait4`` rusage) as ``cpu_median_s`` and
-``cpu_runs_s``, and it has no call counts.
+run that stops below the barrier.  The chain layers evaluate the uniform
+chain at the open-state tip angle with n = 8, 32 and 128 segments, without
+gravity and at g = 9.81; a ``--src`` checkout without
+``chain_gradient_hessian`` skips its layers.  The ``yeoh_`` layers repeat
+the main 1-DOF and n = 32 chain layers on the baseline design with a Yeoh
+finger (c10 = 1e5 Pa).  The ``saddle_`` layers time ``saddle_search_chain``
+alone, at n = 2, g = 0.3 and at g = 9.81 with n = 4, 8 and 32; their two
+minima are solved outside the timer.  The ``find_equilibria_chain_`` layers
+solve those minima from the designs' ``default_chain_seeds``, built outside
+the timer.  The ``continuation_`` layers ramp the baseline's closing moment
+to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
+g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
+``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
+shows.  The ``cli_snapthrough_cold`` layer runs ``python -m snapgrip.cli
+snapthrough --config configs/baseline.cfg`` in a fresh interpreter that
+imports ``--src``, so it includes start-up and imports; besides its wall
+time it records the child's CPU time (user + system, from the ``os.wait4``
+rusage) as ``cpu_median_s`` and ``cpu_runs_s``, and it has no call counts.
 """
 
 import argparse
@@ -99,9 +102,12 @@ def one_dof_layers(design):
 
 
 def chain_layers(design):
+    from snapgrip import model
     from snapgrip.model import (chain_energy, chain_gradient, chain_hessian,
                                 set_design_value, uniform_chain)
     from snapgrip.statics import find_equilibria_1dof
+
+    fused = getattr(model, "chain_gradient_hessian", None)
 
     open_theta = find_equilibria_1dof(design).open_state.theta
     chain = []
@@ -118,6 +124,9 @@ def chain_layers(design):
                  repeated(100, chain_gradient, phi, d)),
                 (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
             ]
+            if fused is not None:
+                chain.append((f"chain_gradient_hessian_{tag}",
+                              repeated(1, fused, phi, d)))
     return chain
 
 
@@ -126,15 +135,19 @@ def saddle_layers(design):
     from snapgrip.statics import (default_chain_seeds, find_equilibria_chain,
                                   saddle_search_chain)
 
-    saddles = []
+    minima, saddles = [], []
     for n, g in ((2, 0.3), (4, 9.81), (8, 9.81), (32, 9.81)):
         d = set_design_value(set_design_value(
             design, "finger.n_segments", n), "gripper.gravity", g)
-        ends = [e.configuration for e in find_equilibria_chain(
-            d, default_chain_seeds(d)) if e.stable]
+        seeds = default_chain_seeds(d)
+        ends = [e.configuration for e in find_equilibria_chain(d, seeds)
+                if e.stable]
+        minima.append((f"find_equilibria_chain_n{n}_g{g:g}",
+                       lambda d=d, seeds=seeds: find_equilibria_chain(d,
+                                                                      seeds)))
         saddles.append((f"saddle_n{n}_g{g:g}",
                         lambda d=d, ends=ends: saddle_search_chain(d, *ends)))
-    return saddles
+    return minima + saddles
 
 
 def continuation_layers(design):

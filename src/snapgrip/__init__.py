@@ -21,7 +21,8 @@ try:
     from .model import (ChainConfiguration, CrossSection, EnergyLandscape,
                         FingerDesign, GripperDesign, LinearElastic,
                         RingDesign, Yeoh, chain_energy, chain_gradient,
-                        chain_hessian, finger_energy_1dof, forward_kinematics,
+                        chain_gradient_hessian, chain_hessian,
+                        finger_energy_1dof, forward_kinematics,
                         gradient_1dof, gravity_energy_1dof, moment_curvature,
                         ring_energy_1dof, sample_landscape, set_design_value,
                         total_energy_1dof)

@@ -19,7 +19,7 @@ from .config import (build_design, build_solver_settings, load_config,
                      serialize_config)
 from .dynamics import (closing_time, gravity_trigger_check,
                        minimal_trigger_impulse, simulate_1dof)
-from .errors import DomainError, InvalidArgumentError
+from .errors import BudgetExceededError, DomainError, InvalidArgumentError
 from .explore import (SweepSpec, grip_force_estimate, reproduce_fea_cases,
                       run_sweep, tune_ring_width)
 from .model import MAX_GRID_POINTS, sample_landscape, set_design_value
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_param(spec: str):
+def _parse_param(spec: str, budget: int):
     if "=" not in spec:
         raise DomainError(f"bad --param {spec!r}: expected PATH=VALUES")
     path, _, values = spec.partition("=")
@@ -120,6 +120,11 @@ def _parse_param(spec: str):
             if n < 1:
                 raise DomainError(f"bad --param range {values!r}: "
                                   "N must be at least 1")
+            # Refused before np.linspace allocates N values.
+            if n > budget:
+                raise BudgetExceededError(
+                    f"sweep would evaluate at least {n} design points, "
+                    f"budget is {budget}")
             points = tuple(np.linspace(lo, hi, n))
         else:
             points = tuple(float(v) for v in values.split(","))
@@ -257,7 +262,8 @@ def _dispatch(args) -> int:
               f"margin = {fmt(margin)} J")
 
     elif args.command == "sweep":
-        params = tuple(_parse_param(s) for s in args.param)
+        params = tuple(_parse_param(s, settings.sweep_budget)
+                       for s in args.param)
         spec = SweepSpec(parameters=params, budget=settings.sweep_budget,
                          include_closing_time=not args.no_closing_time,
                          include_grip_force=not args.no_grip_force,

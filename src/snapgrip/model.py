@@ -889,14 +889,26 @@ def chain_gradient(angles, design: GripperDesign) -> np.ndarray:
     return grad
 
 
-def chain_hessian(angles, design: GripperDesign) -> np.ndarray:
-    """Hessian by central differences of two stacked gradient calls."""
+def chain_gradient_hessian(angles, design: GripperDesign) -> tuple:
+    """Gradient and central-difference Hessian from one stacked gradient call.
+
+    The stack holds phi itself (not phi + 0.0, which would turn -0.0 into
+    +0.0), then phi + h e_k and phi - h e_k for each joint k; each row gets
+    the bits a call on it alone gives.  Stacks give stacked results.
+    """
     h = DIFFERENCE_STEP
     phi = _check_chain(angles, design.finger)[..., None, :]
-    step = h * np.eye(phi.shape[-1])
-    hess = (chain_gradient(phi + step, design)
-            - chain_gradient(phi - step, design)) / (2.0 * h)
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    n = phi.shape[-1]
+    step = h * np.eye(n)
+    grads = chain_gradient(np.concatenate(
+        (phi, phi + step, phi - step), axis=-2), design)
+    hess = (grads[..., 1:n + 1, :] - grads[..., n + 1:, :]) / (2.0 * h)
+    return grads[..., 0, :], 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def chain_hessian(angles, design: GripperDesign) -> np.ndarray:
+    """Hessian by central differences of the joint gradients."""
+    return chain_gradient_hessian(angles, design)[1]
 
 
 def forward_kinematics(angles, finger: FingerDesign) -> np.ndarray:

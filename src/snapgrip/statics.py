@@ -11,8 +11,8 @@ import numpy as np
 from .errors import (InvalidArgumentError, NonConvergenceError,
                      NotBistableError, SaddleOrderError)
 from .model import (MAX_GRID_POINTS, ChainConfiguration, GripperDesign,
-                    chain_energy, chain_gradient, chain_hessian,
-                    gradient_1dof, scalar_gradient, second_derivative_1dof,
+                    chain_energy, chain_gradient_hessian, gradient_1dof,
+                    scalar_gradient, second_derivative_1dof,
                     total_energy_1dof, uniform_chain)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
@@ -281,14 +281,18 @@ CHAIN_GRAD_TOL = 1e-9
 
 
 def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
-    """Damped Newton iteration to a stationary point of the chain energy."""
+    """Damped Newton iteration to a stationary point of the chain energy.
+
+    Returns the point and its Hessian, or None.  Each seed and line-search
+    candidate takes its gradient and Hessian from one stacked call, so an
+    accepted candidate brings the Hessian of the next step with it.
+    """
     phi = np.array(phi0, dtype=float)
-    g = chain_gradient(phi, design)
+    g, hess = chain_gradient_hessian(phi, design)
     for _ in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < tol:
-            return phi
-        hess = chain_hessian(phi, design)
+            return phi, hess
         lam = 0.0
         scale = float(np.max(np.abs(hess))) or 1.0
         for _ in range(12):
@@ -302,19 +306,20 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
         alpha = 1.0
         for _ in range(40):
             cand = phi + alpha * step
-            g_new = chain_gradient(cand, design)
+            g_new, hess_new = chain_gradient_hessian(cand, design)
             if float(np.max(np.abs(g_new))) < max(gnorm * (1.0 - 1e-4), tol):
-                phi, g = cand, g_new
+                phi, g, hess = cand, g_new, hess_new
                 break
             alpha *= 0.5
         else:
             return None
-    return phi if float(np.max(np.abs(g))) < tol else None
+    return (phi, hess) if float(np.max(np.abs(g))) < tol else None
 
 
-def _chain_equilibrium(design, phi):
-    """The chain equilibrium at ``phi`` and its ascending Hessian spectrum."""
-    eigs = np.linalg.eigvalsh(chain_hessian(phi, design))
+def _chain_equilibrium(design, phi, hess):
+    """The chain equilibrium at ``phi``, whose Hessian is ``hess``, and its
+    ascending Hessian spectrum."""
+    eigs = np.linalg.eigvalsh(hess)
     return Equilibrium(theta=float(np.sum(phi)),
                        energy=float(chain_energy(phi, design)),
                        stable=bool(np.all(eigs > 0.0)),
@@ -328,23 +333,24 @@ def find_equilibria_chain(design: GripperDesign,
 
     Per-seed non-convergence is skipped, not fatal.  Results are sorted by
     tip angle; duplicates within the merge tolerance keep the lowest-energy
-    representative.
+    representative, with its own Hessian.
     """
     converged = []
     for seed in seeds:
-        phi = _chain_newton(design, seed)
-        if phi is not None:
-            converged.append(phi)
+        point = _chain_newton(design, seed)
+        if point is not None:
+            converged.append(point)
     merged = []
-    for phi in converged:
-        for k, other in enumerate(merged):
+    for phi, hess in converged:
+        for k, (other, _) in enumerate(merged):
             if float(np.max(np.abs(phi - other))) < MERGE_TOL:
                 if chain_energy(phi, design) < chain_energy(other, design):
-                    merged[k] = phi
+                    merged[k] = phi, hess
                 break
         else:
-            merged.append(phi)
-    result = [_chain_equilibrium(design, phi)[0] for phi in merged]
+            merged.append((phi, hess))
+    result = [_chain_equilibrium(design, phi, hess)[0]
+              for phi, hess in merged]
     result.sort(key=lambda e: e.theta)
     return result
 
@@ -371,20 +377,21 @@ def saddle_search_chain(design: GripperDesign, minimum_a,
     eigenvalue.
     """
     ends = np.array([minimum_a, minimum_b], dtype=float)
-    if float(np.max(np.abs(chain_gradient(ends, design)))) > 1e-6:
+    grads, hessians = chain_gradient_hessian(ends, design)
+    if float(np.max(np.abs(grads))) > 1e-6:
         raise InvalidArgumentError(
             "saddle search endpoints must be converged equilibria")
-    if not np.all(np.linalg.eigvalsh(chain_hessian(ends, design)) > 0):
+    if not np.all(np.linalg.eigvalsh(hessians) > 0):
         raise InvalidArgumentError(
             "saddle search endpoints must be stable equilibria")
     frac = np.linspace(0.0, 1.0, 11)[:, None]
     path = (1.0 - frac) * ends[0] + frac * ends[1]
     seed = path[1 + int(np.argmax(chain_energy(path[1:-1], design)))]
-    phi = _chain_newton(design, seed, tol=1e-10)
-    if phi is None:
+    point = _chain_newton(design, seed, tol=1e-10)
+    if point is None:
         raise NonConvergenceError("Newton iteration from the highest point "
                                   "of the straight path did not converge")
-    eq, eigs = _chain_equilibrium(design, phi)
+    eq, eigs = _chain_equilibrium(design, *point)
     n_neg = int(np.sum(eigs < 0.0))
     if n_neg != 1:
         raise SaddleOrderError(

@@ -358,6 +358,19 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not (out / "sweep.csv").exists()
 
+    def test_oversized_sweep_range_is_refused_before_allocation(self,
+                                                               tmp_path):
+        # 10**15 float64 values would take 7.1 PiB.
+        res = run_cli("sweep", "--param",
+                      f"ring.stiffness=0.1:0.2:{10 ** 15}",
+                      "--config", str(BASELINE_CFG),
+                      "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "snapgrip: error: sweep would evaluate at least "
+            "1000000000000000 design points, budget is 1000000"]
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("param", ["ring.stiffness=abc",
                                        "ring.stiffness=0.1:0.2:x",
                                        "ring.well_center=nan",

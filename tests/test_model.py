@@ -15,7 +15,8 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             YEOH_SERIES_SWITCH,
                             ChainConfiguration, CrossSection, FingerDesign,
                             GripperDesign, LinearElastic, RingDesign, Yeoh,
-                            chain_energy, chain_gradient, chain_hessian,
+                            chain_energy, chain_gradient,
+                            chain_gradient_hessian, chain_hessian,
                             finger_energy_1dof, finger_gradient_1dof,
                             forward_kinematics, gradient_1dof,
                             gravity_energy_1dof, gravity_gradient_1dof,
@@ -668,6 +669,56 @@ class TestChainArrays:
             np.testing.assert_array_equal(
                 self._bits(hessians[j]),
                 self._bits(chain_hessian(stack[0, j], d)))
+
+    @staticmethod
+    def _separate_calls(phi, d):
+        """The gradient and the central-difference Hessian as separate
+        ``chain_gradient`` calls on phi, phi + h I and phi - h I."""
+        h = model.DIFFERENCE_STEP
+        rows = np.asarray(phi, dtype=float)[..., None, :]
+        step = h * np.eye(rows.shape[-1])
+        hess = (chain_gradient(rows + step, d)
+                - chain_gradient(rows - step, d)) / (2.0 * h)
+        return (chain_gradient(phi, d),
+                0.5 * (hess + np.swapaxes(hess, -1, -2)))
+
+    @pytest.mark.parametrize("material", ["linear", "yeoh"])
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_fused_gradient_hessian_equals_separate_calls(
+            self, baseline, n, gravity, material):
+        d = _chain_design(baseline, n, gravity, 0.01)
+        if material == "yeoh":
+            d = replace(d, finger=replace(d.finger,
+                                          material=Yeoh(1.0e5, 2.0e4, 0.0)))
+        stack = np.random.default_rng(n).uniform(-0.6, 0.6, (2, 3, n))
+        stack[..., ::4] *= 0.01
+        for phi in (stack, stack[1], stack[1, 2]):
+            grad, hess = chain_gradient_hessian(phi, d)
+            ref_grad, ref_hess = self._separate_calls(phi, d)
+            assert grad.shape == phi.shape
+            assert hess.shape == phi.shape + (n,)
+            np.testing.assert_array_equal(self._bits(grad),
+                                          self._bits(ref_grad))
+            np.testing.assert_array_equal(self._bits(hess),
+                                          self._bits(ref_hess))
+            np.testing.assert_array_equal(self._bits(chain_hessian(phi, d)),
+                                          self._bits(ref_hess))
+
+    def test_fused_gradient_keeps_negative_zero(self, baseline):
+        # Straight rest shape, no gravity: the joints past the ring carry
+        # a bend moment of EI/ell * (-0.0 - 0.0) = -0.0, which phi + 0.0
+        # would turn into +0.0.
+        d = set_design_value(_chain_design(baseline, 8, 0.0),
+                             "finger.natural_curvature", 0.0)
+        phi = np.full(8, -0.0)
+        phi[::2] = 0.3
+        grad, hess = chain_gradient_hessian(phi, d)
+        ref_grad, ref_hess = self._separate_calls(phi, d)
+        np.testing.assert_array_equal(self._bits(grad), self._bits(ref_grad))
+        np.testing.assert_array_equal(self._bits(hess), self._bits(ref_hess))
+        assert np.any(self._bits(grad)
+                      != self._bits(chain_gradient(phi + 0.0, d)))
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_hessian_without_gravity_is_elastic_plus_ring(self, baseline, n):

@@ -1,6 +1,8 @@
 """Equilibrium, barrier, trigger, continuation and chain statics tests."""
 
+import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +12,11 @@ import snapgrip.statics as statics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonConvergenceError, NotBistableError,
                              SaddleOrderError)
-from snapgrip.model import (MAX_GRID_POINTS, SolveWindow, Yeoh,
+from snapgrip.model import (MAX_GRID_POINTS, ChainConfiguration,
+                            SolveWindow, Yeoh,
                             set_design_value, total_energy_1dof,
-                            gradient_1dof, chain_gradient, chain_hessian,
+                            gradient_1dof, chain_energy, chain_gradient,
+                            chain_hessian,
                             second_derivative_1dof, uniform_chain)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
@@ -599,3 +603,161 @@ class TestChainStatics:
         bad = uniform_chain(d, 0.0)  # not an equilibrium
         with pytest.raises(ValueError):
             saddle_search_chain(d, bad, stable[1].configuration)
+
+    # sha256 of every chain minimum and saddle over a grid of designs
+    # (linear and Yeoh, n = 1-32, g = 0-9.81, ring stiffness 0.115-0.135),
+    # recorded from the Newton solver that took each step's gradient and
+    # Hessian from separate calls.  Each entry packs theta, energy,
+    # stability, curvature and the configuration's bytes.
+    CHAIN_GRID_DIGEST = ("d669305142e37c4b84ff0040d97958eb"
+                         "7f2052f38a31b0f65f80c77a51283dfb")
+
+    def test_chain_grid_matches_frozen_digest(self, baseline):
+        yeoh = replace(baseline, finger=replace(
+            baseline.finger, material=Yeoh(1.0e5, 2.0e4, 0.0)))
+        digest, entries = hashlib.sha256(), 0
+
+        def add(eq):
+            nonlocal entries
+            digest.update(struct.pack("<dd?d", eq.theta, eq.energy,
+                                      eq.stable, eq.curvature)
+                          + eq.configuration.packed)
+            entries += 1
+
+        for material in (baseline, yeoh):
+            for n in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32):
+                for gravity in (0.0, 0.3, 9.81):
+                    for stiffness in (0.115, 0.125, 0.135):
+                        d = set_design_value(material, "finger.n_segments", n)
+                        d = set_design_value(d, "gripper.gravity", gravity)
+                        d = set_design_value(d, "ring.stiffness", stiffness)
+                        eqs = find_equilibria_chain(d, default_chain_seeds(d))
+                        for eq in eqs:
+                            add(eq)
+                        stable = [e for e in eqs if e.stable]
+                        add(saddle_search_chain(d, stable[0].configuration,
+                                                stable[-1].configuration))
+        assert entries == 540
+        assert digest.hexdigest() == self.CHAIN_GRID_DIGEST
+
+
+class TestChainNewton:
+    """Every point the chain Newton solver returns, or the seed merge
+    keeps, carries the Hessian of that same point."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    @staticmethod
+    def _fake_model(monkeypatch, gradient, hessian):
+        """Replace the model seen by ``_chain_newton``; returns a dict from
+        each evaluated point's bytes to the Hessian object given for it."""
+        given = {}
+
+        def fake(phi, design):
+            hess = np.array(hessian(phi), dtype=float)
+            given[phi.tobytes()] = hess
+            return np.array(gradient(phi), dtype=float), hess
+
+        monkeypatch.setattr(statics, "chain_gradient_hessian", fake)
+        return given
+
+    @staticmethod
+    def _spy_equilibria(monkeypatch):
+        """Record the (point, Hessian) pair of each ``_chain_equilibrium``
+        call."""
+        pairs = []
+        real = statics._chain_equilibrium
+
+        def spy(design, phi, hess):
+            pairs.append((phi, hess))
+            return real(design, phi, hess)
+
+        monkeypatch.setattr(statics, "_chain_equilibrium", spy)
+        return pairs
+
+    def _check_pairs(self, design, pairs):
+        for phi, hess in pairs:
+            np.testing.assert_array_equal(
+                self._bits(hess), self._bits(chain_hessian(phi, design)))
+
+    def test_solved_points_carry_their_own_hessian(self, baseline,
+                                                   monkeypatch):
+        d = set_design_value(set_design_value(
+            baseline, "finger.n_segments", 8), "gripper.gravity", 9.81)
+        pairs = self._spy_equilibria(monkeypatch)
+        open_, closed = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d)) if e.stable]
+        saddle_search_chain(d, open_.configuration, closed.configuration)
+        assert len(pairs) == 3
+        self._check_pairs(d, pairs)
+
+    def test_singular_hessian_is_shifted(self, monkeypatch):
+        # E = (phi_0 - 1)^2 / 2 is flat along phi_1, so its Hessian is
+        # exactly singular; the first shift, 1e-12 of its largest entry,
+        # makes it solvable.
+        given = self._fake_model(
+            monkeypatch, lambda phi: [phi[0] - 1.0, 0.0],
+            lambda phi: [[1.0, 0.0], [0.0, 0.0]])
+        phi, hess = statics._chain_newton(None, [3.0, 0.5])
+        assert phi[0] == pytest.approx(1.0, abs=1e-9) and phi[1] == 0.5
+        assert hess is given[phi.tobytes()]
+
+    def test_hessian_singular_under_every_shift_fails(self, monkeypatch):
+        # The shift goes 0, then 1e-12, 1e-11, ... 1e-2 of the largest
+        # entry, computed as the solver does; one diagonal entry cancels
+        # each shift exactly.
+        shifts = [0.0]
+        for _ in range(11):
+            shifts.append(max(shifts[-1] * 10.0, 1e-12 * 1.0))
+        diagonal = np.array([1.0] + [-lam for lam in shifts])
+        given = self._fake_model(monkeypatch, lambda phi: np.ones(13),
+                                 lambda phi: np.diag(diagonal))
+        assert statics._chain_newton(None, np.zeros(13)) is None
+        assert len(given) == 1
+
+    def test_step_that_never_descends_fails(self, monkeypatch):
+        given = self._fake_model(monkeypatch, lambda phi: [1.0, 1.0],
+                                 lambda phi: np.eye(2))
+        assert statics._chain_newton(None, [0.0, 0.0]) is None
+        assert len(given) == 1 + 40     # the seed and 40 halvings
+
+    def test_iteration_limit(self, baseline):
+        d = set_design_value(set_design_value(
+            baseline, "finger.n_segments", 8), "gripper.gravity", 9.81)
+        seed = default_chain_seeds(d)[1]
+        steps = next(m for m in range(1, 50)
+                     if statics._chain_newton(d, seed, max_iter=m)
+                     is not None)
+        assert steps >= 2
+        assert statics._chain_newton(d, seed, max_iter=steps - 1) is None
+        # The limit is reached on the step that converges.
+        phi, hess = statics._chain_newton(d, seed, max_iter=steps)
+        assert float(np.max(np.abs(chain_gradient(phi, d)))) \
+            < statics.CHAIN_GRAD_TOL
+        self._check_pairs(d, [(phi, hess)])
+        np.testing.assert_array_equal(
+            phi, statics._chain_newton(d, seed)[0])
+
+    def test_merge_keeps_the_lower_point_with_its_hessian(self, baseline,
+                                                          monkeypatch):
+        d = set_design_value(set_design_value(
+            baseline, "finger.n_segments", 4), "gripper.gravity", 9.81)
+        first = uniform_chain(d, 0.5)
+        g = chain_gradient(first, d)
+        second = first - 1e-7 * g / float(np.max(np.abs(g)))
+        assert chain_energy(second, d) < chain_energy(first, d)
+        hessians = {p.tobytes(): chain_hessian(p, d) for p in (first, second)}
+        monkeypatch.setattr(
+            statics, "_chain_newton",
+            lambda design, seed: (seed, hessians[seed.tobytes()]))
+        pairs = self._spy_equilibria(monkeypatch)
+        for seeds in ([first, second], [second, first]):
+            pairs.clear()
+            (eq,) = find_equilibria_chain(d, seeds)
+            assert eq.configuration == ChainConfiguration(second)
+            ((phi, hess),) = pairs
+            assert hess is hessians[second.tobytes()]
+            assert eq.curvature == float(np.linalg.eigvalsh(hess)[0])
+            self._check_pairs(d, pairs)
