@@ -34,7 +34,8 @@ class NonConvergenceError(DomainError):
 
 
 class NonFiniteStateError(DomainError):
-    """An integrated state left the range of finite floating-point numbers."""
+    """An integrated state or a sampled energy left the range of finite
+    floating-point numbers."""
 
 
 class SaddleOrderError(DomainError):

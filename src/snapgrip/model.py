@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
-                     InvalidDesignError)
+                     InvalidDesignError, NonFiniteStateError)
 
 # Below this bend angle ``tip_chord`` switches to its 2nd-order series to
 # avoid 0/0.  The arc terms of the gravity model switch at
@@ -110,6 +110,14 @@ class CrossSection:
             raise InvalidDesignError(
                 f"cross-section width/thickness must be finite and > 0, "
                 f"got {self.width} x {self.thickness}")
+        try:
+            finite = self.second_moment < math.inf
+        except OverflowError:       # thickness ** 3 beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidDesignError(
+                f"cross-section second moment must be finite, "
+                f"got {self.width} x {self.thickness}")
 
     @property
     def second_moment(self) -> float:
@@ -184,9 +192,11 @@ class RingDesign:
         if not math.isfinite(self.well_center):
             raise InvalidDesignError(
                 f"well_center must be finite, got {self.well_center}")
-        if not (0 < self.well_halfwidth < math.inf):
-            raise InvalidDesignError(f"well_halfwidth must be finite and "
-                                     f"> 0, got {self.well_halfwidth}")
+        # The ring terms divide by well_halfwidth * well_halfwidth.
+        d = self.well_halfwidth
+        if not (0 < d < math.inf and 0 < d * d < math.inf):
+            raise InvalidDesignError(f"well_halfwidth must be > 0 with a "
+                                     f"finite, non-zero square, got {d}")
         if not (0 <= self.stiffness < math.inf):
             raise InvalidDesignError(
                 f"stiffness must be finite and >= 0, got {self.stiffness}")
@@ -775,9 +785,16 @@ def second_derivative_1dof(theta, design: GripperDesign):
 
 
 def sample_landscape(design: GripperDesign, theta_grid) -> EnergyLandscape:
+    """Energy components on ``theta_grid``; raises NonFiniteStateError
+    if the total energy is not finite at every sample."""
     grid = np.asarray(theta_grid, dtype=float)
-    f, r, g = energy_components_1dof(grid, design)
-    return EnergyLandscape(theta_grid=grid, total=f + r + g,
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, r, g = energy_components_1dof(grid, design)
+        total = f + r + g
+    if not np.isfinite(total).all():
+        raise NonFiniteStateError("the energy is not finite at every "
+                                  "landscape sample")
+    return EnergyLandscape(theta_grid=grid, total=total,
                            finger=f, ring=r, gravity=g)
 
 

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (InvalidArgumentError, NonConvergenceError,
-                     NotBistableError, SaddleOrderError)
+                     NonFiniteStateError, NotBistableError, SaddleOrderError)
 from .model import (MAX_GRID_POINTS, ChainConfiguration, GripperDesign,
                     chain_energy, chain_gradient_hessian, gradient_1dof,
                     scalar_gradient, second_derivative_1dof,
@@ -103,10 +103,15 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
 
 def _scan_equilibria(design: GripperDesign):
     """(equilibria sorted by bend angle, window grid, ``gradient_1dof`` on
-    the grid) of ``find_equilibria_1dof``."""
+    the grid) of ``find_equilibria_1dof``; raises NonFiniteStateError if
+    the gradient is not finite at every grid point."""
     window = design.window
     grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
-    g = np.asarray(gradient_1dof(grid, design), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(gradient_1dof(grid, design), dtype=float)
+    if not np.isfinite(g).all():
+        raise NonFiniteStateError("the energy gradient is not finite at "
+                                  "every point of the solve window grid")
     gradient = scalar_gradient(design)
     # A grid point where the gradient is exactly zero is a root as it
     # stands; a cell whose ends differ in sign is bisected unless its left

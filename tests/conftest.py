@@ -1,13 +1,19 @@
 """Shared fixtures: the shipped baseline design and solver settings, and the
-one way the suite starts the CLI."""
+two ways the suite runs the CLI: ``run_main`` calls ``snapgrip.cli.main``
+in the test process, ``run_cli`` starts a fresh ``python -m snapgrip.cli``
+for the tests where a new interpreter is the point."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from snapgrip.cli import main
 from snapgrip.config import build_design, build_solver_settings, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +40,36 @@ def run_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "snapgrip.cli", *args],
                           capture_output=True, text=True, cwd=cwd,
                           env=child_env())
+
+
+def run_main(*args, cwd):
+    """Call ``snapgrip.cli.main(list(args))`` in ``cwd`` and capture its
+    output, in the form ``run_cli`` returns.
+
+    A warning raised during the call is written to the captured stderr as
+    the interpreter prints it, once per location, so a check on stderr
+    sees what a real process would print. An exception that escapes
+    ``main`` propagates and fails the test.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+    old_cwd = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            returncode = main(list(args))
+    finally:
+        os.chdir(old_cwd)
+    return subprocess.CompletedProcess(["snapgrip", *args], returncode,
+                                       stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture(scope="session")

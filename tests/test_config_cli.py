@@ -11,13 +11,18 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from snapgrip.config import (ConfigDocument, build_design,
                              build_solver_settings, default_config,
                              load_config, parse_config, serialize_config)
+from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
+                               simulate_1dof)
 from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
+from snapgrip.explore import (grip_force_estimate, reproduce_fea_cases,
+                              tune_ring_width)
 from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
                             FingerDesign, GripperDesign, LinearElastic,
                             RingDesign, SolveWindow, Yeoh, set_design_value)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
-from snapgrip.statics import snap_through_energy
-from tests.conftest import BASELINE_CFG, child_env, run_cli
+from snapgrip.statics import (continuation_ramped_load, snap_through_energy,
+                              trigger_moment)
+from tests.conftest import BASELINE_CFG, child_env, run_cli, run_main
 
 
 class TestParseConfig:
@@ -256,11 +261,22 @@ class TestSvg:
         assert svg_line_plot(*args) == svg_line_plot(*args)
 
 
+def write_config(directory, overrides):
+    """``directory/run.cfg``: the baseline configuration with the keys of
+    ``overrides`` replaced."""
+    lines = [line for line in BASELINE_CFG.read_text().splitlines()
+             if line.partition("=")[0].strip() not in overrides]
+    lines += [f"{key} = {value}" for key, value in overrides.items()]
+    cfg = directory / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
 class TestCli:
 
     def test_snapthrough_matches_library_value(self, tmp_path, baseline):
-        res = run_cli("snapthrough", "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("snapthrough", "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 0
         assert float(res.stdout.strip()) == pytest.approx(
             snap_through_energy(baseline), rel=1e-12)
@@ -274,8 +290,8 @@ class TestCli:
     def test_monostable_design_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "mono.cfg"
         cfg.write_text("ring.stiffness = 0\n")
-        res = run_cli("snapthrough", "--config", str(cfg),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("snapthrough", "--config", str(cfg),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert "not bistable" in res.stderr
         assert "Traceback" not in res.stderr
@@ -283,8 +299,8 @@ class TestCli:
     def test_equilibria_on_monostable_design_succeeds(self, tmp_path):
         cfg = tmp_path / "mono.cfg"
         cfg.write_text("ring.stiffness = 0\n")
-        res = run_cli("equilibria", "--config", str(cfg),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("equilibria", "--config", str(cfg),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 0
         lines = (tmp_path / "equilibria.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus the single rest state
@@ -292,33 +308,33 @@ class TestCli:
     def test_bad_config_value_exits_2_with_line_number(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("ring.stiffness = -1\n")
-        res = run_cli("equilibria", "--config", str(cfg),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("equilibria", "--config", str(cfg),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert "line 1" in res.stderr
 
     def test_missing_config_flag_exits_1(self, tmp_path):
-        res = run_cli("equilibria", cwd=tmp_path)
+        res = run_main("equilibria", cwd=tmp_path)
         assert res.returncode == 1
         assert "usage:" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_unknown_command_exits_1(self, tmp_path):
-        res = run_cli("frobnicate", "--config", str(BASELINE_CFG),
-                      cwd=tmp_path)
+        res = run_main("frobnicate", "--config", str(BASELINE_CFG),
+                       cwd=tmp_path)
         assert res.returncode == 1
         assert "usage:" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path):
-        res = run_cli("equilibria", "--config", str(tmp_path / "no.cfg"),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("equilibria", "--config", str(tmp_path / "no.cfg"),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
 
     def test_trajectory_csv_headers(self, tmp_path):
-        res = run_cli("simulate", "--theta0", "-0.85", "--omega0", "5",
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("simulate", "--theta0", "-0.85", "--omega0", "5",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 0
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,theta,omega,U,kinetic,dissipated"
@@ -328,8 +344,8 @@ class TestCli:
         for name in ("a", "b"):
             out = tmp_path / name
             out.mkdir()
-            res = run_cli("landscape", "--plot", "--config",
-                          str(BASELINE_CFG), "--out", str(out), cwd=tmp_path)
+            res = run_main("landscape", "--plot", "--config",
+                           str(BASELINE_CFG), "--out", str(out), cwd=tmp_path)
             assert res.returncode == 0
             outs.append(out)
         assert (outs[0] / "landscape.csv").read_bytes() == \
@@ -338,10 +354,10 @@ class TestCli:
             (outs[1] / "landscape.svg").read_bytes()
 
     def test_sweep_rows_and_budget_error(self, tmp_path):
-        res = run_cli("sweep", "--param", "ring.stiffness=0.08:0.16:5",
-                      "--no-closing-time", "--no-grip-force",
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("sweep", "--param", "ring.stiffness=0.08:0.16:5",
+                       "--no-closing-time", "--no-grip-force",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 6
@@ -350,9 +366,9 @@ class TestCli:
         cfg.write_text(BASELINE_CFG.read_text() + "solver.sweep_budget = 4\n")
         out = tmp_path / "over_budget"
         out.mkdir()
-        res = run_cli("sweep", "--param", "ring.stiffness=0.08:0.16:5",
-                      "--no-closing-time", "--no-grip-force",
-                      "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+        res = run_main("sweep", "--param", "ring.stiffness=0.08:0.16:5",
+                       "--no-closing-time", "--no-grip-force",
+                       "--config", str(cfg), "--out", str(out), cwd=tmp_path)
         assert res.returncode == 2
         assert "budget" in res.stderr
         assert "Traceback" not in res.stderr
@@ -361,10 +377,10 @@ class TestCli:
     def test_oversized_sweep_range_is_refused_before_allocation(self,
                                                                tmp_path):
         # 10**15 float64 values would take 7.1 PiB.
-        res = run_cli("sweep", "--param",
-                      f"ring.stiffness=0.1:0.2:{10 ** 15}",
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("sweep", "--param",
+                       f"ring.stiffness=0.1:0.2:{10 ** 15}",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert res.stderr.splitlines() == [
             "snapgrip: error: sweep would evaluate at least "
@@ -374,11 +390,13 @@ class TestCli:
     @pytest.mark.parametrize("param", ["ring.stiffness=abc",
                                        "ring.stiffness=0.1:0.2:x",
                                        "ring.well_center=nan",
-                                       "ring.stiffness=0.1:0.2:0"])
+                                       "ring.stiffness=0.1:0.2:0",
+                                       "ring.stiffness",
+                                       "ring.stiffness=0.1:0.2"])
     def test_bad_or_empty_sweep_exits_2_without_table(self, tmp_path, param):
-        res = run_cli("sweep", "--param", param,
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("sweep", "--param", param,
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
@@ -386,9 +404,9 @@ class TestCli:
 
     @pytest.mark.parametrize("impulse", ["-1", "0"])
     def test_non_positive_impulse_exits_2(self, tmp_path, impulse):
-        res = run_cli("closingtime", "--impulse", impulse,
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("closingtime", "--impulse", impulse,
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
@@ -418,16 +436,19 @@ class TestCli:
         (["continuation", "--tau-max", "0.05",
           "--steps", str(MAX_GRID_POINTS + 1)], {}),
         (["equilibria"], {"solver.grid_n": str(MAX_GRID_POINTS + 1)}),
+        (["equilibria"], {"finger.thickness": "1e300"}),
+        (["equilibria"], {"ring.well_halfwidth": "1e-300"}),
+        (["equilibria"], {"ring.well_halfwidth": "1e300"}),
+        (["equilibria"], {"solver.theta_max": "1e300"}),
+        (["equilibria"], {"ring.well_center": "1e300"}),
+        (["landscape"], {"solver.theta_max": "1e300"}),
+        (["landscape"], {"ring.well_center": "1e300"}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):
-        lines = [line for line in BASELINE_CFG.read_text().splitlines()
-                 if line.partition("=")[0].strip() not in overrides]
-        lines += [f"{key} = {value}" for key, value in overrides.items()]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
-        res = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path),
-                      cwd=tmp_path)
+        cfg = write_config(tmp_path, overrides)
+        res = run_main(*argv, "--config", str(cfg), "--out", str(tmp_path),
+                       cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("snapgrip: error: ")
@@ -435,19 +456,19 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_fractional_segment_count_in_sweep_exits_2(self, tmp_path):
-        res = run_cli("sweep", "--param", "finger.n_segments=2.5,3",
-                      "--config", str(BASELINE_CFG),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("sweep", "--param", "finger.n_segments=2.5,3",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 2
         assert res.stderr == ("snapgrip: error: finger.n_segments must be "
                               "an integer, got 2.5\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_repeated_sweep_path_exits_2_without_table(self, tmp_path):
-        res = run_cli("sweep", "--param", "gripper.gravity=1,2",
-                      "--param", "gripper.gravity=3",
-                      "--config", str(BASELINE_CFG), "--out", "out",
-                      cwd=tmp_path)
+        res = run_main("sweep", "--param", "gripper.gravity=1,2",
+                       "--param", "gripper.gravity=3",
+                       "--config", str(BASELINE_CFG), "--out", "out",
+                       cwd=tmp_path)
         assert res.returncode == 2
         assert res.stderr.splitlines() == [
             "snapgrip: error: sweep parameter 'gripper.gravity' is given "
@@ -455,17 +476,17 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_failed_run_creates_no_output_directory(self, tmp_path):
-        res = run_cli("sweep", "--param", "finger.n_segments=2.5,3",
-                      "--config", str(BASELINE_CFG), "--out", "o2",
-                      cwd=tmp_path)
+        res = run_main("sweep", "--param", "finger.n_segments=2.5,3",
+                       "--config", str(BASELINE_CFG), "--out", "o2",
+                       cwd=tmp_path)
         assert res.returncode == 2
         assert not (tmp_path / "o2").exists()
 
     def test_continuation_leaving_the_window_exits_2(self, tmp_path):
         cfg = tmp_path / "narrow.cfg"
         cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
-        res = run_cli("continuation", "--tau-max", "0.05", "--config",
-                      str(cfg), "--out", "out", cwd=tmp_path)
+        res = run_main("continuation", "--tau-max", "0.05", "--config",
+                       str(cfg), "--out", "out", cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert "left the solve window" in res.stderr
@@ -484,8 +505,8 @@ class TestCli:
             config = tmp_path / "latin1.cfg"
             config.write_bytes("# r\xe9glage\n".encode("latin-1")
                                + BASELINE_CFG.read_bytes())
-        res = run_cli("snapthrough", "--config", str(config),
-                      "--out", str(out), cwd=tmp_path)
+        res = run_main("snapthrough", "--config", str(config),
+                       "--out", str(out), cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("snapgrip: error: ")
@@ -501,8 +522,8 @@ class TestCli:
         # window, so no subcommand may find two wells.
         cfg = tmp_path / "narrow.cfg"
         cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
-        res = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path),
-                      cwd=tmp_path)
+        res = run_main(*argv, "--config", str(cfg), "--out", str(tmp_path),
+                       cwd=tmp_path)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert "not bistable" in res.stderr
@@ -512,14 +533,14 @@ class TestCli:
     def test_narrow_window_in_sweep_and_gravitycheck(self, tmp_path):
         cfg = tmp_path / "narrow.cfg"
         cfg.write_text(BASELINE_CFG.read_text() + "solver.theta_max = 1.0\n")
-        res = run_cli("sweep", "--param", "ring.stiffness=0.1,0.12",
-                      "--config", str(cfg), "--out", str(tmp_path),
-                      cwd=tmp_path)
+        res = run_main("sweep", "--param", "ring.stiffness=0.1,0.12",
+                       "--config", str(cfg), "--out", str(tmp_path),
+                       cwd=tmp_path)
         assert res.returncode == 0
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["false", "false"]
-        res = run_cli("gravitycheck", "--config", str(cfg),
-                      "--out", str(tmp_path), cwd=tmp_path)
+        res = run_main("gravitycheck", "--config", str(cfg),
+                       "--out", str(tmp_path), cwd=tmp_path)
         assert res.returncode == 0
         assert res.stdout == "not triggered, margin = inf J\n"
 
@@ -529,14 +550,62 @@ class TestCli:
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(extra + BASELINE_CFG.read_text())
             out = tmp_path / name
-            res = run_cli("snapthrough", "--config", str(cfg),
-                          "--out", str(out), cwd=tmp_path)
+            res = run_main("snapthrough", "--config", str(cfg),
+                           "--out", str(out), cwd=tmp_path)
             assert res.returncode == 0
             manifest = (out / "run_manifest.txt").read_text().splitlines()
             digests.append([line for line in manifest
                             if line.startswith("config_sha256")])
         assert digests[0] == digests[1]
         assert len(digests[0]) == 1
+
+    @pytest.mark.parametrize("argv, outputs, header, expected", [
+        (["trigger"], ["trigger.csv"], "trigger_moment",
+         lambda d, s: fmt(trigger_moment(d)) + "\n"),
+        (["continuation", "--tau-max", "0.03", "--steps", "50"],
+         ["continuation.csv", "continuation_folds.csv"], "tau,theta,energy",
+         lambda d, s: str(len(continuation_ramped_load(
+             d, 0.03, 50).fold_points)) + " fold(s)\n"),
+        (["closingtime"], ["closingtime.csv"],
+         "triggered,closing_time,peak_velocity",
+         lambda d, s: fmt(closing_time(
+             d, s.impulse_factor * minimal_trigger_impulse(d)).closing_time)
+         + "\n"),
+        (["feacases", "--plot"], ["feacases.csv", "feacases.svg",
+                                  "feacases.txt"],
+         "case,bistable,open_energy,saddle_energy,snap_through,"
+         "trigger_moment,grip_force,closing_time",
+         lambda d, s: "".join(
+             f"{'SKIP' if a.skipped else 'PASS' if a.passed else 'FAIL'} "
+             f"{a.name}: {a.detail}\n" for a in reproduce_fea_cases(
+                 d, s.object_halfwidth, s.impulse_factor).assertions)),
+        (["tunering", "--target-barrier", "0.01"], ["tunering.csv"],
+         "width_scale,achieved_barrier",
+         lambda d, s: fmt(tune_ring_width(d, 0.01)) + "\n"),
+        (["gripforce"], ["gripforce.csv"], "object_halfwidth,grip_force",
+         lambda d, s: fmt(grip_force_estimate(d, s.object_halfwidth)) + "\n"),
+        (["simulate", "--theta0", "-0.85", "--omega0", "60", "--t-end",
+          "0.02", "--plot"], ["trajectory.csv", "trajectory.svg"],
+         "t,theta,omega,U,kinetic,dissipated", lambda d, s: ""),
+    ], ids=["trigger", "continuation", "closingtime", "feacases", "tunering",
+            "gripforce", "simulate"])
+    def test_success_path_matches_library(self, tmp_path, baseline, settings,
+                                          argv, outputs, header, expected):
+        res = run_main(*argv, "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout == expected(baseline, settings)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            outputs + ["run_manifest.txt"])
+        rows = (tmp_path / outputs[0]).read_text().splitlines()
+        assert rows[0] == header
+        if argv[0] == "simulate":
+            traj = simulate_1dof(baseline, -0.85, 60.0, dt=settings.dt,
+                                 t_end=0.02)
+            assert rows[-1].split(",")[:3] == [fmt(traj.times[-1]),
+                                               fmt(traj.thetas[-1]),
+                                               fmt(traj.velocities[-1])]
 
     def test_import_does_not_load_scipy(self, tmp_path):
         res = subprocess.run(
@@ -548,6 +617,93 @@ class TestCli:
     def test_version_flag(self, tmp_path):
         res = run_cli("--version", cwd=tmp_path)
         assert res.returncode == 0
+
+
+# One small run of each subcommand; the drawn configuration does the rest.
+FUZZ_COMMANDS = (
+    ["landscape", "--n", "101", "--plot"],
+    ["equilibria"],
+    ["snapthrough"],
+    ["trigger"],
+    ["gravitycheck"],
+    ["continuation", "--tau-max", "0.03", "--steps", "20"],
+    ["simulate", "--theta0", "-0.85", "--omega0", "60", "--t-end", "0.002",
+     "--plot"],
+    ["closingtime"],
+    ["sweep", "--param", "ring.stiffness=0.1,0.12"],
+    ["feacases"],
+    ["tunering", "--target-barrier", "0.01"],
+    ["gripforce"],
+)
+
+
+@st.composite
+def fuzz_overrides(draw):
+    """1-4 keys of the baseline configuration, each scaled by up to
+    10**+-3, negated, or set to 0, 1e-300 or 1e300."""
+    doc = load_config(BASELINE_CFG)
+    keys = draw(st.lists(st.sampled_from(sorted(KEY_SPECS)), min_size=1,
+                         max_size=4, unique=True))
+    overrides = {}
+    for key in keys:
+        if KEY_SPECS[key].kind is str:
+            overrides[key] = draw(st.sampled_from(["linear", "yeoh"]))
+            continue
+        base = float(doc[key]) or 1.0
+        value = draw(st.one_of(
+            st.floats(-3.0, 3.0).map(lambda e: base * 10.0 ** e),
+            st.just(-base),
+            st.sampled_from([0.0, 1e-300, 1e300])))
+        if KEY_SPECS[key].kind is int:
+            value = float(round(value))
+        overrides[key] = repr(value)
+    return overrides
+
+
+def _empty_cells_allowed(name, row):
+    """The documented empty (NaN) cells of an exit-0 output row."""
+    if name == "gravitycheck.csv":
+        return {"margin"}      # infinite margin: nothing to snap into
+    if name == "closingtime.csv" and row["triggered"] == "false":
+        return {"closing_time"}
+    if name in ("sweep.csv", "feacases.csv"):
+        if row["bistable"] == "false":
+            return set(row)
+        # A design that does not close; an object wider than the open
+        # fingers.
+        return {"closing_time", "grip_force"}
+    return set()
+
+
+class TestCliFuzz:
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(overrides=fuzz_overrides(), argv=st.sampled_from(FUZZ_COMMANDS))
+    def test_any_config_exits_0_or_2_with_one_line(self, tmp_path_factory,
+                                                   overrides, argv):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        res = run_main(*argv, "--config", str(cfg), "--out", str(out),
+                       cwd=tmp_path)
+        assert res.returncode in (0, 2), res.stderr
+        if res.returncode == 2:
+            (line,) = res.stderr.splitlines()
+            assert line.startswith("snapgrip: error: ")
+            return
+        assert res.stderr == ""
+        assert "nan" not in res.stdout.lower()
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "nan" not in text.lower(), path.name
+            if path.suffix != ".csv":
+                continue
+            header, *rows = (line.split(",") for line in text.splitlines())
+            for cells in rows:
+                row = dict(zip(header, cells))
+                empty = {k for k, v in row.items() if v == ""}
+                assert empty <= _empty_cells_allowed(path.name, row), \
+                    (path.name, row)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
