@@ -24,7 +24,11 @@ and the Yeoh bend energy evaluate the closed form themselves and make no
 ``moment_curvature`` call.  Counts do not change from run to run.  The
 ``closing_time`` layers kick the baseline with 5 times its minimal trigger
 impulse, without gravity and at g = 9.81; their equilibrium reports are
-solved outside the timer.  The ``design_metrics`` layers use the same
+solved outside the timer.  The ``find_equilibria_1dof`` layers time a
+warm scan, whose window grid and gravity arc terms come from the model's
+window cache, and the ``_cold`` ones a scan after the cache is cleared,
+as in every cold CLI call; a ``--src`` checkout without that cache has
+nothing to clear.  The ``design_metrics`` layers use the same
 factor, since the default 1.5 never closes the baseline and would time a
 run that stops below the barrier.  The chain layers evaluate the uniform
 chain at the open-state tip angle with n = 8, 32 and 128 segments, without
@@ -74,9 +78,12 @@ def one_dof_layers(design):
                                    simulate_1dof)
     from snapgrip.explore import (design_metrics, reproduce_fea_cases,
                                   tune_ring_width)
+    from snapgrip import model
     from snapgrip.model import gradient_1dof, set_design_value
     from snapgrip.statics import find_equilibria_1dof, trigger_moment
 
+    window_cache = getattr(model, "_window_arcs", None)
+    clear = window_cache.cache_clear if window_cache else lambda: None
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
     impulse = 5.0 * minimal_trigger_impulse(design, report)
@@ -87,6 +94,10 @@ def one_dof_layers(design):
          repeated(1000, gradient_1dof, 0.3, gravity)),
         ("find_equilibria_1dof", lambda: find_equilibria_1dof(design)),
         ("find_equilibria_1dof_g9.81", lambda: find_equilibria_1dof(gravity)),
+        ("find_equilibria_1dof_cold", lambda: (
+            clear(), find_equilibria_1dof(design))),
+        ("find_equilibria_1dof_g9.81_cold", lambda: (
+            clear(), find_equilibria_1dof(gravity))),
         ("trigger_moment", lambda: trigger_moment(design, report)),
         ("closing_time", lambda: closing_time(design, impulse,
                                               report=report)),

@@ -5,10 +5,12 @@ Usage, from the root of a checkout:
     python3 scripts/cli_snapshot.py --src PATH --out DIR
 
 ``--src`` is the ``src`` directory to import, so the same script can
-snapshot two checkouts.  Twelve invocations run on each of three
+snapshot two checkouts.  Twelve invocations run on each of four
 configurations: ``configs/baseline.cfg``, a copy with a Yeoh finger
-(c10 = 1e5 Pa) and a copy with gravity on (g = 9.81 m/s^2), 36 commands
-in all.  Each one runs as ``python -m snapgrip.cli`` in its own directory
+(c10 = 1e5 Pa), a copy with gravity on (g = 9.81 m/s^2) and a copy with
+gravity on in a solve window other than the default (theta from -2.5 to
+3.0 rad on 3,001 grid points), 48 commands in all.  Each one runs as
+``python -m snapgrip.cli`` in its own directory
 ``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
 ``stderr`` and, under ``files/``, every output the command wrote except
 ``run_manifest.txt`` (it carries a timestamp).  The script exits 1 if any
@@ -32,6 +34,8 @@ CONFIGS = {
     "baseline": {},
     "yeoh": {"material.model": "yeoh", "material.c10": "1e5"},
     "gravity": {"gripper.gravity": "9.81"},
+    "window": {"gripper.gravity": "9.81", "solver.theta_min": "-2.5",
+               "solver.theta_max": "3.0", "solver.grid_n": "3001"},
 }
 
 # Command name -> CLI arguments, without --config and --out.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -646,6 +647,40 @@ def gradient_1dof(theta, design: GripperDesign):
     return (finger_gradient_1dof(theta, design.finger)
             + ring_gradient_1dof(theta, design.ring)
             + gravity_gradient_1dof(theta, design))
+
+
+@lru_cache(maxsize=4)
+def _window_arcs(theta_min, theta_max, grid_n, length):
+    """Read-only (grid, ``_MEAN_X_DPHI``, ``_END_DX_DPHI``) at psi = 0 of
+    a window grid and finger length.  The floats come as ``float.hex``
+    strings, so windows that differ only in the sign of a zero are cached
+    apart.  The designs of a batch share one window and finger length, so
+    a few entries suffice; each holds three arrays of ``grid_n`` floats."""
+    grid = np.linspace(float.fromhex(theta_min), float.fromhex(theta_max),
+                       grid_n)
+    arrays = (grid, *_arcs((_MEAN_X_DPHI, _END_DX_DPHI), 0.0, grid,
+                           float.fromhex(length)))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def window_gradient(design: GripperDesign) -> tuple:
+    """(grid, ``gradient_1dof`` on it) of ``design.window``, equal bit for
+    bit, with the grid and the gravity arc terms read from a small cache
+    of windows and finger lengths; the grid may be read-only."""
+    w, finger = design.window, design.finger
+    g = design.gravity
+    if g == 0.0:
+        grid = np.linspace(w.theta_min, w.theta_max, w.grid_n)
+        gravity = np.zeros_like(grid)
+    else:
+        grid, x_com, x_tip = _window_arcs(
+            float(w.theta_min).hex(), float(w.theta_max).hex(), w.grid_n,
+            float(finger.length).hex())
+        gravity = -g * (finger.mass * x_com + design.payload_mass * x_tip)
+    return grid, (finger_gradient_1dof(grid, finger)
+                  + ring_gradient_1dof(grid, design.ring) + gravity)
 
 
 def _plus_scalar_gravity(design, elastic, derivative):

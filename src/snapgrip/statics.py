@@ -10,10 +10,10 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, NonConvergenceError,
                      NonFiniteStateError, NotBistableError, SaddleOrderError)
-from .model import (MAX_GRID_POINTS, ChainConfiguration, GripperDesign,
-                    chain_energy, chain_gradient_hessian, gradient_1dof,
-                    scalar_gradient, second_derivative_1dof,
-                    total_energy_1dof, uniform_chain)
+from .model import (DIFFERENCE_STEP, MAX_GRID_POINTS, ChainConfiguration,
+                    GripperDesign, chain_energy, chain_gradient_hessian,
+                    gradient_1dof, scalar_energy, scalar_gradient,
+                    total_energy_1dof, uniform_chain, window_gradient)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
 BISECTION_TOL = 1e-12       # rad
@@ -104,33 +104,38 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
 def _scan_equilibria(design: GripperDesign):
     """(equilibria sorted by bend angle, window grid, ``gradient_1dof`` on
     the grid) of ``find_equilibria_1dof``; raises NonFiniteStateError if
-    the gradient is not finite at every grid point."""
-    window = design.window
-    grid = np.linspace(window.theta_min, window.theta_max, window.grid_n)
+    the gradient is not finite at every grid point.
+
+    The grid gradient comes from ``window_gradient``, which keeps the grid
+    and gravity arc terms of recent windows.  Each root is refined and
+    classified on floats: ``scalar_gradient`` bisects its cell and gives
+    the curvature as a central difference, ``scalar_energy`` its energy,
+    each equal bit for bit to the array form.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(gradient_1dof(grid, design), dtype=float)
+        grid, g = window_gradient(design)
     if not np.isfinite(g).all():
         raise NonFiniteStateError("the energy gradient is not finite at "
                                   "every point of the solve window grid")
     gradient = scalar_gradient(design)
+    energy = scalar_energy(design)
     # A grid point where the gradient is exactly zero is a root as it
-    # stands; a cell whose ends differ in sign is bisected unless its left
-    # end is such a root.
+    # stands; a cell whose ends differ in sign is bisected unless one of
+    # its ends is such a root.
     zero = g == 0.0
     positive = g > 0
-    cells = np.flatnonzero((positive[:-1] != positive[1:]) & ~zero[:-1])
+    cells = np.flatnonzero((positive[:-1] != positive[1:])
+                           & ~zero[:-1] & ~zero[1:])
     roots = [_bracketed_root(gradient, float(grid[i]), float(grid[i + 1]),
                              g[i], xtol=BISECTION_TOL) for i in cells]
     roots += grid[zero].tolist()
 
+    h = DIFFERENCE_STEP
     equilibria = []
     for theta in roots:
-        curv = float(second_derivative_1dof(theta, design))
-        equilibria.append(Equilibrium(theta=float(theta),
-                                      energy=float(total_energy_1dof(theta,
-                                                                     design)),
-                                      stable=curv > 0.0,
-                                      curvature=curv))
+        curv = (gradient(theta + h) - gradient(theta - h)) / (2.0 * h)
+        equilibria.append(Equilibrium(theta=theta, energy=energy(theta),
+                                      stable=curv > 0.0, curvature=curv))
     equilibria.sort(key=lambda e: e.theta)
     return equilibria, grid, g
 

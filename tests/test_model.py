@@ -14,7 +14,8 @@ import snapgrip.model as model
 from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             YEOH_SERIES_SWITCH,
                             ChainConfiguration, CrossSection, FingerDesign,
-                            GripperDesign, LinearElastic, RingDesign, Yeoh,
+                            GripperDesign, LinearElastic, RingDesign,
+                            SolveWindow, Yeoh,
                             chain_energy, chain_gradient,
                             chain_gradient_hessian, chain_hessian,
                             finger_energy_1dof, finger_gradient_1dof,
@@ -23,7 +24,8 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             moment_curvature, ring_energy_1dof,
                             sample_landscape, scalar_energy, scalar_gradient,
                             second_derivative_1dof, set_design_value,
-                            tip_chord, total_energy_1dof, uniform_chain)
+                            tip_chord, total_energy_1dof, uniform_chain,
+                            window_gradient)
 
 
 def pure_quartic_ring(k=1.0, center=0.0, halfwidth=1.0):
@@ -549,6 +551,54 @@ class TestScalarClosures:
         for f in (scalar_gradient(d), scalar_energy(d)):
             assert math.isnan(f(math.inf))
             assert math.isnan(f(-math.inf))
+
+
+class TestWindowCache:
+    """The grid and gravity arc terms ``window_gradient`` keeps per window
+    and finger length; its bits are checked in ``tests/test_statics.py``."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        model._window_arcs.cache_clear()
+        yield
+        model._window_arcs.cache_clear()
+
+    @staticmethod
+    def _under_gravity(design, window):
+        return replace(design, gravity=9.81, window=window)
+
+    def test_cached_arrays_are_read_only(self, baseline):
+        grid, g = window_gradient(self._under_gravity(baseline,
+                                                      DEFAULT_WINDOW))
+        arrays = model._window_arcs((-math.pi).hex(), math.pi.hex(), 4096,
+                                    baseline.finger.length.hex())
+        assert model._window_arcs.cache_info().hits == 1
+        assert arrays[0] is grid
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        g[0] = 1.0      # the gradient is the caller's
+
+    def test_entries_stay_at_the_bound(self, baseline):
+        bound = model._window_arcs.cache_info().maxsize
+        for k in range(2 * bound):
+            window = SolveWindow(-1.0 - 0.1 * k, 1.0, 100)
+            window_gradient(self._under_gravity(baseline, window))
+            assert model._window_arcs.cache_info().currsize == min(k + 1,
+                                                                   bound)
+
+    def test_signed_zero_window_starts_are_cached_apart(self, baseline):
+        g = [window_gradient(self._under_gravity(
+            baseline, SolveWindow(start, 1.0, 100)))[1]
+            for start in (-0.0, 0.0)]
+        assert model._window_arcs.cache_info().currsize == 2
+        np.testing.assert_array_equal(g[0].view(np.int64),
+                                      g[1].view(np.int64))
+
+    def test_design_without_gravity_adds_no_entry(self, baseline):
+        assert baseline.gravity == 0.0
+        window_gradient(baseline)
+        assert model._window_arcs.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from snapgrip.model import (MAX_GRID_POINTS, ChainConfiguration,
                             set_design_value, total_energy_1dof,
                             gradient_1dof, chain_energy, chain_gradient,
                             chain_hessian,
-                            second_derivative_1dof, uniform_chain)
+                            second_derivative_1dof, uniform_chain,
+                            window_gradient)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -147,7 +148,7 @@ class TestFindEquilibria1Dof:
             for i in range(grid.size - 1):
                 if g[i] == 0.0:
                     roots.append(grid[i])
-                elif (g[i] > 0) != (g[i + 1] > 0):
+                elif (g[i] > 0) != (g[i + 1] > 0) and g[i + 1] != 0.0:
                     roots.append(_bracketed_root(
                         lambda t: float(gradient_1dof(t, d)), grid[i],
                         grid[i + 1], g[i], xtol=1e-12))
@@ -196,10 +197,79 @@ class TestFindEquilibria1Dof:
         with pytest.raises(NotBistableError):
             snap_through_energy(d)
 
+    def test_zero_after_a_positive_point_is_one_root(self, baseline,
+                                                     monkeypatch):
+        # g falls through an exact zero at a grid point: the cell that
+        # ends there is not bisected, so the root is not reported twice.
+        grid = np.linspace(-math.pi, math.pi, 4096)
+        root = float(grid[2500])
+        monkeypatch.setattr(statics, "window_gradient",
+                            lambda design: (grid, -(grid - root)))
+        monkeypatch.setattr(statics, "scalar_gradient",
+                            lambda design: lambda t: -(t - root))
+        report = find_equilibria_1dof(baseline)
+        assert [e.theta for e in report.equilibria] == [root]
+        assert not report.equilibria[0].stable
+
     def test_barrier_is_saddle_minus_open(self, baseline):
         report = find_equilibria_1dof(baseline)
         assert report.snap_through_energy == pytest.approx(
             report.saddle.energy - report.open_state.energy, abs=1e-15)
+
+
+def scan_designs(baseline):
+    """Linear and Yeoh fingers at g = 0, at g = 9.81 and at g = 9.81 with
+    a payload, each in the default window, one starting at -0.0 and one
+    with an odd grid; and the monostable design without a ring."""
+    yeoh = replace(baseline, finger=replace(
+        baseline.finger, material=Yeoh(1.0e5, 2.0e4, 0.0)))
+    monostable = set_design_value(baseline, "ring.stiffness", 0.0)
+    for material in (baseline, yeoh, monostable):
+        for gravity, payload in ((0.0, 0.0), (9.81, 0.0), (9.81, 0.005)):
+            for window in (baseline.window, SolveWindow(-0.0, math.pi),
+                           SolveWindow(-2.5, 3.0, 3001)):
+                yield replace(material, gravity=gravity,
+                              payload_mass=payload, window=window)
+
+
+class TestScanBits:
+
+    # sha256 of the equilibria (hex theta, energy, stability, curvature)
+    # and of the 0.03, -0.03 and -0.005 N*m ramped-load paths (thetas and
+    # energies as float64 bytes, or the error) of every design of
+    # ``scan_designs``, recorded when the scan classified each root with
+    # the array-form gradient and energy and evaluated its grid with
+    # ``gradient_1dof``.
+    SCAN_DIGEST = ("50a2b0c221eb62b056cf1629133ce98b"
+                   "42d6b92f7fc650e4915d6a2e182f697d")
+
+    def test_scan_and_continuation_match_frozen_digest(self, baseline):
+        digest, entries = hashlib.sha256(), 0
+        for d in scan_designs(baseline):
+            for e in find_equilibria_1dof(d).equilibria:
+                digest.update(f"{e.theta.hex()} {e.energy.hex()} {e.stable} "
+                              f"{e.curvature.hex()}\n".encode())
+                entries += 1
+            for tau_max in (0.03, -0.03, -0.005):
+                try:
+                    path = continuation_ramped_load(d, tau_max, 60)
+                except DomainError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                digest.update(path.thetas.tobytes() + path.energies.tobytes())
+        assert entries == 57
+        assert digest.hexdigest() == self.SCAN_DIGEST
+
+    def test_window_gradient_is_gradient_1dof_on_the_grid(self, baseline):
+        for d in scan_designs(baseline):
+            w = d.window
+            expected = gradient_1dof(
+                np.linspace(w.theta_min, w.theta_max, w.grid_n), d)
+            for _ in range(2):      # computed, then read from the cache
+                grid, g = window_gradient(d)
+                np.testing.assert_array_equal(
+                    g.view(np.int64), expected.view(np.int64))
+                assert grid.size == w.grid_n
 
 
 class TestTriggerMoment:
