@@ -24,8 +24,11 @@ and the Yeoh bend energy evaluate the closed form themselves and make no
 ``moment_curvature`` call.  Counts do not change from run to run.  The
 ``closing_time`` layers kick the baseline with 5 times its minimal trigger
 impulse, without gravity and at g = 9.81; their equilibrium reports are
-solved outside the timer.  The ``find_equilibria_1dof`` layers time a
-warm scan, whose window grid and gravity arc terms come from the model's
+solved outside the timer, as is the report of
+``grip_force_estimate_g9.81``, which presses on an object of the baseline
+configuration's ``solver.object_halfwidth``.  The
+``find_equilibria_1dof`` layers time a warm scan, whose window grid and
+gravity arc terms come from the model's
 window cache, and the ``_cold`` ones a scan after the cache is cleared,
 as in every cold CLI call; a ``--src`` checkout without that cache has
 nothing to clear.  The ``design_metrics`` layers use the same
@@ -76,8 +79,9 @@ def repeated(times, f, *args):
 def one_dof_layers(design):
     from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                    simulate_1dof)
-    from snapgrip.explore import (design_metrics, reproduce_fea_cases,
-                                  tune_ring_width)
+    from snapgrip.config import build_solver_settings, load_config
+    from snapgrip.explore import (design_metrics, grip_force_estimate,
+                                  reproduce_fea_cases, tune_ring_width)
     from snapgrip import model
     from snapgrip.model import gradient_1dof, set_design_value
     from snapgrip.statics import find_equilibria_1dof, trigger_moment
@@ -89,6 +93,8 @@ def one_dof_layers(design):
     impulse = 5.0 * minimal_trigger_impulse(design, report)
     gravity_report = find_equilibria_1dof(gravity)
     gravity_impulse = 5.0 * minimal_trigger_impulse(gravity, gravity_report)
+    halfwidth = build_solver_settings(
+        load_config(BASELINE_CFG)).object_halfwidth
     return [
         ("gradient_1dof_scalar_g9.81_x1000",
          repeated(1000, gradient_1dof, 0.3, gravity)),
@@ -107,6 +113,8 @@ def one_dof_layers(design):
             design, report.open_state.theta, 60.0, dt=2e-5, t_end=0.1)),
         ("design_metrics_g9.81", lambda: design_metrics(
             gravity, impulse_factor=5.0)),
+        ("grip_force_estimate_g9.81", lambda: grip_force_estimate(
+            gravity, halfwidth, report=gravity_report)),
         ("tune_ring_width_g9.81", lambda: tune_ring_width(gravity, 1e-9)),
         ("reproduce_fea_cases", lambda: reproduce_fea_cases(design)),
     ]

@@ -2,10 +2,11 @@
 
 The equation of motion is J*theta'' = -dU/dtheta - c*theta', with no
 actuator or sensor in the loop, integrated with a fixed-step classical
-Runge-Kutta scheme so acceptance runs are bit-reproducible.  An energy
-audit (mechanical + cumulative dissipation) is carried along as an extra
-state.  A closing run starts at the open state of the design's
-equilibrium report and reads the saddle and closed state from it.
+Runge-Kutta scheme so acceptance runs are bit-reproducible.  A recorded
+simulation carries an energy audit (mechanical + cumulative dissipation)
+along as an extra state.  A closing run starts at the open state of the
+design's equilibrium report and reads the saddle and closed state from
+it; it tracks no dissipation.
 """
 
 from __future__ import annotations
@@ -87,13 +88,16 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
 
 
 def _rk4_stepper(design: GripperDesign, dt: float):
-    """The classical RK4 step of length ``dt`` for ``design``.
+    """The classical RK4 step of length ``dt`` for ``design``, with the
+    dissipated energy that ``simulate_1dof`` records.
 
     The returned ``step(i, theta, omega, diss)`` advances the state from
     time ``i * dt``; the dissipated energy integrates c*omega^2.  Each
     stage is evaluated inline on floats, in the order of operations of
     theta' = omega, omega' = (-dU/dtheta - c*omega) / J.  ``i`` only names
     the step in the error raised when the state leaves the finite range.
+    ``closing_time`` writes the same stages out in its own loop, without
+    the dissipation sum it does not read.
     """
     inv_j = 1.0 / design.inertia
     c = design.damping
@@ -109,10 +113,10 @@ def _rk4_stepper(design: GripperDesign, dt: float):
         k3w = (-gradient(theta + half * k2t) - c * k3t) * inv_j
         k4t = omega + dt * k3w
         k4w = (-gradient(theta + dt * k3t) - c * k4t) * inv_j
-        theta += sixth * (omega + 2 * k2t + 2 * k3t + k4t)
-        diss += sixth * (c * omega * omega + 2 * (c * k2t * k2t)
-                         + 2 * (c * k3t * k3t) + c * k4t * k4t)
-        omega += sixth * (k1w + 2 * k2w + 2 * k3w + k4w)
+        theta += sixth * (omega + 2.0 * k2t + 2.0 * k3t + k4t)
+        diss += sixth * (c * omega * omega + 2.0 * (c * k2t * k2t)
+                         + 2.0 * (c * k3t * k3t) + c * k4t * k4t)
+        omega += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         if not (isfinite(theta) and isfinite(omega) and isfinite(diss)):
             raise NonFiniteStateError(
                 f"the state left the finite range by t = {i * dt + dt:.6g} s")
@@ -197,8 +201,12 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
             f"a closing run of {CLOSING_T_MAX:g} s takes {n} steps of "
             f"{dt:.3g} s, over the limit of {MAX_STEPS} steps")
     _check_step(design, theta_open, dt, report)
-    step = _rk4_stepper(design, dt)
+    gradient = scalar_gradient(design)
     energy_at = scalar_energy(design)
+    inv_j = 1.0 / design.inertia
+    c = design.damping
+    half, sixth = dt / 2, dt / 6
+    isfinite = math.isfinite
 
     band, hold = CLOSURE_BAND, CLOSURE_HOLD
     window = design.window
@@ -218,12 +226,23 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
 
     theta = theta_open
     omega = perturbation_impulse / design.inertia
-    diss = 0.0
     half_j = 0.5 * design.inertia
     peak = abs(omega)
     entered_at = None
     for i in range(n):
-        theta, omega, diss = step(i, theta, omega, diss)
+        # The step of ``_rk4_stepper``, less its dissipation sum.
+        k1w = (-gradient(theta) - c * omega) * inv_j
+        k2t = omega + half * k1w
+        k2w = (-gradient(theta + half * omega) - c * k2t) * inv_j
+        k3t = omega + half * k2w
+        k3w = (-gradient(theta + half * k2t) - c * k3t) * inv_j
+        k4t = omega + dt * k3w
+        k4w = (-gradient(theta + dt * k3t) - c * k4t) * inv_j
+        theta += sixth * (omega + 2.0 * k2t + 2.0 * k3t + k4t)
+        omega += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if not (isfinite(theta) and isfinite(omega)):
+            raise NonFiniteStateError(
+                f"the state left the finite range by t = {i * dt + dt:.6g} s")
         speed = abs(omega)
         if speed > peak:
             peak = speed

@@ -14,7 +14,8 @@ from .errors import (BudgetExceededError, InvalidArgumentError,
                      TargetUnreachableError)
 from .dynamics import closing_time, minimal_trigger_impulse, natural_frequency
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
-                    GripperDesign, gradient_1dof, set_design_value, tip_chord)
+                    GripperDesign, scalar_gradient, set_design_value,
+                    tip_chord)
 from .statics import (EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable, trigger_moment)
 
@@ -396,20 +397,20 @@ def grip_force_estimate(design: GripperDesign, object_halfwidth: float,
                                    f"finite number, got {object_halfwidth!r}")
     report = require_bistable(design, report)
     length = design.finger.length
-    open_span = float(tip_chord(report.open_state.theta, length))
+    open_span = tip_chord(report.open_state.theta, length)
     if object_halfwidth >= open_span:
         raise ObjectTooLargeError(
             f"object half-width {object_halfwidth:.6g} m is not smaller than "
             f"the open-state span {open_span:.6g} m")
     theta_closed = report.closed_state.theta
-    if object_halfwidth <= float(tip_chord(theta_closed, length)):
+    if object_halfwidth <= tip_chord(theta_closed, length):
         return 0.0
 
     def gap(theta):
-        return float(tip_chord(theta, length)) - object_halfwidth
+        return tip_chord(theta, length) - object_halfwidth
 
     # Chord decreases monotonically with bend angle on (0, closed].
     theta_obj = _bracketed_root(gap, 1e-9, theta_closed, gap(1e-9),
                                 xtol=1e-12)
-    moment = -float(gradient_1dof(theta_obj, design))
-    return max(moment, 0.0) / float(tip_chord(theta_obj, length))
+    moment = -scalar_gradient(design)(theta_obj)
+    return max(moment, 0.0) / tip_chord(theta_obj, length)

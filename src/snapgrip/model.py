@@ -984,14 +984,12 @@ def uniform_chain(design: GripperDesign, tip_angle: float) -> np.ndarray:
     return np.full(n, tip_angle / n)
 
 
-def tip_chord(theta, length: float):
-    """Straight-line distance from base to tip of a constant-curvature arc."""
-    th = np.asarray(theta, dtype=float)
-    small = np.abs(th) < SMALL_ANGLE
-    safe = np.where(small, 1.0, th)
-    exact = 2.0 * length * np.sin(safe / 2.0) / safe
-    series = length * (1.0 - th * th / 24.0)
-    return np.where(small, series, exact)[()]
+def tip_chord(theta: float, length: float) -> float:
+    """Straight-line distance from base to tip of a constant-curvature arc
+    of bend angle ``theta``, on floats."""
+    if abs(theta) < SMALL_ANGLE:
+        return length * (1.0 - theta * theta / 24.0)
+    return 2.0 * length * math.sin(theta / 2.0) / theta
 
 
 # ---------------------------------------------------------------------------

@@ -71,21 +71,28 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
     ``f_lo`` is ``f(lo)``, or any number of its sign.  Each step keeps the
     half whose ends differ in sign.  Returns the first midpoint where ``f``
     is zero or smaller than ``ftol`` in magnitude, else the midpoint of the
-    bracket once it is no wider than ``xtol`` or after ``max_iter`` steps.
+    bracket once it is no wider than ``xtol`` or, after ``max_iter`` steps,
+    at float resolution (the midpoint is one of its ends).  Any other
+    bracket left after ``max_iter`` steps raises NonConvergenceError.
     """
-    mid = 0.5 * (lo + hi)
+    mid, f_mid = 0.5 * (lo + hi), math.nan
     for _ in range(max_iter):
         if hi - lo <= xtol:
-            break
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0 or abs(f_mid) < ftol:
-            break
+            return mid
         if (f_mid > 0) == (f_lo > 0):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return mid
+    if hi - lo <= xtol or mid == lo or mid == hi:
+        return mid
+    raise NonConvergenceError(
+        f"bisection did not converge in {max_iter} steps: the bracket "
+        f"[{lo:.17g}, {hi:.17g}] is left, with |f| = {abs(f_mid):.6g} at "
+        f"its last midpoint")
 
 
 def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:

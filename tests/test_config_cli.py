@@ -443,6 +443,8 @@ class TestCli:
         (["equilibria"], {"ring.well_center": "1e300"}),
         (["landscape"], {"solver.theta_max": "1e300"}),
         (["landscape"], {"ring.well_center": "1e300"}),
+        # 200 halvings of a grid cell leave a bracket 1.5e16 rad wide.
+        (["equilibria"], {"solver.theta_max": "1e80"}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):

@@ -314,22 +314,24 @@ class TestClosingCertificate:
     def test_baseline_run_ends_before_the_hold(self, baseline, monkeypatch,
                                                gravity, steps,
                                                full_hold_steps):
-        made = dynamics._rk4_stepper
+        # The closing run's gradient closure is called 4 times a step.
+        made = dynamics.scalar_gradient
         count = 0
 
-        def counting_stepper(design, dt):
-            step = made(design, dt)
+        def counting_gradient(design):
+            gradient = made(design)
 
-            def counted(*state):
+            def counted(theta):
                 nonlocal count
                 count += 1
-                return step(*state)
+                return gradient(theta)
             return counted
 
-        monkeypatch.setattr(dynamics, "_rk4_stepper", counting_stepper)
+        monkeypatch.setattr(dynamics, "scalar_gradient", counting_gradient)
         d = set_design_value(baseline, "gripper.gravity", gravity)
         assert closing_time(d, 5.0 * minimal_trigger_impulse(d)).triggered
-        assert count == steps < full_hold_steps
+        assert count % 4 == 0
+        assert count // 4 == steps < full_hold_steps
 
 
 class TestNaturalFrequency:

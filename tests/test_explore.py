@@ -1,6 +1,8 @@
 """Design exploration: sweeps, morphology trends, tuning, grip force."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from snapgrip.errors import (BudgetExceededError, DomainError,
                              InvalidArgumentError, NotBistableError,
                              ObjectTooLargeError, TargetUnreachableError)
 from snapgrip import dynamics, explore, statics
-from snapgrip.model import set_design_value, tip_chord
+from snapgrip.model import SMALL_ANGLE, set_design_value, tip_chord
 from snapgrip.statics import find_equilibria_1dof, snap_through_energy
 from snapgrip.dynamics import (closing_time, gravity_trigger_check,
                                minimal_trigger_impulse)
@@ -262,6 +264,52 @@ class TestGripForce:
                                                            halfwidth):
         with pytest.raises(InvalidArgumentError, match="half-width"):
             grip_force_estimate(baseline, halfwidth)
+
+
+class TestGripForceBits:
+
+    # sha256 of ``grip_force_estimate`` over the designs and half-widths
+    # below, each value packed "<d" or, where one is raised, the error's
+    # type name; recorded when the chord was a numpy function and the
+    # contact moment came from ``gradient_1dof`` on a 0-d array.
+    GRIP_DIGEST = ("48a37a52b1ddae33ac0db4bd6f6cffc9"
+                   "258e2faa0b5d0b512ff96e2baec4010f")
+
+    def test_grip_forces_match_frozen_digest(self, baseline):
+        digest, errors = hashlib.sha256(), 0
+        for g in (0.0, 4.0, 9.81):
+            for k in np.linspace(0.115, 0.135, 5):
+                for kappa in (18.0, 20.0, 22.0):
+                    d = set_design_value(baseline, "gripper.gravity", g)
+                    d = set_design_value(d, "ring.stiffness", float(k))
+                    d = set_design_value(d, "finger.natural_curvature",
+                                         kappa)
+                    for w in np.geomspace(1e-6, 0.5, 11):
+                        try:
+                            force = grip_force_estimate(d, float(w))
+                        except DomainError as exc:
+                            digest.update(type(exc).__name__.encode())
+                            errors += 1
+                            continue
+                        digest.update(struct.pack("<d", force))
+        assert errors == 90
+        assert digest.hexdigest() == self.GRIP_DIGEST
+
+    def test_tip_chord_is_the_array_expression(self):
+        length = 0.08
+        below = math.nextafter(SMALL_ANGLE, 0.0)
+        thetas = [0.0, -0.0, 1e-300, below, SMALL_ANGLE, 1.5e-4, 0.3,
+                  1.6, math.pi, -0.9, -SMALL_ANGLE, -below, 7.0]
+        for theta in thetas:
+            th = np.asarray(theta, dtype=float)
+            small = np.abs(th) < SMALL_ANGLE
+            safe = np.where(small, 1.0, th)
+            exact = 2.0 * length * np.sin(safe / 2.0) / safe
+            series = length * (1.0 - th * th / 24.0)
+            expected = np.where(small, series, exact)[()]
+            chord = tip_chord(theta, length)
+            assert type(chord) is float
+            assert chord.hex() == float(expected).hex(), theta
 
 
 class TestSolveWindow:

@@ -365,8 +365,22 @@ class TestBracketedRoot:
             calls.append(x)
             return x - 0.3
 
-        root = _bracketed_root(f, 0.0, 1.0, -0.3, max_iter=5)
+        with pytest.raises(NonConvergenceError,
+                           match=r"5 steps: the bracket \[0\.28125, "
+                                 r"0\.3125\] is left, with \|f\| = "
+                                 r"0\.01875 at its last midpoint"):
+            _bracketed_root(f, 0.0, 1.0, -0.3, max_iter=5)
         assert len(calls) == 5
+
+    def test_bracket_at_float_resolution_counts_as_converged(self):
+        lo = 1.0
+        hi = math.nextafter(lo, 2.0)
+        assert _bracketed_root(lambda x: x - hi, lo, hi, lo - hi,
+                               max_iter=3) in (lo, hi)
+
+    def test_bracket_reaching_xtol_on_the_last_step_counts(self):
+        root = _bracketed_root(lambda x: x - 0.3, 0.0, 1.0, -0.3,
+                               xtol=2.0 ** -5, max_iter=5)
         assert abs(root - 0.3) <= 2.0 ** -6
 
 
