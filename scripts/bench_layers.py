@@ -6,14 +6,14 @@ Usage, from the root of a checkout:
 
 ``--src`` is the ``src`` directory to import (default: this checkout's), so
 the same script can time two checkouts on the same machine.  The layers
-come in five groups (1-DOF, chain, saddle, continuation, Yeoh), and each
-group runs in its own fresh child interpreter (``--group NAME`` runs one
-group in the calling process).  So a layer's time does not depend on
-what earlier layers left behind, such as the allocator's state after the
-Yeoh set-up's large temporaries.  Each layer is run ``--repeats`` times
-after one warm-up run; the JSON printed on stdout gives every run's
-time, their median, and how often the layer called
-``gradient_1dof`` (array form), ``find_equilibria_1dof``,
+come in six groups (1-DOF, chain, saddle, chain task, continuation,
+Yeoh), and each group runs in its own fresh child interpreter
+(``--group NAME`` runs one group in the calling process).  So a layer's
+time does not depend on what earlier layers left behind, such as the
+allocator's state after the Yeoh set-up's large temporaries.  Each
+layer is run ``--repeats`` times after one warm-up run; the JSON printed
+on stdout gives every run's time, their median, and how often the layer
+called ``gradient_1dof`` (array form), ``find_equilibria_1dof``,
 ``chain_gradient``, ``chain_hessian`` and ``moment_curvature``.  The
 counts include calls made inside the model: each ``chain_hessian`` and
 ``chain_gradient_hessian`` call adds its one stacked ``chain_gradient``
@@ -26,7 +26,8 @@ and the Yeoh bend energy evaluate the closed form themselves and make no
 impulse, without gravity and at g = 9.81; their equilibrium reports are
 solved outside the timer, as is the report of
 ``grip_force_estimate_g9.81``, which presses on an object of the baseline
-configuration's ``solver.object_halfwidth``.  The
+configuration's ``solver.object_halfwidth``, and of the
+``trigger_moment`` layers (without gravity and at g = 9.81).  The
 ``find_equilibria_1dof`` layers time a warm scan, whose window grid and
 gravity arc terms come from the model's
 window cache, and the ``_cold`` ones a scan after the cache is cleared,
@@ -42,7 +43,12 @@ finger (c10 = 1e5 Pa).  The ``saddle_`` layers time ``saddle_search_chain``
 alone, at n = 2, g = 0.3 and at g = 9.81 with n = 4, 8 and 32; their two
 minima are solved outside the timer.  The ``find_equilibria_chain_`` layers
 solve those minima from the designs' ``default_chain_seeds``, built outside
-the timer.  The ``continuation_`` layers ramp the baseline's closing moment
+the timer.  The ``chain_task_`` layers each run one task of a class of
+the ``chain`` benchmark workload, on the baseline design with ring
+stiffness 0.1225 N*m/rad and natural curvature 20/m: the warm 1-DOF
+scan, the ``default_chain_seeds``, the chain minima and, for n <= 8, the
+transition state, at n = 2, g = 0.3; n = 8, g = 0.05; and n = 32,
+g = 7.  The ``continuation_`` layers ramp the baseline's closing moment
 to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
 g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
 ``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
@@ -105,6 +111,8 @@ def one_dof_layers(design):
         ("find_equilibria_1dof_g9.81_cold", lambda: (
             clear(), find_equilibria_1dof(gravity))),
         ("trigger_moment", lambda: trigger_moment(design, report)),
+        ("trigger_moment_g9.81", lambda: trigger_moment(gravity,
+                                                        gravity_report)),
         ("closing_time", lambda: closing_time(design, impulse,
                                               report=report)),
         ("closing_time_g9.81", lambda: closing_time(
@@ -169,6 +177,31 @@ def saddle_layers(design):
     return minima + saddles
 
 
+def chain_task_layers(design):
+    from snapgrip.model import set_design_value
+    from snapgrip.statics import (default_chain_seeds, find_equilibria_1dof,
+                                  find_equilibria_chain, saddle_search_chain)
+
+    def task(d, saddle):
+        report = find_equilibria_1dof(d)
+        minima = [e for e in find_equilibria_chain(
+            d, default_chain_seeds(d, report)) if e.stable]
+        if saddle:
+            saddle_search_chain(d, minima[0].configuration,
+                                minima[-1].configuration)
+
+    tasks = []
+    for n, g in ((2, 0.3), (8, 0.05), (32, 7.0)):
+        d = design
+        for path, value in (("finger.n_segments", n), ("gripper.gravity", g),
+                            ("ring.stiffness", 0.1225),
+                            ("finger.natural_curvature", 20.0)):
+            d = set_design_value(d, path, value)
+        tasks.append((f"chain_task_n{n}",
+                      lambda d=d, saddle=n <= 8: task(d, saddle)))
+    return tasks
+
+
 def continuation_layers(design):
     from snapgrip.model import MAX_GRID_POINTS, set_design_value
     from snapgrip.statics import continuation_ramped_load, trigger_moment
@@ -226,8 +259,8 @@ def yeoh_layers(design):
 # that does the group's set-up and returns its (name, zero-argument
 # callable) layers.
 GROUPS = {"1dof": one_dof_layers, "chain": chain_layers,
-          "saddle": saddle_layers, "continuation": continuation_layers,
-          "yeoh": yeoh_layers}
+          "saddle": saddle_layers, "chain_task": chain_task_layers,
+          "continuation": continuation_layers, "yeoh": yeoh_layers}
 
 
 def cold_cli(src, workdir):

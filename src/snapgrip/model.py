@@ -588,9 +588,12 @@ def _arcs(terms, psi, phi, ell):
     """Arc terms on numpy input, one result per (exact, series) pair.
 
     cos/sin of psi and of psi + phi and the branch mask are computed once
-    for all terms.  The series is evaluated only if some |phi| is below
-    ARC_SERIES_SWITCH and the exact form only if some is not; np.where
-    picks between them only when both are needed.
+    for all terms.  The series is evaluated only on the angles with |phi|
+    below ARC_SERIES_SWITCH, and the exact form only if some angle is not.
+    On mixed input the series values of the small angles are written over
+    the exact form, which sees phi = 1 there.  Both forms are element-wise
+    arithmetic, so each entry has the bits its own form gives on the
+    whole array.
     """
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(psi), np.sin(psi)
@@ -601,9 +604,14 @@ def _arcs(terms, psi, phi, ell):
     if not small.any():
         return [exact(c, s, cp, sp, phi, ell) for exact, _ in terms]
     safe = np.where(small, 1.0, phi)
-    return [np.where(small, series(c, s, phi, ell),
-                     exact(c, s, cp, sp, safe, ell))
-            for exact, series in terms]
+    phi_small = phi[small]
+    c_small, s_small = (c[small], s[small]) if np.ndim(c) else (c, s)
+    results = []
+    for exact, series in terms:
+        result = exact(c, s, cp, sp, safe, ell)
+        result[small] = series(c_small, s_small, phi_small, ell)
+        results.append(result)
+    return results
 
 
 def gravity_energy_1dof(theta, design: GripperDesign):
@@ -861,9 +869,14 @@ def _ring_station_weights(design: GripperDesign) -> np.ndarray:
 
 
 def _running_sum(v):
-    """Exclusive running sum along the last axis, added in sequence."""
+    """Exclusive running sum along the last axis, added in sequence.
+
+    ``np.add.accumulate`` is the ufunc method that ``np.cumsum`` calls,
+    with the same left-to-right order of additions, so the sums keep
+    their bits without the wrapper's dispatch.
+    """
     out = np.zeros_like(v)
-    np.cumsum(v[..., :-1], axis=-1, out=out[..., 1:])
+    np.add.accumulate(v[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -891,8 +904,8 @@ def chain_energy(angles, design: GripperDesign):
     if g != 0.0:
         # Segment i starts at tangent psi_i and end advance x_i.  The terms
         # are added in sequence, segment by segment and then the payload,
-        # with np.cumsum rather than the pairwise np.sum, so the energy
-        # rounds as a running total does.
+        # with np.add.accumulate (np.cumsum's ufunc) rather than the
+        # pairwise np.sum, so the energy rounds as a running total does.
         seg_mass = finger.linear_density * ell
         psi = _running_sum(phi)
         end_dx, mean_x = _arcs((_END_DX, _MEAN_X), psi, phi, ell)
@@ -901,7 +914,7 @@ def chain_energy(angles, design: GripperDesign):
         terms = np.concatenate(
             (-g * seg_mass * (x + mean_x),
              (-g * design.payload_mass * x_tip)[..., None]), axis=-1)
-        grav = np.cumsum(terms, axis=-1)[..., -1]
+        grav = np.add.accumulate(terms, axis=-1)[..., -1]
     total = elastic + ring + grav
     return total if phi.ndim > 1 else float(total)
 

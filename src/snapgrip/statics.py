@@ -74,7 +74,13 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
     bracket once it is no wider than ``xtol`` or, after ``max_iter`` steps,
     at float resolution (the midpoint is one of its ends).  Any other
     bracket left after ``max_iter`` steps raises NonConvergenceError.
+
+    ``f_lo > 0`` is read once, as a bool, before the first step.  It is
+    the truth value each step compares the sign of ``f`` at the midpoint
+    with, so a float and a numpy ``f_lo`` give the same midpoints and the
+    same root.
     """
+    lo_positive = bool(f_lo > 0)
     mid, f_mid = 0.5 * (lo + hi), math.nan
     for _ in range(max_iter):
         if hi - lo <= xtol:
@@ -82,7 +88,7 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
         f_mid = f(mid)
         if f_mid == 0.0 or abs(f_mid) < ftol:
             return mid
-        if (f_mid > 0) == (f_lo > 0):
+        if (f_mid > 0) == lo_positive:
             lo = mid
         else:
             hi = mid
@@ -307,16 +313,16 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
     phi = np.array(phi0, dtype=float)
     g, hess = chain_gradient_hessian(phi, design)
     for _ in range(max_iter):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm < tol:
             return phi, hess
         lam = 0.0
-        scale = float(np.max(np.abs(hess))) or 1.0
         for _ in range(12):
             try:
                 step = np.linalg.solve(hess + lam * np.eye(phi.size), -g)
                 break
             except np.linalg.LinAlgError:
+                scale = float(np.abs(hess).max()) or 1.0
                 lam = max(lam * 10.0, 1e-12 * scale)
         else:
             return None
@@ -324,13 +330,13 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
         for _ in range(40):
             cand = phi + alpha * step
             g_new, hess_new = chain_gradient_hessian(cand, design)
-            if float(np.max(np.abs(g_new))) < max(gnorm * (1.0 - 1e-4), tol):
+            if float(np.abs(g_new).max()) < max(gnorm * (1.0 - 1e-4), tol):
                 phi, g, hess = cand, g_new, hess_new
                 break
             alpha *= 0.5
         else:
             return None
-    return (phi, hess) if float(np.max(np.abs(g))) < tol else None
+    return (phi, hess) if float(np.abs(g).max()) < tol else None
 
 
 def _chain_equilibrium(design, phi, hess):

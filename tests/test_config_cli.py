@@ -494,6 +494,17 @@ class TestCli:
         assert "left the solve window" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_continuation_without_a_stable_start_exits_2(self, tmp_path):
+        # The window holds the saddle (0.306 rad) and neither well.
+        cfg = write_config(tmp_path, {"solver.theta_min": "0.0",
+                                      "solver.theta_max": "0.6"})
+        res = run_main("continuation", "--tau-max", "0.05", "--config",
+                       str(cfg), "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("snapgrip: error: no stable equilibrium to "
+                              "start from\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mistake", ["config_is_a_directory",
                                          "out_is_a_file",
                                          "config_is_not_utf8"])

@@ -903,6 +903,50 @@ class TestArcBits:
             self.GRAVITY[where]
 
 
+def _signed_stack(n):
+    """Four chains of n joint angles: small (below ARC_SERIES_SWITCH) and
+    large angles of both signs, with -0.0 among them; the last chain bends
+    up to about 1.5 rad a joint."""
+    s = ARC_SERIES_SWITCH
+    k = np.arange(4 * n).reshape(4, n)
+    frac = ((37 * k) % 101) / 101.0
+    sign = np.where(k % 3 == 0, -1.0, 1.0)
+    phi = np.where(k % 4 == 1, sign * s * frac, sign * (s + 0.5 * frac))
+    phi[k % 5 == 2] = -0.0
+    phi[3] *= 3.0
+    return phi
+
+
+class TestChainBits:
+    """The chain model keeps its bits: one sha256 over ``chain_energy``,
+    ``chain_gradient`` and ``chain_gradient_hessian`` of each chain of
+    ``_signed_stack(n)`` alone and of the whole stack, for n = 1, 2, 3, 8,
+    32 and 64 at g = 0, 9.81 and -3 with a 0.01 kg payload.  Frozen from
+    the form whose running sums went through ``np.cumsum`` and whose arc
+    terms took both branches over the whole array on mixed input, with
+    numpy 2.4 on x86-64."""
+
+    DIGEST = ("48060e904d6d51ee4d63bea89123f0d3"
+              "b6dc58b176abaca986831ed70f4f5ad6")
+
+    def test_chain_model_matches_frozen_digest(self, baseline):
+        digest, entries = hashlib.sha256(), 0
+        for n in (1, 2, 3, 8, 32, 64):
+            for gravity in (0.0, 9.81, -3.0):
+                d = _chain_design(baseline, n, gravity, 0.01)
+                stack = _signed_stack(n)
+                for phi in (*stack, stack):
+                    results = (chain_energy(phi, d), chain_gradient(phi, d),
+                               *chain_gradient_hessian(phi, d))
+                    for value in results:
+                        arr = np.asarray(value, dtype=float)
+                        digest.update(f"{type(value).__name__}{arr.shape}"
+                                      .encode() + arr.tobytes())
+                        entries += 1
+        assert entries == 6 * 3 * 5 * 4
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestKinematics:
 
     def test_straight_chain_reaches_full_length(self, baseline):

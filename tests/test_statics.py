@@ -383,6 +383,31 @@ class TestBracketedRoot:
                                xtol=2.0 ** -5, max_iter=5)
         assert abs(root - 0.3) <= 2.0 ** -6
 
+    @pytest.mark.parametrize("gravity", [0.0, 9.81])
+    def test_numpy_and_float_f_lo_give_the_same_root(self, baseline,
+                                                     gravity):
+        # The equilibrium scan passes a grid value, a numpy float64.
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        grid, g = window_gradient(d)
+        gradient = statics.scalar_gradient(d)
+        cells = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+        assert cells.size == 3
+        for i in cells:
+            assert isinstance(g[i], np.float64)
+            runs = []
+            for f_lo in (g[i], float(g[i])):
+                points = []
+
+                def f(t):
+                    points.append(t)
+                    return gradient(t)
+
+                points.append(_bracketed_root(
+                    f, float(grid[i]), float(grid[i + 1]), f_lo,
+                    xtol=statics.BISECTION_TOL))
+                runs.append(np.array(points).view(np.int64).tolist())
+            assert runs[0] == runs[1]
+
 
 class TestRequireBistable:
 
@@ -435,6 +460,16 @@ class TestContinuation:
             continuation_ramped_load(narrow, 0.05, 200)
         path = continuation_ramped_load(baseline, 0.05, 200)
         assert 1.77 < path.thetas.max() < math.pi
+
+    def test_window_without_a_stable_equilibrium_is_an_error(self,
+                                                              baseline):
+        # The window holds the saddle (0.306 rad) and neither well.
+        saddle_only = replace(baseline, window=SolveWindow(0.0, 0.6, 601))
+        (saddle,) = find_equilibria_1dof(saddle_only).equilibria
+        assert not saddle.stable
+        with pytest.raises(NonConvergenceError,
+                           match="no stable equilibrium to start from"):
+            continuation_ramped_load(saddle_only, 0.05, 50)
 
     def test_path_shapes_consistent(self, baseline):
         path = continuation_ramped_load(baseline, 0.01, 50)
@@ -564,6 +599,20 @@ class TestChainStatics:
         assert int(np.sum(eigs < 0.0)) == 1
         grad = chain_gradient(saddle.configuration.as_array(), d)
         assert float(np.linalg.norm(grad)) < 1e-7
+
+    def test_monostable_design_seeds_ring_wells_and_rest_angle(self,
+                                                                baseline):
+        d = set_design_value(set_design_value(
+            baseline, "ring.stiffness", 0.0), "finger.n_segments", 4)
+        assert not find_equilibria_1dof(d).bistable
+        tips = [*d.ring.wells, d.finger.rest_angle]
+        seeds = default_chain_seeds(d)
+        assert len(seeds) == 3
+        for seed, tip in zip(seeds, tips):
+            np.testing.assert_array_equal(seed, uniform_chain(d, tip))
+        (eq,) = find_equilibria_chain(d, seeds)
+        assert eq.stable
+        assert eq.theta == pytest.approx(d.finger.rest_angle, abs=1e-9)
 
     def test_duplicate_seeds_are_merged(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 4)
@@ -778,15 +827,30 @@ class TestChainNewton:
         self._check_pairs(d, pairs)
 
     def test_singular_hessian_is_shifted(self, monkeypatch):
-        # E = (phi_0 - 1)^2 / 2 is flat along phi_1, so its Hessian is
+        # E = 3 (phi_0 - 1)^2 / 2 is flat along phi_1, so its Hessian is
         # exactly singular; the first shift, 1e-12 of its largest entry,
         # makes it solvable.
         given = self._fake_model(
-            monkeypatch, lambda phi: [phi[0] - 1.0, 0.0],
-            lambda phi: [[1.0, 0.0], [0.0, 0.0]])
+            monkeypatch, lambda phi: [3.0 * (phi[0] - 1.0), 0.0],
+            lambda phi: [[3.0, 0.0], [0.0, 0.0]])
+        solved = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            solved.append(a.copy())
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
         phi, hess = statics._chain_newton(None, [3.0, 0.5])
         assert phi[0] == pytest.approx(1.0, abs=1e-9) and phi[1] == 0.5
         assert hess is given[phi.tobytes()]
+        # Each step tries the Hessian as it is, then shifted by
+        # 1e-12 * max|H| = 3e-12.
+        lam = 1e-12 * 3.0
+        assert len(solved) >= 2 and len(solved) % 2 == 0
+        for unshifted, shifted in zip(solved[::2], solved[1::2]):
+            assert unshifted.tolist() == [[3.0, 0.0], [0.0, 0.0]]
+            assert shifted.tolist() == [[3.0 + lam, 0.0], [0.0, lam]]
 
     def test_hessian_singular_under_every_shift_fails(self, monkeypatch):
         # The shift goes 0, then 1e-12, 1e-11, ... 1e-2 of the largest
