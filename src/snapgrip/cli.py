@@ -157,6 +157,7 @@ def _dispatch(args) -> int:
     design = build_design(doc)
     settings = build_solver_settings(doc)
     outputs = []
+    failure = None      # raised once the outputs and the manifest are written
 
     def output(name):
         """Path of output ``name``; ``out`` is created on first use."""
@@ -307,7 +308,7 @@ def _dispatch(args) -> int:
         for a, state in zip(rep.assertions, states):
             print(f"{state.upper()} {a.name}: {a.detail}")
         if not rep.all_passed:
-            raise DomainError("one or more trend assertions failed")
+            failure = DomainError("one or more trend assertions failed")
 
     elif args.command == "tunering":
         width = tune_ring_width(design, args.target_barrier)
@@ -329,6 +330,8 @@ def _dispatch(args) -> int:
     command = "snapgrip " + args.command
     write_manifest(out / "run_manifest.txt", serialize_config(doc),
                    __version__, command, outputs)
+    if failure is not None:
+        raise failure
     return 0
 
 

@@ -87,44 +87,6 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
             f"{MAX_STEP_FRACTION / omega:.3g} s at the nearest equilibrium")
 
 
-def _rk4_stepper(design: GripperDesign, dt: float):
-    """The classical RK4 step of length ``dt`` for ``design``, with the
-    dissipated energy that ``simulate_1dof`` records.
-
-    The returned ``step(i, theta, omega, diss)`` advances the state from
-    time ``i * dt``; the dissipated energy integrates c*omega^2.  Each
-    stage is evaluated inline on floats, in the order of operations of
-    theta' = omega, omega' = (-dU/dtheta - c*omega) / J.  ``i`` only names
-    the step in the error raised when the state leaves the finite range.
-    ``closing_time`` writes the same stages out in its own loop, without
-    the dissipation sum it does not read.
-    """
-    inv_j = 1.0 / design.inertia
-    c = design.damping
-    gradient = scalar_gradient(design)
-    half, sixth = dt / 2, dt / 6
-    isfinite = math.isfinite
-
-    def step(i, theta, omega, diss):
-        k1w = (-gradient(theta) - c * omega) * inv_j
-        k2t = omega + half * k1w
-        k2w = (-gradient(theta + half * omega) - c * k2t) * inv_j
-        k3t = omega + half * k2w
-        k3w = (-gradient(theta + half * k2t) - c * k3t) * inv_j
-        k4t = omega + dt * k3w
-        k4w = (-gradient(theta + dt * k3t) - c * k4t) * inv_j
-        theta += sixth * (omega + 2.0 * k2t + 2.0 * k3t + k4t)
-        diss += sixth * (c * omega * omega + 2.0 * (c * k2t * k2t)
-                         + 2.0 * (c * k3t * k3t) + c * k4t * k4t)
-        omega += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if not (isfinite(theta) and isfinite(omega) and isfinite(diss)):
-            raise NonFiniteStateError(
-                f"the state left the finite range by t = {i * dt + dt:.6g} s")
-        return theta, omega, diss
-
-    return step
-
-
 def _require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
@@ -147,8 +109,12 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
             f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
             f"{MAX_STEPS} steps")
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
-    step = _rk4_stepper(design, dt)
+    gradient = scalar_gradient(design)
     energy_at = scalar_energy(design)
+    inv_j = 1.0 / design.inertia
+    c = design.damping
+    half, sixth = dt / 2, dt / 6
+    isfinite = math.isfinite
 
     n = int(round(t_end / dt))
     theta, omega, diss = float(theta_init), float(omega_init), 0.0
@@ -157,8 +123,24 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
     for i in range(n + 1):
         rows.append((i * dt, theta, omega,
                      energy_at(theta) + half_j * omega * omega, diss))
-        if i < n:
-            theta, omega, diss = step(i, theta, omega, diss)
+        if i == n:
+            break
+        # The four RK4 stages on floats; the dissipated energy integrates
+        # c*omega^2 along them.
+        k1w = (-gradient(theta) - c * omega) * inv_j
+        k2t = omega + half * k1w
+        k2w = (-gradient(theta + half * omega) - c * k2t) * inv_j
+        k3t = omega + half * k2w
+        k3w = (-gradient(theta + half * k2t) - c * k3t) * inv_j
+        k4t = omega + dt * k3w
+        k4w = (-gradient(theta + dt * k3t) - c * k4t) * inv_j
+        theta += sixth * (omega + 2.0 * k2t + 2.0 * k3t + k4t)
+        diss += sixth * (c * omega * omega + 2.0 * (c * k2t * k2t)
+                         + 2.0 * (c * k3t * k3t) + c * k4t * k4t)
+        omega += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if not (isfinite(theta) and isfinite(omega) and isfinite(diss)):
+            raise NonFiniteStateError(
+                f"the state left the finite range by t = {i * dt + dt:.6g} s")
     return Trajectory(*np.array(rows).T.copy())
 
 
@@ -230,7 +212,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     peak = abs(omega)
     entered_at = None
     for i in range(n):
-        # The step of ``_rk4_stepper``, less its dissipation sum.
+        # The RK4 step of ``simulate_1dof``, less its dissipation sum.
         k1w = (-gradient(theta) - c * omega) * inv_j
         k2t = omega + half * k1w
         k2w = (-gradient(theta + half * omega) - c * k2t) * inv_j

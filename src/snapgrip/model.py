@@ -820,13 +820,6 @@ def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
     return _plus_scalar_gravity(design, elastic, derivative=False)
 
 
-def second_derivative_1dof(theta, design: GripperDesign):
-    """Curvature of the energy, central difference of the analytic gradient."""
-    h = DIFFERENCE_STEP
-    return (gradient_1dof(theta + h, design)
-            - gradient_1dof(theta - h, design)) / (2.0 * h)
-
-
 def sample_landscape(design: GripperDesign, theta_grid) -> EnergyLandscape:
     """Energy components on ``theta_grid``; raises NonFiniteStateError
     if the total energy is not finite at every sample."""

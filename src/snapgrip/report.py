@@ -68,8 +68,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _ticks(lo, hi, n=5):
-    if hi == lo:
-        hi = lo + 1.0
+    """Round tick values on [lo, hi]; the callers widen an empty range."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):

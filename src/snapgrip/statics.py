@@ -319,7 +319,10 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
         lam = 0.0
         for _ in range(12):
             try:
-                step = np.linalg.solve(hess + lam * np.eye(phi.size), -g)
+                # hess + 0.0 is the unshifted sum: -0.0 entries turn +0.0.
+                step = np.linalg.solve(
+                    hess + lam * np.eye(phi.size) if lam else hess + 0.0,
+                    -g)
                 break
             except np.linalg.LinAlgError:
                 scale = float(np.abs(hess).max()) or 1.0

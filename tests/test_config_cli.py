@@ -250,6 +250,23 @@ class TestSvg:
         with pytest.raises(EmptyDataError):
             svg_line_plot([], {}, "x", "y")
 
+    def test_no_finite_values_rejected(self):
+        with pytest.raises(EmptyDataError, match="no finite values"):
+            svg_line_plot([0.0, 1.0], {"U": [math.nan, math.inf]}, "x", "y")
+        with pytest.raises(EmptyDataError, match="no finite values"):
+            svg_grouped_bars(["a"], {"u": [math.nan]}, "J")
+        with pytest.raises(EmptyDataError, match="nothing to plot"):
+            svg_grouped_bars([], {"u": []}, "J")
+
+    def test_constant_data_spans_one_unit(self):
+        # Constant x and y each get the range [v, v + 1], so the points
+        # sit at the lower-left corner of the plot area.
+        svg = svg_line_plot([2.0, 2.0], {"U": [0.5, 0.5]}, "x", "y")
+        points = svg.split('points="')[1].split('"')[0]
+        assert points == "70.00,370.00 70.00,370.00"
+        bars = svg_grouped_bars(["a"], {"u": [0.0]}, "J")
+        assert 'y="370.00" width="396.00" height="0.00"' in bars
+
     def test_grouped_bars_structure(self):
         svg = svg_grouped_bars(["a", "b"], {"u": [1.0, 2.0],
                                             "v": [0.5, 0.7]}, "J")
@@ -542,6 +559,28 @@ class TestCli:
         assert "not bistable" in res.stderr
         assert "Traceback" not in res.stderr
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_failed_trend_writes_its_tables_and_manifest(self, tmp_path):
+        # A high, trimmed ring: three variants are monostable, so their
+        # bars are left out, and no equal-barrier move gains grip force.
+        cfg = write_config(tmp_path, {"ring.attach_fraction": "0.8",
+                                      "ring.width_scale": "0.15"})
+        out = tmp_path / "out"
+        res = run_main("feacases", "--plot", "--config", str(cfg),
+                       "--out", str(out), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("snapgrip: error: one or more trend "
+                              "assertions failed\n")
+        assert ("FAIL force_up_at_equal_barrier: no sweep point matched\n"
+                in res.stdout)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "feacases.csv", "feacases.svg", "feacases.txt",
+            "run_manifest.txt"]
+        manifest = (out / "run_manifest.txt").read_text()
+        assert ("outputs = feacases.txt;feacases.csv;feacases.svg\n"
+                in manifest)
+        # 2 bistable cases x 3 series bars plus the white background.
+        assert (out / "feacases.svg").read_text().count("<rect") == 7
 
     def test_narrow_window_in_sweep_and_gravitycheck(self, tmp_path):
         cfg = tmp_path / "narrow.cfg"

@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from snapgrip import dynamics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonFiniteStateError, NotBistableError,
                              StepSizeError)
-from snapgrip.model import set_design_value
+from snapgrip.model import SolveWindow, set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (CLOSING_STEP_FRACTION, CLOSING_T_MAX,
                                MAX_STEPS, calibrate_inertia, closing_time,
@@ -79,6 +79,17 @@ class TestSimulate:
         with pytest.raises(StepSizeError):
             simulate_1dof(baseline, report.open_state.theta, 0.0,
                           dt=0.01, t_end=0.1)
+
+    def test_window_without_a_stable_equilibrium_gives_the_same_motion(
+            self, baseline):
+        # The window holds only the saddle (0.306 rad), so no stable
+        # equilibrium bounds the step; the window decides nothing else.
+        saddle_only = replace(baseline, window=SolveWindow(0.0, 0.6, 601))
+        traj = simulate_1dof(saddle_only, 0.3, 0.0, dt=2e-5, t_end=0.01)
+        reference = simulate_1dof(baseline, 0.3, 0.0, dt=2e-5, t_end=0.01)
+        for field in fields(traj):
+            assert np.array_equal(getattr(traj, field.name),
+                                  getattr(reference, field.name))
 
     def test_run_shorter_than_one_step_is_a_domain_error(self, baseline,
                                                           report):

@@ -11,7 +11,8 @@ from snapgrip.errors import (BudgetExceededError, DomainError,
                              InvalidArgumentError, NotBistableError,
                              ObjectTooLargeError, TargetUnreachableError)
 from snapgrip import dynamics, explore, statics
-from snapgrip.model import SMALL_ANGLE, set_design_value, tip_chord
+from snapgrip.model import (DEFAULT_OBJECT_HALFWIDTH, SMALL_ANGLE,
+                            set_design_value, tip_chord)
 from snapgrip.statics import find_equilibria_1dof, snap_through_energy
 from snapgrip.dynamics import (closing_time, gravity_trigger_check,
                                minimal_trigger_impulse)
@@ -173,6 +174,41 @@ class TestMorphologyCases:
         with pytest.raises(NotBistableError):
             reproduce_fea_cases(d)
 
+    def test_default_kick_leaves_the_closing_order_unchecked(self, baseline):
+        # 1.5 times the minimal impulse closes none of the placements.
+        rep = reproduce_fea_cases(baseline)
+        skipped = {a.name: a.detail for a in rep.assertions if a.skipped}
+        assert skipped == {"ring_lower_closes_fastest":
+                           "a placement case failed to close"}
+
+    def test_monostable_variants_skip_their_trends(self, baseline):
+        # A high, trimmed ring: three variants lose a well, and the
+        # equal-barrier search stops where the ring would leave the finger.
+        d = set_design_value(baseline, "ring.attach_fraction", 0.8)
+        d = set_design_value(d, "ring.width_scale", 0.15)
+        rep = reproduce_fea_cases(d, impulse_factor=5.0)
+        monostable = sorted(k for k, m in rep.cases.items()
+                            if not m["bistable"])
+        assert monostable == ["higher_curvature", "ring_higher",
+                              "thinner_ring"]
+        states = {a.name: (a.skipped, a.passed, a.detail)
+                  for a in rep.assertions}
+        for name in ("ring_higher_open_down", "ring_higher_snap_down",
+                     "thinner_ring_open_down", "thinner_ring_snap_down",
+                     "higher_curvature_open_up", "higher_curvature_snap_down"):
+            case = name.rsplit("_", 2)[0]
+            assert states[name] == (True, False, f"{case} is monostable")
+        for metric in ("open_energy", "snap_through"):
+            assert states[f"thinner_ring_{metric}_smaller_magnitude"] == (
+                True, False, "a required case is monostable")
+        assert states["ring_lower_closes_fastest"] == (
+            True, False, "a placement case failed to close")
+        assert states["force_up_at_equal_barrier"] == (
+            False, False, "no sweep point matched")
+        assert not rep.all_passed
+        assert explore.equal_barrier_force_gain(
+            d, rep.baseline, DEFAULT_OBJECT_HALFWIDTH) is None
+
 
 class TestTuneRingWidth:
 
@@ -208,6 +244,35 @@ class TestTuneRingWidth:
             barriers.append(report.snap_through_energy
                             if report.bistable else 0.0)
         assert all(b2 >= b1 for b1, b2 in zip(barriers, barriers[1:]))
+
+    @staticmethod
+    def _gravity_well_design(baseline, stiffness):
+        # A heavy payload gives two wells of its own on [-6, pi]
+        # (-5.30 and 2.29 rad, saddle -2.74 rad); this soft ring sits at
+        # the saddle and the closed state, so it lowers the barrier.
+        d = baseline
+        for key, value in (("gripper.gravity", 9.81),
+                           ("gripper.payload_mass", 0.1),
+                           ("solver.theta_min", -6.0),
+                           ("ring.well_center", -0.25),
+                           ("ring.well_halfwidth", 2.5),
+                           ("ring.stiffness", stiffness)):
+            d = set_design_value(d, key, value)
+        return d
+
+    def test_barrier_above_the_target_as_the_ring_vanishes(self, baseline):
+        d = self._gravity_well_design(baseline, 0.001)
+        assert 0.01 < snap_through_energy(d) < snap_through_energy(
+            set_design_value(d, "ring.width_scale", 2.0 ** -60))
+        with pytest.raises(TargetUnreachableError, match="width vanishes"):
+            tune_ring_width(d, 0.01)
+
+    def test_barrier_not_monotone_in_width_is_refused(self, baseline):
+        # The barrier dips from 6.5e-4 J at full width to 5e-5 J at half
+        # width and rises again to 1.7e-3 J at a quarter.
+        d = self._gravity_well_design(baseline, 0.03)
+        with pytest.raises(TargetUnreachableError, match="not monotone"):
+            tune_ring_width(d, 5e-4)
 
     def test_each_trial_width_is_solved_once(self, baseline, solves):
         d = set_design_value(baseline, "gripper.gravity", 9.81)
@@ -258,6 +323,12 @@ class TestGripForce:
         d = set_design_value(baseline, "ring.stiffness", 0.0)
         with pytest.raises(NotBistableError):
             grip_force_estimate(d, 0.05)
+
+    def test_object_wider_than_open_span_reads_nan_in_metrics(self,
+                                                              baseline):
+        metrics = design_metrics(baseline, 2.0 * baseline.finger.length,
+                                 include_closing_time=False)
+        assert metrics["bistable"] and math.isnan(metrics["grip_force"])
 
     @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -1.0, 0.0])
     def test_non_positive_or_non_finite_halfwidth_rejected(self, baseline,

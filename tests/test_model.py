@@ -23,9 +23,9 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             gravity_energy_1dof, gravity_gradient_1dof,
                             moment_curvature, ring_energy_1dof,
                             sample_landscape, scalar_energy, scalar_gradient,
-                            second_derivative_1dof, set_design_value,
-                            tip_chord, total_energy_1dof, uniform_chain,
-                            window_gradient)
+                            set_design_value, tip_chord, total_energy_1dof,
+                            uniform_chain, window_gradient)
+from snapgrip.statics import find_equilibria_1dof
 
 
 def pure_quartic_ring(k=1.0, center=0.0, halfwidth=1.0):
@@ -58,6 +58,16 @@ class TestMomentCurvature:
             errors.append(abs(m - m_lin) / m_lin)
         assert errors[0] < 1e-2
         assert errors[0] > errors[1] > errors[2]
+
+    def test_yeoh_bending_stiffness_is_the_small_curvature_slope(self):
+        sec = CrossSection(0.015, 0.006)
+        yeoh = Yeoh(1.0e5, 2.0e3, 50.0)
+        finger = FingerDesign(length=0.08, natural_curvature=20.0,
+                              cross_section=sec, material=yeoh)
+        assert finger.bending_stiffness == 6.0 * 1.0e5 * sec.second_moment
+        kappa = 1e-3
+        assert moment_curvature(kappa, sec, yeoh) / kappa == pytest.approx(
+            finger.bending_stiffness, rel=1e-10)
 
     def test_yeoh_moment_is_odd_in_curvature(self):
         sec = CrossSection(0.015, 0.006)
@@ -298,6 +308,11 @@ class TestDesignInvariants:
         with pytest.raises(InvalidDesignError):
             Yeoh(0.0, 1.0e4, 0.0)
 
+    def test_yeoh_with_falling_uniaxial_stress_rejected(self):
+        # dW/dI1 = c10 + 2*c20*(I1 - 3) turns negative before stretch 2.
+        with pytest.raises(InvalidDesignError, match="non-monotonic"):
+            Yeoh(1.0e5, -1.0e5, 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make", [
         lambda v: LinearElastic(v),
@@ -473,8 +488,11 @@ class TestGradients:
                 assert abs(g[i] - fd) / denom < 1e-6
 
     def test_second_derivative_positive_in_wells(self, baseline):
-        for theta in (-0.85, 1.6):
-            assert float(second_derivative_1dof(theta, baseline)) > 0.0
+        report = find_equilibria_1dof(baseline)
+        for state, theta in ((report.open_state, -0.85),
+                             (report.closed_state, 1.6)):
+            assert abs(state.theta - theta) < 0.1
+            assert state.curvature > 0.0
 
     def test_chain_hessian_is_symmetric(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 6)

@@ -12,13 +12,12 @@ import snapgrip.statics as statics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonConvergenceError, NotBistableError,
                              SaddleOrderError)
-from snapgrip.model import (MAX_GRID_POINTS, ChainConfiguration,
+from snapgrip.model import (DIFFERENCE_STEP, MAX_GRID_POINTS,
+                            ChainConfiguration,
                             SolveWindow, Yeoh,
                             set_design_value, total_energy_1dof,
                             gradient_1dof, chain_energy, chain_gradient,
-                            chain_hessian,
-                            second_derivative_1dof, uniform_chain,
-                            window_gradient)
+                            chain_hessian, uniform_chain, window_gradient)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -516,7 +515,10 @@ class TestContinuation:
         path = continuation_ramped_load(d, tau_max, 200)
         residual = np.asarray(gradient_1dof(path.thetas, d)) - path.taus
         assert np.max(np.abs(residual)) <= 1e-9
-        assert np.all(second_derivative_1dof(path.thetas, d) > 0.0)
+        # g - tau changes sign upward across each point: a stable root.
+        h = DIFFERENCE_STEP
+        assert np.all(gradient_1dof(path.thetas - h, d) - path.taus < 0.0)
+        assert np.all(gradient_1dof(path.thetas + h, d) - path.taus > 0.0)
 
     def test_negative_load_moves_left_without_a_fold(self, baseline):
         path = continuation_ramped_load(baseline, -0.1, 100)
