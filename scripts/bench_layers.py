@@ -52,11 +52,14 @@ g = 7.  The ``continuation_`` layers ramp the baseline's closing moment
 to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
 g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
 ``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
-shows.  The ``cli_snapthrough_cold`` layer runs ``python -m snapgrip.cli
-snapthrough --config configs/baseline.cfg`` in a fresh interpreter that
-imports ``--src``, so it includes start-up and imports; besides its wall
-time it records the child's CPU time (user + system, from the ``os.wait4``
-rusage) as ``cpu_median_s`` and ``cpu_runs_s``, and it has no call counts.
+shows.  The three cold layers each start a fresh interpreter that imports
+``--src``, so they include start-up and imports:
+``import_snapgrip_cold`` runs ``python -c "import snapgrip"``,
+``import_snapgrip_cli_cold`` runs ``python -c "import snapgrip.cli"``, and
+``cli_snapthrough_cold`` runs ``python -m snapgrip.cli snapthrough
+--config configs/baseline.cfg``.  Besides its wall time, each records the
+child's CPU time (user + system, from the ``os.wait4`` rusage) as
+``cpu_median_s`` and ``cpu_runs_s``, and none has call counts.
 """
 
 import argparse
@@ -263,11 +266,21 @@ GROUPS = {"1dof": one_dof_layers, "chain": chain_layers,
           "continuation": continuation_layers, "yeoh": yeoh_layers}
 
 
-def cold_cli(src, workdir):
-    """Wall and child CPU seconds of one cold ``snapthrough`` call of the
-    checkout whose ``src`` directory is ``src``."""
-    argv = [sys.executable, "-m", "snapgrip.cli", "snapthrough",
-            "--config", str(BASELINE_CFG), "--out", workdir]
+def cold_layers(workdir):
+    """Cold layers: name -> the arguments of ``python`` for one run."""
+    return {
+        "import_snapgrip_cold": ["-c", "import snapgrip"],
+        "import_snapgrip_cli_cold": ["-c", "import snapgrip.cli"],
+        "cli_snapthrough_cold": ["-m", "snapgrip.cli", "snapthrough",
+                                 "--config", str(BASELINE_CFG),
+                                 "--out", workdir],
+    }
+
+
+def cold_run(src, workdir, args):
+    """Wall and child CPU seconds of ``python args`` in a fresh interpreter
+    that imports the checkout whose ``src`` directory is ``src``."""
+    argv = [sys.executable, *args]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=workdir, stdout=subprocess.DEVNULL,
                             env=dict(os.environ, PYTHONPATH=src))
@@ -341,12 +354,14 @@ def main(argv=None):
             stdout=subprocess.PIPE, text=True, check=True)
         result.update(json.loads(child.stdout))
     with tempfile.TemporaryDirectory() as workdir:
-        cold_cli(args.src, workdir)
-        walls, cpus = map(list, zip(*(cold_cli(args.src, workdir)
-                                      for _ in range(args.repeats))))
-    result["cli_snapthrough_cold"] = {
-        "median_s": statistics.median(walls), "runs_s": walls,
-        "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus}
+        for name, cold_args in cold_layers(workdir).items():
+            cold_run(args.src, workdir, cold_args)
+            walls, cpus = map(list, zip(*(
+                cold_run(args.src, workdir, cold_args)
+                for _ in range(args.repeats))))
+            result[name] = {
+                "median_s": statistics.median(walls), "runs_s": walls,
+                "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus}
     print(json.dumps(result, indent=1))
 
 

@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 import os
+from importlib import import_module
 
 # numpy loads with the ``.model`` import below, and OpenBLAS then starts a
 # thread pool (about 80 ms of CPU per process on a 2-core x86-64 machine).
@@ -26,20 +27,48 @@ try:
                         gradient_1dof, gravity_energy_1dof, moment_curvature,
                         ring_energy_1dof, sample_landscape, set_design_value,
                         total_energy_1dof)
-    from .statics import (ContinuationPath, Equilibrium, EquilibriumReport,
-                          continuation_ramped_load, find_equilibria_1dof,
-                          find_equilibria_chain, saddle_search_chain,
-                          snap_through_energy, trigger_moment)
-    from .dynamics import (ClosingEvent, Trajectory, closing_time,
-                           closing_time_vs_frequency_study,
-                           gravity_trigger_check, natural_frequency,
-                           simulate_1dof)
-    from .explore import (MorphologyCaseReport, SweepSpec, SweepTable,
-                          grip_force_estimate, reproduce_fea_cases,
-                          run_sweep, tune_ring_width)
     from .config import (ConfigDocument, build_design, build_solver_settings,
                          default_config, load_config, parse_config,
                          serialize_config)
 finally:
     if _single_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
+
+# The solver layers load on first access (PEP 562), so a caller that only
+# builds designs or reads a config does not compile and build them.
+_LAZY = {name: module for module, names in (
+    ("statics", ("ContinuationPath", "Equilibrium", "EquilibriumReport",
+                 "continuation_ramped_load", "find_equilibria_1dof",
+                 "find_equilibria_chain", "saddle_search_chain",
+                 "snap_through_energy", "trigger_moment")),
+    ("dynamics", ("ClosingEvent", "Trajectory", "closing_time",
+                  "closing_time_vs_frequency_study", "gravity_trigger_check",
+                  "natural_frequency", "simulate_1dof")),
+    ("explore", ("MorphologyCaseReport", "SweepSpec", "SweepTable",
+                 "grip_force_estimate", "reproduce_fea_cases", "run_sweep",
+                 "tune_ring_width")),
+) for name in names}
+
+__all__ = [
+    "ChainConfiguration", "CrossSection", "EnergyLandscape", "FingerDesign",
+    "GripperDesign", "LinearElastic", "RingDesign", "Yeoh", "chain_energy",
+    "chain_gradient", "chain_gradient_hessian", "chain_hessian",
+    "finger_energy_1dof", "forward_kinematics", "gradient_1dof",
+    "gravity_energy_1dof", "moment_curvature", "ring_energy_1dof",
+    "sample_landscape", "set_design_value", "total_energy_1dof",
+    "ConfigDocument", "build_design", "build_solver_settings",
+    "default_config", "load_config", "parse_config", "serialize_config",
+    *_LAZY]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteStateError, StepSizeError
 from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, scalar_energy,
-                    scalar_gradient, set_design_value)
+                    scalar_gradient, set_design_value, window_gradient)
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -76,15 +76,23 @@ def natural_frequency(design: GripperDesign,
 
 def _check_step(design: GripperDesign, theta_init: float, dt: float,
                 report: EquilibriumReport) -> None:
+    """Refuse a step above MAX_STEP_FRACTION / omega, with omega the
+    natural frequency at the stable equilibrium nearest ``theta_init`` or,
+    in a window that holds none, sqrt(max |U''| / J) over the window grid."""
     stables = [e for e in report.equilibria if e.stable]
-    if not stables:
-        return
-    nearest = min(stables, key=lambda e: abs(e.theta - theta_init))
-    omega = natural_frequency(design, nearest)
+    if stables:
+        nearest = min(stables, key=lambda e: abs(e.theta - theta_init))
+        omega = natural_frequency(design, nearest)
+        where = "at the nearest equilibrium"
+    else:
+        grid, g = window_gradient(design)
+        stiffest = float(np.abs(np.diff(g) / np.diff(grid)).max())
+        omega = math.sqrt(stiffest / design.inertia)
+        where = "on the solve window"
     if dt > MAX_STEP_FRACTION / omega:
         raise StepSizeError(
             f"dt = {dt:.3g} s exceeds the stability bound "
-            f"{MAX_STEP_FRACTION / omega:.3g} s at the nearest equilibrium")
+            f"{MAX_STEP_FRACTION / omega:.3g} s {where}")
 
 
 def _require_finite(**values) -> None:
@@ -99,7 +107,8 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
 
     A run of more than MAX_STEPS steps is refused.  The step size is
     checked against the small-oscillation period at the nearest stable
-    equilibrium before integration starts.
+    equilibrium, or at the largest curvature of the solve window grid if
+    the window holds no stable equilibrium, before integration starts.
     """
     if not (dt > 0 and t_end > dt):
         raise InvalidArgumentError("need dt > 0 and t_end > dt")

@@ -65,23 +65,56 @@ def write_manifest(path, config_text: str, version: str, command: str,
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 def _ticks(lo, hi, n=5):
-    """Round tick values on [lo, hi]; the callers widen an empty range."""
+    """Round tick values on [lo, hi], at most n + 2 of them, for lo < hi
+    with hi - lo finite."""
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    # span / n may round to 0.0, and 10.0 ** -324 is 0.0.
+    tiny = math.ulp(0.0)
+    step = max(10.0 ** math.floor(math.log10(max(span / n, tiny))), tiny)
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
             step *= mult
             break
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if step <= spacing / 2:
+        # t += step would stand still: tick at the float spacing instead.
+        step = spacing
     first = math.ceil(lo / step) * step
+    # Near the largest float, hi plus the tolerance may overflow.
+    top = min(hi + 1e-12 * span, _FLOAT_MAX)
     out = []
     t = first
-    while t <= hi + 1e-12 * span:
+    while t <= top and len(out) < n + 2:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return out
+
+
+def _axis(lo, hi):
+    """(tick values, map v -> (v - lo) / (hi - lo)) of an axis over the
+    data range [lo, hi].
+
+    An empty range is widened by 1, or by one float spacing toward zero
+    where 1 is below the spacing.  Where hi - lo overflows, the map and
+    the ticks work on halved values; halving is exact, and every other
+    range is scaled by 1.0, which keeps its bits.
+    """
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            lo, hi = sorted((lo, math.nextafter(lo, 0.0)))
+    scale = 1.0 if math.isfinite(hi - lo) else 0.5
+    lo, hi = lo * scale, hi * scale
+    span = hi - lo
+
+    def fraction(v):
+        return (v * scale - lo) / span
+
+    return [t / scale for t in _ticks(lo, hi)], fraction
 
 
 def _svg_header(parts):
@@ -95,8 +128,8 @@ def _svg_header(parts):
                  f'<path d="M {_ML} {_MT} V {_H - _MB} H {_W - _MR}"/></g>')
 
 
-def _y_ticks(parts, ylo, yhi, sy):
-    for t in _ticks(ylo, yhi):
+def _y_ticks(parts, ticks, sy):
+    for t in ticks:
         py = sy(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '
                      f'y2="{py:.2f}" stroke="black"/>')
@@ -120,31 +153,27 @@ def svg_line_plot(x, series: dict, xlabel: str, ylabel: str,
     if not x or not series:
         raise EmptyDataError("nothing to plot")
     ys = {name: list(v) for name, v in series.items()}
-    xlo, xhi = min(x), max(x)
     all_y = [v for vals in ys.values() for v in vals if math.isfinite(v)]
     if not all_y:
         raise EmptyDataError("no finite values to plot")
-    ylo, yhi = min(all_y), max(all_y)
-    if yhi == ylo:
-        yhi = ylo + 1.0
-    if xhi == xlo:
-        xhi = xlo + 1.0
+    x_ticks, x_fraction = _axis(min(x), max(x))
+    y_ticks, y_fraction = _axis(min(all_y), max(all_y))
 
     def sx(v):
-        return _ML + (v - xlo) / (xhi - xlo) * (_W - _ML - _MR)
+        return _ML + x_fraction(v) * (_W - _ML - _MR)
 
     def sy(v):
-        return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+        return _H - _MB - y_fraction(v) * (_H - _MT - _MB)
 
     parts = []
     _svg_header(parts)
-    for t in _ticks(xlo, xhi):
+    for t in x_ticks:
         px = sx(t)
         parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
                      f'y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
                      f'font-size="11" text-anchor="middle">{t:.4g}</text>')
-    _y_ticks(parts, ylo, yhi, sy)
+    _y_ticks(parts, y_ticks, sy)
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
                  f'font-size="13" text-anchor="middle">{xlabel}</text>')
     _y_label(parts, ylabel)
@@ -176,12 +205,10 @@ def svg_grouped_bars(groups, series: dict, ylabel: str) -> str:
              if math.isfinite(v)]
     if not all_v:
         raise EmptyDataError("no finite values to plot")
-    ylo, yhi = min(0.0, min(all_v)), max(0.0, max(all_v))
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    y_ticks, y_fraction = _axis(min(0.0, min(all_v)), max(0.0, max(all_v)))
 
     def sy(v):
-        return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+        return _H - _MB - y_fraction(v) * (_H - _MT - _MB)
 
     plot_w = _W - _ML - _MR
     cluster = plot_w / len(groups)
@@ -189,7 +216,7 @@ def svg_grouped_bars(groups, series: dict, ylabel: str) -> str:
 
     parts = []
     _svg_header(parts)
-    _y_ticks(parts, ylo, yhi, sy)
+    _y_ticks(parts, y_ticks, sy)
     base_y = sy(0.0)
     for gi, group in enumerate(groups):
         x0 = _ML + gi * cluster + cluster * 0.1

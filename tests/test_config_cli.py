@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -267,6 +268,31 @@ class TestSvg:
         bars = svg_grouped_bars(["a"], {"u": [0.0]}, "J")
         assert 'y="370.00" width="396.00" height="0.00"' in bars
 
+    @pytest.mark.parametrize("values", [
+        [-3e15, -3e15],     # a 0.2 step where floats are 0.5 apart
+        [1e16, 1e16 + 4],   # a 1.0 step where floats are 2 apart
+        [1e20, 1e20],       # v + 1 == v
+        [-1e308, 1e308],    # the range overflows
+        [0.0, 1.7976931348623157e308],  # so does its end plus a tolerance
+        [0.0, 1e-323],      # a fifth of the range rounds to 0
+        # Steps of 1e-51 where floats are 6.7e-52 apart: each step moves
+        # t by one float, and the range holds 8 floats.
+        [3.042554788940707e-36, 3.042554788940712e-36],
+    ])
+    def test_extreme_data_gets_a_finite_axis(self, values):
+        for svg in (svg_line_plot([0.0, 1.0], {"U": values}, "x", "y"),
+                    svg_line_plot(values, {"U": [0.0, 1.0]}, "x", "y"),
+                    svg_grouped_bars(["a", "b"], {"u": values}, "J")):
+            assert "nan" not in svg and "inf" not in svg
+            x_ticks = [float(v) for v in
+                       re.findall(r'<line x1="([^"]+)" y1="370"', svg)]
+            y_ticks = [float(v) for v in
+                       re.findall(r'<line x1="65" y1="([^"]+)"', svg)]
+            for ticks in ([x_ticks] if "<polyline" in svg else []) + [
+                    [-py for py in y_ticks]]:
+                assert 1 <= len(ticks) <= 7
+                assert ticks == sorted(set(ticks))
+
     def test_grouped_bars_structure(self):
         svg = svg_grouped_bars(["a", "b"], {"u": [1.0, 2.0],
                                             "v": [0.5, 0.7]}, "J")
@@ -462,6 +488,9 @@ class TestCli:
         (["landscape"], {"ring.well_center": "1e300"}),
         # 200 halvings of a grid cell leave a bracket 1.5e16 rad wide.
         (["equilibria"], {"solver.theta_max": "1e80"}),
+        # The window holds only the saddle: its grid's curvature bounds dt.
+        (["simulate", "--theta0", "0.3", "--dt", "2e-3", "--t-end", "0.1"],
+         {"solver.theta_min": "0.0", "solver.theta_max": "0.6"}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):
@@ -760,6 +789,29 @@ class TestCliFuzz:
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                          "OMP_NUM_THREADS")
+# The names ``snapgrip`` exports, by the module that defines them.
+EXPORTS = {
+    "model": ("ChainConfiguration", "CrossSection", "EnergyLandscape",
+              "FingerDesign", "GripperDesign", "LinearElastic", "RingDesign",
+              "Yeoh", "chain_energy", "chain_gradient",
+              "chain_gradient_hessian", "chain_hessian", "finger_energy_1dof",
+              "forward_kinematics", "gradient_1dof", "gravity_energy_1dof",
+              "moment_curvature", "ring_energy_1dof", "sample_landscape",
+              "set_design_value", "total_energy_1dof"),
+    "statics": ("ContinuationPath", "Equilibrium", "EquilibriumReport",
+                "continuation_ramped_load", "find_equilibria_1dof",
+                "find_equilibria_chain", "saddle_search_chain",
+                "snap_through_energy", "trigger_moment"),
+    "dynamics": ("ClosingEvent", "Trajectory", "closing_time",
+                 "closing_time_vs_frequency_study", "gravity_trigger_check",
+                 "natural_frequency", "simulate_1dof"),
+    "explore": ("MorphologyCaseReport", "SweepSpec", "SweepTable",
+                "grip_force_estimate", "reproduce_fea_cases", "run_sweep",
+                "tune_ring_width"),
+    "config": ("ConfigDocument", "build_design", "build_solver_settings",
+               "default_config", "load_config", "parse_config",
+               "serialize_config"),
+}
 
 
 def run_python(code, tmp_path, **variables):
@@ -802,3 +854,43 @@ class TestStartup:
                          "print(len(os.listdir('/proc/self/task')))",
                          tmp_path)
         assert out.strip() == "1"
+
+    def test_import_loads_the_model_and_config_only(self, tmp_path):
+        out = run_python("import json, sys, snapgrip\n"
+                         "print(json.dumps(sorted(m for m in sys.modules\n"
+                         "                        if 'snapgrip.' in m)))",
+                         tmp_path)
+        assert json.loads(out) == ["snapgrip.config", "snapgrip.errors",
+                                   "snapgrip.model"]
+
+    def test_every_export_resolves_to_its_home_object(self, tmp_path):
+        # A fresh interpreter, so that each solver-layer name is resolved
+        # by the package's first access, not found already bound.
+        out = run_python(
+            "import importlib, json\n"
+            "from snapgrip import *\n"
+            "import snapgrip\n"
+            "bound = dict(globals())\n"
+            f"exports = {EXPORTS!r}\n"
+            "wrong = [n for home, names in exports.items() for n in names\n"
+            "         if not (getattr(snapgrip, n) is bound.get(n) is getattr(\n"
+            "             importlib.import_module('snapgrip.' + home), n))]\n"
+            "try:\n"
+            "    snapgrip.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    missing = str(exc)\n"
+            "print(json.dumps([wrong, sorted(snapgrip.__all__), missing]))",
+            tmp_path)
+        wrong, exported, missing = json.loads(out)
+        assert wrong == []
+        assert exported == sorted(n for names in EXPORTS.values()
+                                  for n in names)
+        assert missing == "module 'snapgrip' has no attribute 'no_such_name'"
+
+    def test_lazy_names_resolve_in_this_process(self):
+        import snapgrip
+        from snapgrip import statics
+        assert snapgrip.__getattr__("trigger_moment") is statics.trigger_moment
+        with pytest.raises(AttributeError, match="no_such_name"):
+            snapgrip.__getattr__("no_such_name")
+        assert set(snapgrip.__all__) < set(dir(snapgrip))

@@ -82,14 +82,23 @@ class TestSimulate:
 
     def test_window_without_a_stable_equilibrium_gives_the_same_motion(
             self, baseline):
-        # The window holds only the saddle (0.306 rad), so no stable
-        # equilibrium bounds the step; the window decides nothing else.
+        # The window holds only the saddle (0.306 rad), so its grid's
+        # curvature bounds the step; the window decides nothing else.
         saddle_only = replace(baseline, window=SolveWindow(0.0, 0.6, 601))
         traj = simulate_1dof(saddle_only, 0.3, 0.0, dt=2e-5, t_end=0.01)
         reference = simulate_1dof(baseline, 0.3, 0.0, dt=2e-5, t_end=0.01)
         for field in fields(traj):
             assert np.array_equal(getattr(traj, field.name),
                                   getattr(reference, field.name))
+
+    def test_window_without_a_stable_equilibrium_bounds_the_step(
+            self, baseline):
+        # The largest |U''| on the saddle-only grid bounds dt at 1.0e-4 s.
+        saddle_only = replace(baseline, window=SolveWindow(0.0, 0.6, 601))
+        for dt in (1.1e-4, 2e-3):
+            with pytest.raises(StepSizeError, match="on the solve window"):
+                simulate_1dof(saddle_only, 0.3, 0.0, dt=dt, t_end=0.1)
+        simulate_1dof(saddle_only, 0.3, 0.0, dt=9e-5, t_end=1e-3)
 
     def test_run_shorter_than_one_step_is_a_domain_error(self, baseline,
                                                           report):
