@@ -5,7 +5,38 @@ __version__ = "0.1.0"
 import os
 from importlib import import_module
 
-# numpy loads with the ``.model`` import below, and OpenBLAS then starts a
+# The names the package exports, by the module that defines them.  model
+# and config load with the package.  The solver layers load on first
+# access (PEP 562), so a caller that only builds designs or reads a config
+# does not compile and build them.
+_EXPORTS = {
+    "model": ("ChainConfiguration", "CrossSection", "EnergyLandscape",
+              "FingerDesign", "GripperDesign", "LinearElastic", "RingDesign",
+              "Yeoh", "chain_energy", "chain_gradient",
+              "chain_gradient_hessian", "chain_hessian", "finger_energy_1dof",
+              "forward_kinematics", "gradient_1dof", "gravity_energy_1dof",
+              "moment_curvature", "ring_energy_1dof", "sample_landscape",
+              "set_design_value", "total_energy_1dof"),
+    "config": ("ConfigDocument", "build_design", "build_solver_settings",
+               "default_config", "load_config", "parse_config",
+               "serialize_config"),
+    "statics": ("ContinuationPath", "Equilibrium", "EquilibriumReport",
+                "continuation_ramped_load", "find_equilibria_1dof",
+                "find_equilibria_chain", "saddle_search_chain",
+                "snap_through_energy", "trigger_moment"),
+    "dynamics": ("ClosingEvent", "Trajectory", "closing_time",
+                 "closing_time_vs_frequency_study", "gravity_trigger_check",
+                 "natural_frequency", "simulate_1dof"),
+    "explore": ("MorphologyCaseReport", "SweepSpec", "SweepTable",
+                "grip_force_estimate", "reproduce_fea_cases", "run_sweep",
+                "tune_ring_width"),
+}
+_EAGER = ("model", "config")
+_LAZY = {name: module for module, names in _EXPORTS.items()
+         if module not in _EAGER for name in names}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+# numpy loads with the ``model`` import below, and OpenBLAS then starts a
 # thread pool (about 80 ms of CPU per process on a 2-core x86-64 machine).
 # snapgrip's BLAS calls (row dots, stacked mat-vec products at n <= 128)
 # are below OpenBLAS's threading threshold, so the package asks for one
@@ -19,55 +50,25 @@ _single_thread = not any(name in os.environ
 if _single_thread:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
-    from .model import (ChainConfiguration, CrossSection, EnergyLandscape,
-                        FingerDesign, GripperDesign, LinearElastic,
-                        RingDesign, Yeoh, chain_energy, chain_gradient,
-                        chain_gradient_hessian, chain_hessian,
-                        finger_energy_1dof, forward_kinematics,
-                        gradient_1dof, gravity_energy_1dof, moment_curvature,
-                        ring_energy_1dof, sample_landscape, set_design_value,
-                        total_energy_1dof)
-    from .config import (ConfigDocument, build_design, build_solver_settings,
-                         default_config, load_config, parse_config,
-                         serialize_config)
+    for _module in _EAGER:
+        _home = import_module(f".{_module}", __name__)
+        globals().update((name, getattr(_home, name))
+                         for name in _EXPORTS[_module])
+    del _module, _home
 finally:
     if _single_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-# The solver layers load on first access (PEP 562), so a caller that only
-# builds designs or reads a config does not compile and build them.
-_LAZY = {name: module for module, names in (
-    ("statics", ("ContinuationPath", "Equilibrium", "EquilibriumReport",
-                 "continuation_ramped_load", "find_equilibria_1dof",
-                 "find_equilibria_chain", "saddle_search_chain",
-                 "snap_through_energy", "trigger_moment")),
-    ("dynamics", ("ClosingEvent", "Trajectory", "closing_time",
-                  "closing_time_vs_frequency_study", "gravity_trigger_check",
-                  "natural_frequency", "simulate_1dof")),
-    ("explore", ("MorphologyCaseReport", "SweepSpec", "SweepTable",
-                 "grip_force_estimate", "reproduce_fea_cases", "run_sweep",
-                 "tune_ring_width")),
-) for name in names}
-
-__all__ = [
-    "ChainConfiguration", "CrossSection", "EnergyLandscape", "FingerDesign",
-    "GripperDesign", "LinearElastic", "RingDesign", "Yeoh", "chain_energy",
-    "chain_gradient", "chain_gradient_hessian", "chain_hessian",
-    "finger_energy_1dof", "forward_kinematics", "gradient_1dof",
-    "gravity_energy_1dof", "moment_curvature", "ring_energy_1dof",
-    "sample_landscape", "set_design_value", "total_energy_1dof",
-    "ConfigDocument", "build_design", "build_solver_settings",
-    "default_config", "load_config", "parse_config", "serialize_config",
-    *_LAZY]
-
 
 def __getattr__(name):
+    # A lazy name is read from its module at each access, not bound here,
+    # so it stays the object its module holds.
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__():

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteStateError, StepSizeError
-from .model import (DEFAULT_IMPULSE_FACTOR, GripperDesign, scalar_energy,
-                    scalar_gradient, set_design_value, window_gradient)
+from . import model  # functions looked up at each call, as in statics
+from .model import DEFAULT_IMPULSE_FACTOR, GripperDesign
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -78,18 +78,19 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
                 report: EquilibriumReport) -> None:
     """Refuse a step above MAX_STEP_FRACTION / omega, with omega the
     natural frequency at the stable equilibrium nearest ``theta_init`` or,
-    in a window that holds none, sqrt(max |U''| / J) over the window grid."""
+    in a window that holds none, sqrt(max |U''| / J) over the window grid.
+    A grid on which U'' reads 0 everywhere bounds no step."""
     stables = [e for e in report.equilibria if e.stable]
     if stables:
         nearest = min(stables, key=lambda e: abs(e.theta - theta_init))
         omega = natural_frequency(design, nearest)
         where = "at the nearest equilibrium"
     else:
-        grid, g = window_gradient(design)
+        grid, g = model.window_gradient(design)
         stiffest = float(np.abs(np.diff(g) / np.diff(grid)).max())
         omega = math.sqrt(stiffest / design.inertia)
         where = "on the solve window"
-    if dt > MAX_STEP_FRACTION / omega:
+    if omega > 0.0 and dt > MAX_STEP_FRACTION / omega:
         raise StepSizeError(
             f"dt = {dt:.3g} s exceeds the stability bound "
             f"{MAX_STEP_FRACTION / omega:.3g} s {where}")
@@ -118,8 +119,8 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
             f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
             f"{MAX_STEPS} steps")
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
-    gradient = scalar_gradient(design)
-    energy_at = scalar_energy(design)
+    gradient = model.scalar_gradient(design)
+    energy_at = model.scalar_energy(design)
     inv_j = 1.0 / design.inertia
     c = design.damping
     half, sixth = dt / 2, dt / 6
@@ -192,8 +193,8 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
             f"a closing run of {CLOSING_T_MAX:g} s takes {n} steps of "
             f"{dt:.3g} s, over the limit of {MAX_STEPS} steps")
     _check_step(design, theta_open, dt, report)
-    gradient = scalar_gradient(design)
-    energy_at = scalar_energy(design)
+    gradient = model.scalar_gradient(design)
+    energy_at = model.scalar_energy(design)
     inv_j = 1.0 / design.inertia
     c = design.damping
     half, sixth = dt / 2, dt / 6
@@ -312,8 +313,8 @@ def closing_time_vs_frequency_study(
     """
     rows = []
     for s in scales:
-        d = set_design_value(design, "ring.stiffness",
-                             design.ring.stiffness * float(s))
+        d = model.set_design_value(design, "ring.stiffness",
+                                   design.ring.stiffness * float(s))
         report = find_equilibria_1dof(d)
         if not report.bistable:
             rows.append(FrequencyStudyRow(float(s), d.ring.stiffness, False,

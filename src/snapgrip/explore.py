@@ -13,9 +13,9 @@ from .errors import (BudgetExceededError, InvalidArgumentError,
                      NotBistableError, ObjectTooLargeError,
                      TargetUnreachableError)
 from .dynamics import closing_time, minimal_trigger_impulse, natural_frequency
+from . import model  # functions looked up at each call, as in statics
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
-                    GripperDesign, scalar_gradient, set_design_value,
-                    tip_chord)
+                    GripperDesign)
 from .statics import (EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable, trigger_moment)
 
@@ -37,9 +37,10 @@ def ring_placement_variant(design: GripperDesign,
     if not (0.0 < a_new <= 1.0) or scale <= 0.0:
         raise NotBistableError(
             f"ring placement shift {delta_fraction:+g} leaves the finger")
-    d = set_design_value(design, "ring.attach_fraction", a_new)
-    d = set_design_value(d, "ring.stiffness", design.ring.stiffness * scale)
-    return set_design_value(
+    d = model.set_design_value(design, "ring.attach_fraction", a_new)
+    d = model.set_design_value(d, "ring.stiffness",
+                               design.ring.stiffness * scale)
+    return model.set_design_value(
         d, "ring.well_center",
         design.ring.well_center - RING_SPLAY_WELL_SLOPE * delta_fraction)
 
@@ -150,7 +151,7 @@ def run_sweep(base: GripperDesign, spec: SweepSpec) -> SweepTable:
     for combo in itertools.product(*value_lists):
         d = base
         for path, value in zip(names, combo):
-            d = set_design_value(d, path, value)
+            d = model.set_design_value(d, path, value)
         m = design_metrics(d, spec.object_halfwidth, spec.impulse_factor,
                            spec.include_closing_time, spec.include_grip_force)
         m.pop("natural_frequency_closed", None)
@@ -193,10 +194,10 @@ def _case_designs(base: GripperDesign) -> dict:
     return {
         "ring_higher": ring_placement_variant(base, -PLACEMENT_DELTA),
         "ring_lower": ring_placement_variant(base, +PLACEMENT_DELTA),
-        "thinner_ring": set_design_value(
+        "thinner_ring": model.set_design_value(
             base, "ring.width_scale",
             base.ring.width_scale * THINNER_WIDTH_FACTOR),
-        "higher_curvature": set_design_value(
+        "higher_curvature": model.set_design_value(
             base, "finger.natural_curvature", HIGHER_CURVATURE),
     }
 
@@ -308,8 +309,8 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
     Returns (attach_delta, grip_force, snap_through) for the first matching
     point, or None.
     """
-    curved = set_design_value(base, "finger.natural_curvature",
-                              HIGHER_CURVATURE)
+    curved = model.set_design_value(base, "finger.natural_curvature",
+                                    HIGHER_CURVATURE)
     target = base_metrics["snap_through"]
     for delta in np.linspace(0.0, 0.25, 51):
         max_delta = 1.0 - base.ring.attach_fraction
@@ -341,7 +342,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
 
     def barrier(width_scale):
         if width_scale not in barriers:
-            report = find_equilibria_1dof(set_design_value(
+            report = find_equilibria_1dof(model.set_design_value(
                 design, "ring.width_scale", width_scale))
             barriers[width_scale] = (float(report.snap_through_energy)
                                      if report.bistable else 0.0)
@@ -397,20 +398,20 @@ def grip_force_estimate(design: GripperDesign, object_halfwidth: float,
                                    f"finite number, got {object_halfwidth!r}")
     report = require_bistable(design, report)
     length = design.finger.length
-    open_span = tip_chord(report.open_state.theta, length)
+    open_span = model.tip_chord(report.open_state.theta, length)
     if object_halfwidth >= open_span:
         raise ObjectTooLargeError(
             f"object half-width {object_halfwidth:.6g} m is not smaller than "
             f"the open-state span {open_span:.6g} m")
     theta_closed = report.closed_state.theta
-    if object_halfwidth <= tip_chord(theta_closed, length):
+    if object_halfwidth <= model.tip_chord(theta_closed, length):
         return 0.0
 
     def gap(theta):
-        return tip_chord(theta, length) - object_halfwidth
+        return model.tip_chord(theta, length) - object_halfwidth
 
     # Chord decreases monotonically with bend angle on (0, closed].
     theta_obj = _bracketed_root(gap, 1e-9, theta_closed, gap(1e-9),
                                 xtol=1e-12)
-    moment = -scalar_gradient(design)(theta_obj)
-    return max(moment, 0.0) / tip_chord(theta_obj, length)
+    moment = -model.scalar_gradient(design)(theta_obj)
+    return max(moment, 0.0) / model.tip_chord(theta_obj, length)

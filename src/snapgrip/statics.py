@@ -10,10 +10,12 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, NonConvergenceError,
                      NonFiniteStateError, NotBistableError, SaddleOrderError)
+# The model's functions are read from the module at each call, not bound
+# here: this layer can load after a caller wrapped one of them (a profiler,
+# say), and must not keep the wrapper once the caller restores it.
+from . import model
 from .model import (DIFFERENCE_STEP, MAX_GRID_POINTS, ChainConfiguration,
-                    GripperDesign, chain_energy, chain_gradient_hessian,
-                    gradient_1dof, scalar_energy, scalar_gradient,
-                    total_energy_1dof, uniform_chain, window_gradient)
+                    GripperDesign)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
 BISECTION_TOL = 1e-12       # rad
@@ -126,12 +128,12 @@ def _scan_equilibria(design: GripperDesign):
     each equal bit for bit to the array form.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        grid, g = window_gradient(design)
+        grid, g = model.window_gradient(design)
     if not np.isfinite(g).all():
         raise NonFiniteStateError("the energy gradient is not finite at "
                                   "every point of the solve window grid")
-    gradient = scalar_gradient(design)
-    energy = scalar_energy(design)
+    gradient = model.scalar_gradient(design)
+    energy = model.scalar_energy(design)
     # A grid point where the gradient is exactly zero is a root as it
     # stands; a cell whose ends differ in sign is bisected unless one of
     # its ends is such a root.
@@ -191,12 +193,12 @@ def trigger_moment(design: GripperDesign,
     report = require_bistable(design, report)
     lo, hi = report.open_state.theta, report.saddle.theta
     grid = np.linspace(lo, hi, 2048)
-    g = np.asarray(gradient_1dof(grid, design), dtype=float)
+    g = np.asarray(model.gradient_1dof(grid, design), dtype=float)
     i = int(np.argmax(g))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]
-    peak = _golden_section_max(scalar_gradient(design), float(a), float(b),
-                               tol=1e-12)
+    peak = _golden_section_max(model.scalar_gradient(design), float(a),
+                               float(b), tol=1e-12)
     return max(peak, float(g[i]))
 
 
@@ -262,7 +264,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     stables = [e for e in equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
-    gradient = scalar_gradient(design)
+    gradient = model.scalar_gradient(design)
     # In walk order, with g and the load negated for a falling load, the
     # stable branch always rises.
     sign = 1 if tau_max >= 0.0 else -1
@@ -291,7 +293,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
         theta = _bracketed_root(lambda t: gradient(t) - tau, lo, hi, -1.0,
                                 xtol=BISECTION_TOL)
         thetas[i] = theta
-    energies = np.asarray(total_energy_1dof(thetas, design), dtype=float)
+    energies = np.asarray(model.total_energy_1dof(thetas, design), dtype=float)
     return ContinuationPath(taus=taus, thetas=thetas, energies=energies,
                             fold_points=tuple(folds))
 
@@ -311,7 +313,7 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
     accepted candidate brings the Hessian of the next step with it.
     """
     phi = np.array(phi0, dtype=float)
-    g, hess = chain_gradient_hessian(phi, design)
+    g, hess = model.chain_gradient_hessian(phi, design)
     for _ in range(max_iter):
         gnorm = float(np.abs(g).max())
         if gnorm < tol:
@@ -332,7 +334,7 @@ def _chain_newton(design, phi0, tol=CHAIN_GRAD_TOL, max_iter=200):
         alpha = 1.0
         for _ in range(40):
             cand = phi + alpha * step
-            g_new, hess_new = chain_gradient_hessian(cand, design)
+            g_new, hess_new = model.chain_gradient_hessian(cand, design)
             if float(np.abs(g_new).max()) < max(gnorm * (1.0 - 1e-4), tol):
                 phi, g, hess = cand, g_new, hess_new
                 break
@@ -347,7 +349,7 @@ def _chain_equilibrium(design, phi, hess):
     ascending Hessian spectrum."""
     eigs = np.linalg.eigvalsh(hess)
     return Equilibrium(theta=float(np.sum(phi)),
-                       energy=float(chain_energy(phi, design)),
+                       energy=float(model.chain_energy(phi, design)),
                        stable=bool(np.all(eigs > 0.0)),
                        curvature=float(eigs[0]),
                        configuration=ChainConfiguration(phi)), eigs
@@ -370,7 +372,8 @@ def find_equilibria_chain(design: GripperDesign,
     for phi, hess in converged:
         for k, (other, _) in enumerate(merged):
             if float(np.max(np.abs(phi - other))) < MERGE_TOL:
-                if chain_energy(phi, design) < chain_energy(other, design):
+                if (model.chain_energy(phi, design)
+                        < model.chain_energy(other, design)):
                     merged[k] = phi, hess
                 break
         else:
@@ -390,7 +393,7 @@ def default_chain_seeds(design: GripperDesign,
         tips = [report.open_state.theta, report.closed_state.theta]
     else:
         tips = list(design.ring.wells) + [design.finger.rest_angle]
-    return [uniform_chain(design, t) for t in tips]
+    return [model.uniform_chain(design, t) for t in tips]
 
 
 def saddle_search_chain(design: GripperDesign, minimum_a,
@@ -403,7 +406,7 @@ def saddle_search_chain(design: GripperDesign, minimum_a,
     eigenvalue.
     """
     ends = np.array([minimum_a, minimum_b], dtype=float)
-    grads, hessians = chain_gradient_hessian(ends, design)
+    grads, hessians = model.chain_gradient_hessian(ends, design)
     if float(np.max(np.abs(grads))) > 1e-6:
         raise InvalidArgumentError(
             "saddle search endpoints must be converged equilibria")
@@ -412,7 +415,7 @@ def saddle_search_chain(design: GripperDesign, minimum_a,
             "saddle search endpoints must be stable equilibria")
     frac = np.linspace(0.0, 1.0, 11)[:, None]
     path = (1.0 - frac) * ends[0] + frac * ends[1]
-    seed = path[1 + int(np.argmax(chain_energy(path[1:-1], design)))]
+    seed = path[1 + int(np.argmax(model.chain_energy(path[1:-1], design)))]
     point = _chain_newton(design, seed, tol=1e-10)
     if point is None:
         raise NonConvergenceError("Newton iteration from the highest point "

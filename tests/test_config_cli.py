@@ -873,8 +873,9 @@ class TestStartup:
             "bound = dict(globals())\n"
             f"exports = {EXPORTS!r}\n"
             "wrong = [n for home, names in exports.items() for n in names\n"
-            "         if not (getattr(snapgrip, n) is bound.get(n) is getattr(\n"
-            "             importlib.import_module('snapgrip.' + home), n))]\n"
+            "         if not (getattr(snapgrip, n) is bound.get(n)\n"
+            "                 is getattr(importlib.import_module(\n"
+            "                     'snapgrip.' + home), n))]\n"
             "try:\n"
             "    snapgrip.no_such_name\n"
             "except AttributeError as exc:\n"
@@ -887,10 +888,19 @@ class TestStartup:
                                   for n in names)
         assert missing == "module 'snapgrip' has no attribute 'no_such_name'"
 
+    def test_solver_layers_are_package_attributes(self, tmp_path):
+        # As when the package imported them: ``snapgrip.dynamics`` works
+        # without an import of its own.
+        out = run_python("import snapgrip\n"
+                         "print(snapgrip.dynamics.calibrate_inertia"
+                         ".__module__, snapgrip.explore.__name__)", tmp_path)
+        assert out.split() == ["snapgrip.dynamics", "snapgrip.explore"]
+
     def test_lazy_names_resolve_in_this_process(self):
         import snapgrip
-        from snapgrip import statics
+        from snapgrip import dynamics, statics
         assert snapgrip.__getattr__("trigger_moment") is statics.trigger_moment
+        assert snapgrip.__getattr__("dynamics") is dynamics
         with pytest.raises(AttributeError, match="no_such_name"):
             snapgrip.__getattr__("no_such_name")
         assert set(snapgrip.__all__) < set(dir(snapgrip))

@@ -100,6 +100,14 @@ class TestSimulate:
                 simulate_1dof(saddle_only, 0.3, 0.0, dt=dt, t_end=0.1)
         simulate_1dof(saddle_only, 0.3, 0.0, dt=9e-5, t_end=1e-3)
 
+    def test_grid_without_curvature_bounds_no_step(self, baseline):
+        # At this curvature the finger term swamps the grid gradient, which
+        # reads one constant: U'' is 0 on the grid, so no dt is refused and
+        # the run stops in the integrator instead.
+        flat = set_design_value(baseline, "finger.natural_curvature", 1e300)
+        with pytest.raises(NonFiniteStateError, match="t = 2e-05 s"):
+            simulate_1dof(flat, -0.85, 60.0, dt=2e-5, t_end=2e-3)
+
     def test_run_shorter_than_one_step_is_a_domain_error(self, baseline,
                                                           report):
         for error in (DomainError, ValueError):
@@ -334,8 +342,12 @@ class TestClosingCertificate:
     def test_baseline_run_ends_before_the_hold(self, baseline, monkeypatch,
                                                gravity, steps,
                                                full_hold_steps):
-        # The closing run's gradient closure is called 4 times a step.
-        made = dynamics.scalar_gradient
+        # The closing run's gradient closure is called 4 times a step.  The
+        # equilibria are solved before the count starts.
+        d = set_design_value(baseline, "gripper.gravity", gravity)
+        report = find_equilibria_1dof(d)
+        impulse = 5.0 * minimal_trigger_impulse(d, report)
+        made = dynamics.model.scalar_gradient
         count = 0
 
         def counting_gradient(design):
@@ -347,9 +359,9 @@ class TestClosingCertificate:
                 return gradient(theta)
             return counted
 
-        monkeypatch.setattr(dynamics, "scalar_gradient", counting_gradient)
-        d = set_design_value(baseline, "gripper.gravity", gravity)
-        assert closing_time(d, 5.0 * minimal_trigger_impulse(d)).triggered
+        monkeypatch.setattr(dynamics.model, "scalar_gradient",
+                            counting_gradient)
+        assert closing_time(d, impulse, report).triggered
         assert count % 4 == 0
         assert count // 4 == steps < full_hold_steps
 

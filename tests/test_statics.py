@@ -202,9 +202,9 @@ class TestFindEquilibria1Dof:
         # ends there is not bisected, so the root is not reported twice.
         grid = np.linspace(-math.pi, math.pi, 4096)
         root = float(grid[2500])
-        monkeypatch.setattr(statics, "window_gradient",
+        monkeypatch.setattr(statics.model, "window_gradient",
                             lambda design: (grid, -(grid - root)))
-        monkeypatch.setattr(statics, "scalar_gradient",
+        monkeypatch.setattr(statics.model, "scalar_gradient",
                             lambda design: lambda t: -(t - root))
         report = find_equilibria_1dof(baseline)
         assert [e.theta for e in report.equilibria] == [root]
@@ -388,7 +388,7 @@ class TestBracketedRoot:
         # The equilibrium scan passes a grid value, a numpy float64.
         d = set_design_value(baseline, "gripper.gravity", gravity)
         grid, g = window_gradient(d)
-        gradient = statics.scalar_gradient(d)
+        gradient = statics.model.scalar_gradient(d)
         cells = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
         assert cells.size == 3
         for i in cells:
@@ -795,7 +795,7 @@ class TestChainNewton:
             given[phi.tobytes()] = hess
             return np.array(gradient(phi), dtype=float), hess
 
-        monkeypatch.setattr(statics, "chain_gradient_hessian", fake)
+        monkeypatch.setattr(statics.model, "chain_gradient_hessian", fake)
         return given
 
     @staticmethod
