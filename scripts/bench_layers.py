@@ -31,13 +31,14 @@ configuration's ``solver.object_halfwidth``, and of the
 ``find_equilibria_1dof`` layers time a warm scan, whose window grid and
 gravity arc terms come from the model's
 window cache, and the ``_cold`` ones a scan after the cache is cleared,
-as in every cold CLI call; a ``--src`` checkout without that cache has
-nothing to clear.  The ``design_metrics`` layers use the same
+as in every cold CLI call.  The ``design_metrics`` layers use the same
 factor, since the default 1.5 never closes the baseline and would time a
-run that stops below the barrier.  The chain layers evaluate the uniform
+run that stops below the barrier.  ``set_design_value_x1000`` sets
+``ring.stiffness`` on the baseline 1,000 times, and
+``parse_config_build_design_x100`` parses the baseline configuration's
+text and builds its design 100 times.  The chain layers evaluate the uniform
 chain at the open-state tip angle with n = 8, 32 and 128 segments, without
-gravity and at g = 9.81; a ``--src`` checkout without
-``chain_gradient_hessian`` skips its layers.  The ``yeoh_`` layers repeat
+gravity and at g = 9.81.  The ``yeoh_`` layers repeat
 the main 1-DOF and n = 32 chain layers on the baseline design with a Yeoh
 finger (c10 = 1e5 Pa).  The ``saddle_`` layers time ``saddle_search_chain``
 alone, at n = 2, g = 0.3 and at g = 9.81 with n = 4, 8 and 32; their two
@@ -88,15 +89,15 @@ def repeated(times, f, *args):
 def one_dof_layers(design):
     from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                    simulate_1dof)
-    from snapgrip.config import build_solver_settings, load_config
+    from snapgrip.config import (build_design, build_solver_settings,
+                                 load_config, parse_config)
     from snapgrip.explore import (design_metrics, grip_force_estimate,
                                   reproduce_fea_cases, tune_ring_width)
     from snapgrip import model
     from snapgrip.model import gradient_1dof, set_design_value
     from snapgrip.statics import find_equilibria_1dof, trigger_moment
 
-    window_cache = getattr(model, "_window_arcs", None)
-    clear = window_cache.cache_clear if window_cache else lambda: None
+    clear = model._window_arcs.cache_clear
     gravity = set_design_value(design, "gripper.gravity", 9.81)
     report = find_equilibria_1dof(design)
     impulse = 5.0 * minimal_trigger_impulse(design, report)
@@ -104,7 +105,12 @@ def one_dof_layers(design):
     gravity_impulse = 5.0 * minimal_trigger_impulse(gravity, gravity_report)
     halfwidth = build_solver_settings(
         load_config(BASELINE_CFG)).object_halfwidth
+    text = BASELINE_CFG.read_text()
     return [
+        ("set_design_value_x1000",
+         repeated(1000, set_design_value, design, "ring.stiffness", 0.12)),
+        ("parse_config_build_design_x100",
+         repeated(100, lambda: build_design(parse_config(text)))),
         ("gradient_1dof_scalar_g9.81_x1000",
          repeated(1000, gradient_1dof, 0.3, gravity)),
         ("find_equilibria_1dof", lambda: find_equilibria_1dof(design)),
@@ -132,12 +138,10 @@ def one_dof_layers(design):
 
 
 def chain_layers(design):
-    from snapgrip import model
-    from snapgrip.model import (chain_energy, chain_gradient, chain_hessian,
+    from snapgrip.model import (chain_energy, chain_gradient,
+                                chain_gradient_hessian, chain_hessian,
                                 set_design_value, uniform_chain)
     from snapgrip.statics import find_equilibria_1dof
-
-    fused = getattr(model, "chain_gradient_hessian", None)
 
     open_theta = find_equilibria_1dof(design).open_state.theta
     chain = []
@@ -153,10 +157,9 @@ def chain_layers(design):
                 (f"chain_gradient_{tag}_x100",
                  repeated(100, chain_gradient, phi, d)),
                 (f"chain_hessian_{tag}", repeated(1, chain_hessian, phi, d)),
+                (f"chain_gradient_hessian_{tag}",
+                 repeated(1, chain_gradient_hessian, phi, d)),
             ]
-            if fused is not None:
-                chain.append((f"chain_gradient_hessian_{tag}",
-                              repeated(1, fused, phi, d)))
     return chain
 
 

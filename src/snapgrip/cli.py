@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from .config import (build_design, build_solver_settings, load_config,
 from .dynamics import (closing_time, gravity_trigger_check,
                        minimal_trigger_impulse, simulate_1dof)
 from .errors import BudgetExceededError, DomainError, InvalidArgumentError
-from .explore import (SweepSpec, grip_force_estimate, reproduce_fea_cases,
-                      run_sweep, tune_ring_width)
+from .explore import (SweepRow, SweepSpec, grip_force_estimate,
+                      reproduce_fea_cases, run_sweep, tune_ring_width)
 from .model import MAX_GRID_POINTS, sample_landscape, set_design_value
 from .report import (fmt, svg_grouped_bars, svg_line_plot, write_csv,
                      write_key_value, write_manifest)
@@ -271,14 +272,9 @@ def _dispatch(args) -> int:
                          object_halfwidth=settings.object_halfwidth,
                          impulse_factor=settings.impulse_factor)
         table = run_sweep(design, spec)
-        header = list(table.parameter_names) + [
-            "bistable", "open_energy", "saddle_energy", "closed_energy",
-            "snap_through", "trigger_moment", "grip_force", "closing_time"]
-        csv("sweep.csv", header,
-            [tuple(r.values) + (r.bistable, r.open_energy, r.saddle_energy,
-                                r.closed_energy, r.snap_through,
-                                r.trigger_moment, r.grip_force,
-                                r.closing_time)
+        metrics = [f.name for f in fields(SweepRow) if f.name != "values"]
+        csv("sweep.csv", list(table.parameter_names) + metrics,
+            [tuple(r.values) + tuple(getattr(r, m) for m in metrics)
              for r in table.rows])
         print(f"{len(table.rows)} design points")
 

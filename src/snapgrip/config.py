@@ -1,10 +1,11 @@
 """Flat dotted-key configuration files.
 
 Grammar: one ``key = value`` pair per line, '#' starts a comment, blank
-lines ignored.  Unknown keys are rejected, and so are non-finite numbers;
-missing keys fall back to the defaults in ``KEY_SPECS``.  Those defaults
-are not the calibrated design of ``configs/baseline.cfg``.  All values
-are SI.
+lines ignored.  Unknown keys are rejected, and so are non-finite numbers
+and values that break their key's rule in ``KEY_SPECS``, the rule the
+design records apply; missing keys fall back to the defaults there.
+Those defaults are not the calibrated design of ``configs/baseline.cfg``.
+All values are SI.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def parse_config(text: str) -> ConfigDocument:
                     continue
                 parsed = int(parsed)
         if spec.check is not None and not spec.check(parsed):
-            problems.append(f"line {lineno}: {key} = {value!r} "
-                            f"violates: {spec.rule}")
+            problems.append(f"line {lineno}: {key} {spec.rule}, "
+                            f"got {value!r}")
             continue
         values[key] = parsed
     if problems:

@@ -323,9 +323,8 @@ def closing_time_vs_frequency_study(
         omega = natural_frequency(d, report.closed_state)
         impulse = impulse_factor * minimal_trigger_impulse(d, report)
         event = closing_time(d, impulse, report=report)
-        rows.append(FrequencyStudyRow(
-            float(s), d.ring.stiffness, True, omega,
-            event.closing_time if event.triggered else math.nan))
+        rows.append(FrequencyStudyRow(float(s), d.ring.stiffness, True,
+                                      omega, event.closing_time))
     return rows
 
 

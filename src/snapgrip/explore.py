@@ -137,8 +137,7 @@ def design_metrics(design: GripperDesign,
         if impulse is None:
             impulse = impulse_factor * minimal_trigger_impulse(design, report)
         event = closing_time(design, impulse, report=report)
-        out["closing_time"] = (event.closing_time if event.triggered
-                               else math.nan)
+        out["closing_time"] = event.closing_time
     return out
 
 

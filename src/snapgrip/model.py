@@ -41,6 +41,9 @@ MAX_GRID_POINTS = 10 ** 5
 # Constitutive models
 # ---------------------------------------------------------------------------
 
+# The records below check each field against its rule in ``KEY_SPECS``
+# (``_check_fields``); only checks that span fields are written out here.
+
 @dataclass(frozen=True, slots=True)
 class LinearElastic:
     """Linear elastic material, characterized by its Young's modulus."""
@@ -48,9 +51,7 @@ class LinearElastic:
     youngs_modulus: float
 
     def __post_init__(self):
-        if not (0 < self.youngs_modulus < math.inf):
-            raise InvalidDesignError(f"youngs_modulus must be finite and "
-                                     f"> 0, got {self.youngs_modulus}")
+        _check_fields(self, "finger.material")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +71,7 @@ class Yeoh:
     c30: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.c10 < math.inf):
-            raise InvalidDesignError(f"c10 must be finite and > 0, "
-                                     f"got {self.c10}")
-        if not (math.isfinite(self.c20) and math.isfinite(self.c30)):
-            raise InvalidDesignError(f"c20 and c30 must be finite, got "
-                                     f"{self.c20} and {self.c30}")
+        _check_fields(self, "finger.material")
         stress = self.uniaxial_stress(np.linspace(0.5, 2.0, 601))
         if np.any(np.diff(stress) <= 0):
             raise InvalidDesignError(
@@ -107,10 +103,7 @@ class CrossSection:
     thickness: float
 
     def __post_init__(self):
-        if not (0 < self.width < math.inf and 0 < self.thickness < math.inf):
-            raise InvalidDesignError(
-                f"cross-section width/thickness must be finite and > 0, "
-                f"got {self.width} x {self.thickness}")
+        _check_fields(self, "finger.cross_section")
         try:
             finite = self.second_moment < math.inf
         except OverflowError:       # thickness ** 3 beyond the float range
@@ -137,20 +130,7 @@ class FingerDesign:
     linear_density: float = 0.1
 
     def __post_init__(self):
-        if not (0 < self.length < math.inf):
-            raise InvalidDesignError(
-                f"length must be finite and > 0, got {self.length}")
-        if not math.isfinite(self.natural_curvature):
-            raise InvalidDesignError(f"natural_curvature must be finite, "
-                                     f"got {self.natural_curvature}")
-        if (isinstance(self.n_segments, bool)
-                or not isinstance(self.n_segments, int)
-                or self.n_segments < 1):
-            raise InvalidDesignError(
-                f"n_segments must be an int >= 1, got {self.n_segments}")
-        if not (0 <= self.linear_density < math.inf):
-            raise InvalidDesignError(f"linear_density must be finite and "
-                                     f">= 0, got {self.linear_density}")
+        _check_fields(self, "finger")
 
     @property
     def rest_angle(self) -> float:
@@ -187,23 +167,7 @@ class RingDesign:
     width_scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.attach_fraction <= 1.0):
-            raise InvalidDesignError(
-                f"attach_fraction must be in (0, 1], got {self.attach_fraction}")
-        if not math.isfinite(self.well_center):
-            raise InvalidDesignError(
-                f"well_center must be finite, got {self.well_center}")
-        # The ring terms divide by well_halfwidth * well_halfwidth.
-        d = self.well_halfwidth
-        if not (0 < d < math.inf and 0 < d * d < math.inf):
-            raise InvalidDesignError(f"well_halfwidth must be > 0 with a "
-                                     f"finite, non-zero square, got {d}")
-        if not (0 <= self.stiffness < math.inf):
-            raise InvalidDesignError(
-                f"stiffness must be finite and >= 0, got {self.stiffness}")
-        if not (0.0 < self.width_scale <= 1.0):
-            raise InvalidDesignError(
-                f"width_scale must be in (0, 1], got {self.width_scale}")
+        _check_fields(self, "ring")
 
     @property
     def effective_stiffness(self) -> float:
@@ -261,18 +225,7 @@ class GripperDesign:
     window: SolveWindow = DEFAULT_WINDOW
 
     def __post_init__(self):
-        if not (0 < self.inertia < math.inf):
-            raise InvalidDesignError(
-                f"inertia must be finite and > 0, got {self.inertia}")
-        if not (0 <= self.damping < math.inf):
-            raise InvalidDesignError(
-                f"damping must be finite and >= 0, got {self.damping}")
-        if not (0 <= self.payload_mass < math.inf):
-            raise InvalidDesignError(f"payload_mass must be finite and "
-                                     f">= 0, got {self.payload_mass}")
-        if not math.isfinite(self.gravity):
-            raise InvalidDesignError(
-                f"gravity must be finite, got {self.gravity}")
+        _check_fields(self, "")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -1008,10 +961,12 @@ DEFAULT_IMPULSE_FACTOR = 1.5       # times the minimal trigger impulse
 
 MATERIALS = {"linear": LinearElastic, "yeoh": Yeoh}
 
-# (check, rule) pairs of the keys.
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+# (check, rule) pairs of the keys.  A rule is the whole range of its field:
+# the design records and the configuration reader both apply it.
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+_FINITE = (math.isfinite, "must be finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1031,13 +986,16 @@ class _KeySpec:
 
 KEY_SPECS = {
     "finger.length": _KeySpec("finger.length", 0.08, *_POSITIVE),
-    "finger.natural_curvature": _KeySpec("finger.natural_curvature", 20.0),
+    "finger.natural_curvature": _KeySpec("finger.natural_curvature", 20.0,
+                                         *_FINITE),
     "finger.width": _KeySpec("finger.cross_section.width", 0.015,
                              *_POSITIVE),
     "finger.thickness": _KeySpec("finger.cross_section.thickness", 0.006,
                                  *_POSITIVE),
-    "finger.n_segments": _KeySpec("finger.n_segments", 1, lambda v: v >= 1,
-                                  "must be >= 1", int),
+    "finger.n_segments": _KeySpec(
+        "finger.n_segments", 1,
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+        "must be an int >= 1", int),
     "finger.linear_density": _KeySpec("finger.linear_density", 0.1,
                                       *_NON_NEGATIVE),
     "material.model": _KeySpec(None, "linear", lambda v: v in MATERIALS,
@@ -1045,19 +1003,23 @@ KEY_SPECS = {
     "material.youngs_modulus": _KeySpec("finger.material.youngs_modulus",
                                         6.0e5, *_POSITIVE),
     "material.c10": _KeySpec("finger.material.c10", 1.0e5, *_POSITIVE),
-    "material.c20": _KeySpec("finger.material.c20", 0.0),
-    "material.c30": _KeySpec("finger.material.c30", 0.0),
+    "material.c20": _KeySpec("finger.material.c20", 0.0, *_FINITE),
+    "material.c30": _KeySpec("finger.material.c30", 0.0, *_FINITE),
     "ring.attach_fraction": _KeySpec("ring.attach_fraction", 0.5,
                                      *_UNIT_INTERVAL),
-    "ring.well_center": _KeySpec("ring.well_center", 0.35),
-    "ring.well_halfwidth": _KeySpec("ring.well_halfwidth", 1.25, *_POSITIVE),
+    "ring.well_center": _KeySpec("ring.well_center", 0.35, *_FINITE),
+    # The ring terms divide by well_halfwidth * well_halfwidth.
+    "ring.well_halfwidth": _KeySpec(
+        "ring.well_halfwidth", 1.25,
+        lambda v: 0 < v < math.inf and 0 < v * v < math.inf,
+        "must be > 0 with a finite, non-zero square"),
     "ring.stiffness": _KeySpec("ring.stiffness", 0.02, _NON_NEGATIVE[0],
-                               "invariant k_r >= 0"),
+                               f"{_NON_NEGATIVE[1]} (invariant k_r >= 0)"),
     "ring.width_scale": _KeySpec("ring.width_scale", 1.0, *_UNIT_INTERVAL),
     "gripper.inertia": _KeySpec("inertia", 2.0e-5, *_POSITIVE),
     "gripper.damping": _KeySpec("damping", 1.0e-4, *_NON_NEGATIVE),
     "gripper.payload_mass": _KeySpec("payload_mass", 0.0, *_NON_NEGATIVE),
-    "gripper.gravity": _KeySpec("gravity", 0.0),
+    "gripper.gravity": _KeySpec("gravity", 0.0, *_FINITE),
     "solver.theta_min": _KeySpec("window.theta_min",
                                  DEFAULT_WINDOW.theta_min),
     "solver.theta_max": _KeySpec("window.theta_max",
@@ -1079,6 +1041,24 @@ KEY_SPECS = {
 _DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
                 if spec.field is not None and spec.field.partition(".")[0]
                 in {f.name for f in fields(GripperDesign)}}
+
+# Path of each design record -> [(field, check, rule), ...] of its keys.
+_FIELD_RULES = {}
+for _spec in _DESIGN_KEYS.values():
+    if _spec.check is not None:
+        _owner, _, _name = _spec.field.rpartition(".")
+        _FIELD_RULES.setdefault(_owner, []).append(
+            (_name, _spec.check, _spec.rule))
+_ABSENT = object()
+
+
+def _check_fields(record, path: str) -> None:
+    """Raise for the first field of ``record``, the record at ``path`` in
+    a design, that breaks its rule.  A material has its own fields only."""
+    for name, check, rule in _FIELD_RULES[path]:
+        value = getattr(record, name, _ABSENT)
+        if value is not _ABSENT and not check(value):
+            raise InvalidDesignError(f"{name} {rule}, got {value}")
 
 
 def design_from_values(values) -> GripperDesign:

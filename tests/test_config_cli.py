@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -218,6 +219,44 @@ class TestRegistry:
         for path in ("solver.dt", "material.model"):
             with pytest.raises(InvalidDesignError, match="unknown"):
                 set_design_value(baseline, path, 1.0)
+
+    # A value that breaks each design key's rule; a rule that only refuses
+    # non-finite values gets NaN.
+    BREAKS_RULE = {
+        "finger.length": -1.0, "finger.natural_curvature": math.nan,
+        "finger.width": 0.0, "finger.thickness": -1.0,
+        "finger.n_segments": 0, "finger.linear_density": -1.0,
+        "material.youngs_modulus": 0.0, "material.c10": -1.0,
+        "material.c20": math.nan, "material.c30": math.nan,
+        "ring.attach_fraction": 1.5, "ring.well_center": math.nan,
+        "ring.well_halfwidth": 1e-170, "ring.stiffness": -1.0,
+        "ring.width_scale": 0.0, "gripper.inertia": 0.0,
+        "gripper.damping": -1.0, "gripper.payload_mass": -1.0,
+        "gripper.gravity": math.nan}
+
+    @pytest.mark.parametrize("key", [
+        key for key, spec in KEY_SPECS.items() if spec.field is not None
+        and spec.field.partition(".")[0] in
+        {f.name for f in fields(GripperDesign)} - {"window"}])
+    def test_config_and_records_refuse_by_the_same_rule(self, key):
+        rule, value = KEY_SPECS[key].rule, self.BREAKS_RULE[key]
+        assert rule
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# first line\n{key} = {value!r}\n")
+        (problem,) = err.value.problems
+        assert problem.startswith("line 2: ") and rule in problem
+        model = "yeoh" if key.startswith("material.c") else "linear"
+        design = build_design(parse_config(f"material.model = {model}\n"))
+        with pytest.raises(InvalidDesignError, match=re.escape(rule)):
+            set_design_value(design, key, value)
+
+    def test_two_rule_problems_give_two_lines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("finger.length = -1\nring.well_halfwidth = 1e-170\n")
+        problems = err.value.problems
+        assert len(problems) == 2
+        assert problems[0].startswith("line 1: finger.length ")
+        assert problems[1].startswith("line 2: ring.well_halfwidth ")
 
 
 class TestFormatting:
