@@ -53,13 +53,18 @@ g = 7.  The ``continuation_`` layers ramp the baseline's closing moment
 to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
 g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
 ``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
-shows.  The three cold layers each start a fresh interpreter that imports
+shows.  The six cold layers each start a fresh interpreter that imports
 ``--src``, so they include start-up and imports:
 ``import_snapgrip_cold`` runs ``python -c "import snapgrip"``,
 ``import_snapgrip_cli_cold`` runs ``python -c "import snapgrip.cli"``, and
-``cli_snapthrough_cold`` runs ``python -m snapgrip.cli snapthrough
---config configs/baseline.cfg``.  Besides its wall time, each records the
-child's CPU time (user + system, from the ``os.wait4`` rusage) as
+the four ``cli_*_cold`` layers are the CLI calls of the end-to-end
+measure, each ``python -m snapgrip.cli COMMAND --config
+configs/baseline.cfg``: ``cli_snapthrough_cold`` runs ``snapthrough``,
+``cli_closingtime_cold`` ``closingtime``, ``cli_feacases_cold``
+``feacases``, and ``cli_sweep_5x5_cold`` a ``sweep`` over
+``--param ring.stiffness=0.1:0.14:5 --param
+finger.natural_curvature=18:22:5``.  Besides its wall time, each records
+the child's CPU time (user + system, from the ``os.wait4`` rusage) as
 ``cpu_median_s`` and ``cpu_runs_s``, and none has call counts.
 """
 
@@ -271,12 +276,20 @@ GROUPS = {"1dof": one_dof_layers, "chain": chain_layers,
 
 def cold_layers(workdir):
     """Cold layers: name -> the arguments of ``python`` for one run."""
+    def cli(*argv):
+        return ["-m", "snapgrip.cli", *argv, "--config", str(BASELINE_CFG),
+                "--out", workdir]
+
     return {
         "import_snapgrip_cold": ["-c", "import snapgrip"],
         "import_snapgrip_cli_cold": ["-c", "import snapgrip.cli"],
-        "cli_snapthrough_cold": ["-m", "snapgrip.cli", "snapthrough",
-                                 "--config", str(BASELINE_CFG),
-                                 "--out", workdir],
+        "cli_snapthrough_cold": cli("snapthrough"),
+        "cli_closingtime_cold": cli("closingtime"),
+        "cli_feacases_cold": cli("feacases"),
+        "cli_sweep_5x5_cold": cli("sweep",
+                                  "--param", "ring.stiffness=0.1:0.14:5",
+                                  "--param",
+                                  "finger.natural_curvature=18:22:5"),
     }
 
 

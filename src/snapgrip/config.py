@@ -84,7 +84,7 @@ def parse_config(text: str) -> ConfigDocument:
                                     f"integer, got {value!r}")
                     continue
                 parsed = int(parsed)
-        if spec.check is not None and not spec.check(parsed):
+        if not spec.check(parsed):
             problems.append(f"line {lineno}: {key} {spec.rule}, "
                             f"got {value!r}")
             continue
@@ -95,7 +95,7 @@ def parse_config(text: str) -> ConfigDocument:
 
 
 def load_config(path) -> ConfigDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

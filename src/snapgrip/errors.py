@@ -13,12 +13,13 @@ class DomainError(SnapgripError):
     """Errors caused by the problem posed, not by the implementation."""
 
 
-class InvalidDesignError(DomainError, ValueError):
-    """A design violates one of its documented invariants."""
-
-
 class InvalidArgumentError(DomainError, ValueError):
     """A solver or study argument lies outside its documented range."""
+
+
+class InvalidDesignError(InvalidArgumentError):
+    """A design, the argument of every solver, violates one of its
+    documented invariants."""
 
 
 class CurvatureOutOfRangeError(DomainError, ValueError):

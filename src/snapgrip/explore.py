@@ -27,6 +27,9 @@ from .statics import (EquilibriumReport, _bracketed_root,
 # encode that geometric coupling for the morphology study.
 RING_RADIUS_STIFFNESS_SLOPE = 4.0
 RING_SPLAY_WELL_SLOPE = 0.4
+# How close to its target barrier a ring trim stops.  A monostable width,
+# barrier 0, is that close to any smaller target.
+TRIM_TOLERANCE = 1e-9    # J
 
 
 def ring_placement_variant(design: GripperDesign,
@@ -332,10 +335,11 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
 def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
     """Trim the ring (bisection on width_scale) to a target barrier.
 
-    The bisection stops within 1e-9 J of the target, or after 60 steps.
-    The barrier is verified to be monotone in the width over the bracket
-    before bisecting.  Raises TargetUnreachable when even a vanishing ring
-    keeps the barrier above the target.  Each trial width is solved once.
+    The bisection stops within TRIM_TOLERANCE of the target, or after 60
+    steps.  The barrier is verified to be monotone in the width over the
+    bracket before bisecting.  Raises TargetUnreachable for a target below
+    TRIM_TOLERANCE and when even a vanishing ring keeps the barrier above
+    the target.  Each trial width is solved once.
     """
     barriers = {}    # width_scale -> barrier, 0 where monostable
 
@@ -356,6 +360,10 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
                 f"target barrier {target_barrier:.6g} J exceeds the current "
                 f"barrier {current:.6g} J; widening is out of scope")
         raise InvalidArgumentError("target_barrier must be positive")
+    if target_barrier < TRIM_TOLERANCE:
+        raise TargetUnreachableError(
+            f"target barrier {target_barrier:.6g} J is below the trim "
+            f"tolerance {TRIM_TOLERANCE:g} J, which a monostable ring meets")
     if target_barrier == current:
         return design.ring.width_scale
 
@@ -377,7 +385,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
 
     return _bracketed_root(
         lambda w: barrier(w) - target_barrier, lo, hi,
-        samples[0] - target_barrier, ftol=1e-9, max_iter=60)
+        samples[0] - target_barrier, ftol=TRIM_TOLERANCE, max_iter=60)
 
 
 def grip_force_estimate(design: GripperDesign, object_halfwidth: float,

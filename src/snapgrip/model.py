@@ -20,8 +20,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (CurvatureOutOfRangeError, InvalidArgumentError,
-                     InvalidDesignError, NonFiniteStateError)
+from .errors import (CurvatureOutOfRangeError, InvalidDesignError,
+                     NonFiniteStateError)
 
 # Below this bend angle ``tip_chord`` switches to its 2nd-order series to
 # avoid 0/0.  The arc terms of the gravity model switch at
@@ -35,6 +35,117 @@ DIFFERENCE_STEP = 1e-6    # rad
 # only the grid cells it walks, so its time grows with steps x log(grid
 # points) plus the cells walked, not with their product.
 MAX_GRID_POINTS = 10 ** 5
+
+
+# ---------------------------------------------------------------------------
+# Parameter registry: configuration keys and the design fields they set
+# ---------------------------------------------------------------------------
+
+# Study defaults, shared by the configuration keys and the study functions.
+DEFAULT_OBJECT_HALFWIDTH = 0.076   # m
+DEFAULT_IMPULSE_FACTOR = 1.5       # times the minimal trigger impulse
+
+# (check, rule) pairs of the keys.  A rule is the whole range of its field:
+# the design records and the configuration reader both apply it.
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+_FINITE = (math.isfinite, "must be finite")
+
+
+@dataclass(frozen=True, slots=True)
+class _KeySpec:
+    """One configuration key and the dotted attribute path it sets.
+
+    Paths are in a ``GripperDesign``, or else name a field of the solver
+    settings; ``material.model`` has none, it picks the material.
+    """
+
+    field: Optional[str]
+    default: object
+    check: Callable
+    rule: str
+    kind: type = float
+
+
+KEY_SPECS = {
+    "finger.length": _KeySpec("finger.length", 0.08, *_POSITIVE),
+    "finger.natural_curvature": _KeySpec("finger.natural_curvature", 20.0,
+                                         *_FINITE),
+    "finger.width": _KeySpec("finger.cross_section.width", 0.015,
+                             *_POSITIVE),
+    "finger.thickness": _KeySpec("finger.cross_section.thickness", 0.006,
+                                 *_POSITIVE),
+    "finger.n_segments": _KeySpec("finger.n_segments", 1, lambda v: v >= 1,
+                                  "must be >= 1", int),
+    "finger.linear_density": _KeySpec("finger.linear_density", 0.1,
+                                      *_NON_NEGATIVE),
+    "material.model": _KeySpec(None, "linear", lambda v: v in MATERIALS,
+                               "must be 'linear' or 'yeoh'", str),
+    "material.youngs_modulus": _KeySpec("finger.material.youngs_modulus",
+                                        6.0e5, *_POSITIVE),
+    "material.c10": _KeySpec("finger.material.c10", 1.0e5, *_POSITIVE),
+    "material.c20": _KeySpec("finger.material.c20", 0.0, *_FINITE),
+    "material.c30": _KeySpec("finger.material.c30", 0.0, *_FINITE),
+    "ring.attach_fraction": _KeySpec("ring.attach_fraction", 0.5,
+                                     *_UNIT_INTERVAL),
+    "ring.well_center": _KeySpec("ring.well_center", 0.35, *_FINITE),
+    # The ring terms divide by well_halfwidth * well_halfwidth.
+    "ring.well_halfwidth": _KeySpec(
+        "ring.well_halfwidth", 1.25,
+        lambda v: 0 < v < math.inf and 0 < v * v < math.inf,
+        "must be > 0 with a finite, non-zero square"),
+    "ring.stiffness": _KeySpec("ring.stiffness", 0.02, _NON_NEGATIVE[0],
+                               f"{_NON_NEGATIVE[1]} (invariant k_r >= 0)"),
+    "ring.width_scale": _KeySpec("ring.width_scale", 1.0, *_UNIT_INTERVAL),
+    "gripper.inertia": _KeySpec("inertia", 2.0e-5, *_POSITIVE),
+    "gripper.damping": _KeySpec("damping", 1.0e-4, *_NON_NEGATIVE),
+    "gripper.payload_mass": _KeySpec("payload_mass", 0.0, *_NON_NEGATIVE),
+    "gripper.gravity": _KeySpec("gravity", 0.0, *_FINITE),
+    "solver.theta_min": _KeySpec("window.theta_min", -math.pi, *_FINITE),
+    "solver.theta_max": _KeySpec("window.theta_max", math.pi, *_FINITE),
+    "solver.grid_n": _KeySpec("window.grid_n", 4096,
+                              lambda v: 100 <= v <= MAX_GRID_POINTS,
+                              f"must be in [100, {MAX_GRID_POINTS}]", int),
+    "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
+    "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
+    "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,
+                                    int),
+    "solver.object_halfwidth": _KeySpec("object_halfwidth",
+                                        DEFAULT_OBJECT_HALFWIDTH, *_POSITIVE),
+    "solver.impulse_factor": _KeySpec("impulse_factor", DEFAULT_IMPULSE_FACTOR,
+                                      *_POSITIVE),
+}
+
+# Keys whose path is in a ``GripperDesign``: all but the material model and
+# the solver settings, whose paths are bare names under ``solver.`` keys.
+_DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
+                if spec.field is not None
+                and not (key.startswith("solver.") and "." not in spec.field)}
+
+# Path of each design record -> [(field, check, key spec), ...] of its
+# keys; an integer key's check also refuses any value but an int.  The
+# records are built after it: the first is ``DEFAULT_WINDOW``.
+_FIELD_RULES = {}
+for _spec in _DESIGN_KEYS.values():
+    _owner, _, _name = _spec.field.rpartition(".")
+    _check = _spec.check
+    if _spec.kind is int:
+        _check = lambda v, in_range=_check: type(v) is int and in_range(v)
+    _FIELD_RULES.setdefault(_owner, []).append((_name, _check, _spec))
+_ABSENT = object()
+
+
+def _check_fields(record, path: str) -> None:
+    """Raise for the first field of ``record``, the record at ``path`` in
+    a design, that breaks its rule.  A material has its own fields only."""
+    for name, check, spec in _FIELD_RULES[path]:
+        value = getattr(record, name, _ABSENT)
+        if value is not _ABSENT and not check(value):
+            rule = spec.rule
+            if spec.kind is int and type(value) is not int:
+                rule, value = "must be an integer", repr(value)
+            raise InvalidDesignError(f"{name} {rule}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +200,7 @@ class Yeoh:
 
 
 MaterialModel = Union[LinearElastic, Yeoh]
+MATERIALS = {"linear": LinearElastic, "yeoh": Yeoh}
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +297,16 @@ class SolveWindow:
 
     theta_min: float
     theta_max: float
-    grid_n: int = 4096
+    grid_n: int = KEY_SPECS["solver.grid_n"].default
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_min)
-                and math.isfinite(self.theta_max)):
-            raise InvalidArgumentError("theta_min and theta_max must be "
-                                       "finite")
-        if not (self.theta_min < self.theta_max):
-            raise InvalidArgumentError("theta_min must be < theta_max")
-        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
-            raise InvalidArgumentError(
-                f"grid_n must be an integer, got {self.grid_n!r}")
-        if not 100 <= self.grid_n <= MAX_GRID_POINTS:
-            raise InvalidArgumentError(
-                f"grid_n must be in [100, {MAX_GRID_POINTS}], "
-                f"got {self.grid_n}")
+        _check_fields(self, "window")
+        if not self.theta_min < self.theta_max:
+            raise InvalidDesignError("theta_min must be < theta_max")
 
 
-DEFAULT_WINDOW = SolveWindow(-math.pi, math.pi)
+DEFAULT_WINDOW = SolveWindow(KEY_SPECS["solver.theta_min"].default,
+                             KEY_SPECS["solver.theta_max"].default)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,6 +372,69 @@ class EnergyLandscape:
     finger: np.ndarray
     ring: np.ndarray
     gravity: np.ndarray
+
+
+def design_from_values(values) -> GripperDesign:
+    """Build a design from values keyed as in ``KEY_SPECS``.
+
+    ``material.model`` picks the material class, which takes the values of
+    its own fields; keys of the other material are ignored.
+    """
+    kwargs = {owner: {} for owner in _FIELD_RULES}
+    for key, spec in _DESIGN_KEYS.items():
+        if key in values:
+            owner, _, name = spec.field.rpartition(".")
+            kwargs[owner][name] = values[key]
+    cls = MATERIALS[values["material.model"]]
+    material = cls(**{f.name: kwargs["finger.material"][f.name]
+                      for f in fields(cls)})
+    finger = FingerDesign(
+        cross_section=CrossSection(**kwargs["finger.cross_section"]),
+        material=material, **kwargs["finger"])
+    return GripperDesign(finger=finger, ring=RingDesign(**kwargs["ring"]),
+                         window=SolveWindow(**kwargs["window"]), **kwargs[""])
+
+
+def _with_field(record, path: str, value):
+    """Copy of ``record`` with the dotted attribute ``path`` set to
+    ``value``; the records off the path are shared, not copied."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _with_field(getattr(record, head), rest, value)
+    return replace(record, **{head: value})
+
+
+def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
+    """Return a copy of ``design`` with one dotted-path field replaced.
+
+    Paths follow the configuration-file key names, e.g. ``ring.stiffness``
+    or ``finger.natural_curvature``.  A material key switches the finger to
+    the material class that has its field, which must then be fully known:
+    ``material.youngs_modulus`` makes any finger linear elastic, while a
+    Yeoh coefficient on a linear finger is refused.  An integer key, such
+    as ``finger.n_segments``, takes only a whole number.
+    """
+    spec = _DESIGN_KEYS.get(path)
+    if spec is None:
+        raise InvalidDesignError(f"unknown design parameter path: {path}")
+    if spec.kind is int and (isinstance(value, bool)
+                             or not float(value).is_integer()):
+        raise InvalidDesignError(f"{path} must be an integer, got {value!r}")
+    field, value = spec.field, spec.kind(value)
+    owner, _, name = field.rpartition(".")
+    if owner == "finger.material":
+        material = design.finger.material
+        cls = next(c for c in MATERIALS.values()
+                   if name in (f.name for f in fields(c)))
+        if not all(hasattr(material, f.name) or f.name == name
+                   for f in fields(cls)):
+            raise InvalidDesignError(f"{path} requires a {cls.__name__} "
+                                     f"material, design uses "
+                                     f"{type(material).__name__}")
+        field, value = owner, cls(**{
+            f.name: value if f.name == name else getattr(material, f.name)
+            for f in fields(cls)})
+    return _with_field(design, field, value)
 
 
 # ---------------------------------------------------------------------------
@@ -949,177 +1115,3 @@ def tip_chord(theta: float, length: float) -> float:
     if abs(theta) < SMALL_ANGLE:
         return length * (1.0 - theta * theta / 24.0)
     return 2.0 * length * math.sin(theta / 2.0) / theta
-
-
-# ---------------------------------------------------------------------------
-# Parameter registry: configuration keys and the design fields they set
-# ---------------------------------------------------------------------------
-
-# Study defaults, shared by the configuration keys and the study functions.
-DEFAULT_OBJECT_HALFWIDTH = 0.076   # m
-DEFAULT_IMPULSE_FACTOR = 1.5       # times the minimal trigger impulse
-
-MATERIALS = {"linear": LinearElastic, "yeoh": Yeoh}
-
-# (check, rule) pairs of the keys.  A rule is the whole range of its field:
-# the design records and the configuration reader both apply it.
-_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
-_UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
-_FINITE = (math.isfinite, "must be finite")
-
-
-@dataclass(frozen=True, slots=True)
-class _KeySpec:
-    """One configuration key and the dotted attribute path it sets.
-
-    Paths are in a ``GripperDesign``, or else name a field of the solver
-    settings; ``material.model`` has none, it picks the material.
-    """
-
-    field: Optional[str]
-    default: object
-    check: Optional[Callable] = None
-    rule: str = ""
-    kind: type = float
-
-
-KEY_SPECS = {
-    "finger.length": _KeySpec("finger.length", 0.08, *_POSITIVE),
-    "finger.natural_curvature": _KeySpec("finger.natural_curvature", 20.0,
-                                         *_FINITE),
-    "finger.width": _KeySpec("finger.cross_section.width", 0.015,
-                             *_POSITIVE),
-    "finger.thickness": _KeySpec("finger.cross_section.thickness", 0.006,
-                                 *_POSITIVE),
-    "finger.n_segments": _KeySpec(
-        "finger.n_segments", 1,
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "must be an int >= 1", int),
-    "finger.linear_density": _KeySpec("finger.linear_density", 0.1,
-                                      *_NON_NEGATIVE),
-    "material.model": _KeySpec(None, "linear", lambda v: v in MATERIALS,
-                               "must be 'linear' or 'yeoh'", str),
-    "material.youngs_modulus": _KeySpec("finger.material.youngs_modulus",
-                                        6.0e5, *_POSITIVE),
-    "material.c10": _KeySpec("finger.material.c10", 1.0e5, *_POSITIVE),
-    "material.c20": _KeySpec("finger.material.c20", 0.0, *_FINITE),
-    "material.c30": _KeySpec("finger.material.c30", 0.0, *_FINITE),
-    "ring.attach_fraction": _KeySpec("ring.attach_fraction", 0.5,
-                                     *_UNIT_INTERVAL),
-    "ring.well_center": _KeySpec("ring.well_center", 0.35, *_FINITE),
-    # The ring terms divide by well_halfwidth * well_halfwidth.
-    "ring.well_halfwidth": _KeySpec(
-        "ring.well_halfwidth", 1.25,
-        lambda v: 0 < v < math.inf and 0 < v * v < math.inf,
-        "must be > 0 with a finite, non-zero square"),
-    "ring.stiffness": _KeySpec("ring.stiffness", 0.02, _NON_NEGATIVE[0],
-                               f"{_NON_NEGATIVE[1]} (invariant k_r >= 0)"),
-    "ring.width_scale": _KeySpec("ring.width_scale", 1.0, *_UNIT_INTERVAL),
-    "gripper.inertia": _KeySpec("inertia", 2.0e-5, *_POSITIVE),
-    "gripper.damping": _KeySpec("damping", 1.0e-4, *_NON_NEGATIVE),
-    "gripper.payload_mass": _KeySpec("payload_mass", 0.0, *_NON_NEGATIVE),
-    "gripper.gravity": _KeySpec("gravity", 0.0, *_FINITE),
-    "solver.theta_min": _KeySpec("window.theta_min",
-                                 DEFAULT_WINDOW.theta_min),
-    "solver.theta_max": _KeySpec("window.theta_max",
-                                 DEFAULT_WINDOW.theta_max),
-    "solver.grid_n": _KeySpec("window.grid_n", DEFAULT_WINDOW.grid_n,
-                              lambda v: 100 <= v <= MAX_GRID_POINTS,
-                              f"must be in [100, {MAX_GRID_POINTS}]", int),
-    "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
-    "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
-    "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,
-                                    int),
-    "solver.object_halfwidth": _KeySpec("object_halfwidth",
-                                        DEFAULT_OBJECT_HALFWIDTH, *_POSITIVE),
-    "solver.impulse_factor": _KeySpec("impulse_factor", DEFAULT_IMPULSE_FACTOR,
-                                      *_POSITIVE),
-}
-
-# Keys whose path starts at a ``GripperDesign`` field.
-_DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
-                if spec.field is not None and spec.field.partition(".")[0]
-                in {f.name for f in fields(GripperDesign)}}
-
-# Path of each design record -> [(field, check, rule), ...] of its keys.
-_FIELD_RULES = {}
-for _spec in _DESIGN_KEYS.values():
-    if _spec.check is not None:
-        _owner, _, _name = _spec.field.rpartition(".")
-        _FIELD_RULES.setdefault(_owner, []).append(
-            (_name, _spec.check, _spec.rule))
-_ABSENT = object()
-
-
-def _check_fields(record, path: str) -> None:
-    """Raise for the first field of ``record``, the record at ``path`` in
-    a design, that breaks its rule.  A material has its own fields only."""
-    for name, check, rule in _FIELD_RULES[path]:
-        value = getattr(record, name, _ABSENT)
-        if value is not _ABSENT and not check(value):
-            raise InvalidDesignError(f"{name} {rule}, got {value}")
-
-
-def design_from_values(values) -> GripperDesign:
-    """Build a design from values keyed as in ``KEY_SPECS``.
-
-    ``material.model`` picks the material class, which takes the values of
-    its own fields; keys of the other material are ignored.
-    """
-    kwargs = {owner: {} for owner in ("", "finger", "finger.cross_section",
-                                      "finger.material", "ring", "window")}
-    for key, spec in _DESIGN_KEYS.items():
-        if key in values:
-            owner, _, name = spec.field.rpartition(".")
-            kwargs[owner][name] = values[key]
-    cls = MATERIALS[values["material.model"]]
-    material = cls(**{f.name: kwargs["finger.material"][f.name]
-                      for f in fields(cls)})
-    finger = FingerDesign(
-        cross_section=CrossSection(**kwargs["finger.cross_section"]),
-        material=material, **kwargs["finger"])
-    return GripperDesign(finger=finger, ring=RingDesign(**kwargs["ring"]),
-                         window=SolveWindow(**kwargs["window"]), **kwargs[""])
-
-
-def _with_field(record, path: str, value):
-    """Copy of ``record`` with the dotted attribute ``path`` set to
-    ``value``; the records off the path are shared, not copied."""
-    head, _, rest = path.partition(".")
-    if rest:
-        value = _with_field(getattr(record, head), rest, value)
-    return replace(record, **{head: value})
-
-
-def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
-    """Return a copy of ``design`` with one dotted-path field replaced.
-
-    Paths follow the configuration-file key names, e.g. ``ring.stiffness``
-    or ``finger.natural_curvature``.  A material key switches the finger to
-    the material class that has its field, which must then be fully known:
-    ``material.youngs_modulus`` makes any finger linear elastic, while a
-    Yeoh coefficient on a linear finger is refused.  An integer key, such
-    as ``finger.n_segments``, takes only a whole number.
-    """
-    spec = _DESIGN_KEYS.get(path)
-    if spec is None:
-        raise InvalidDesignError(f"unknown design parameter path: {path}")
-    if spec.kind is int and (isinstance(value, bool)
-                             or not float(value).is_integer()):
-        raise InvalidDesignError(f"{path} must be an integer, got {value!r}")
-    field, value = spec.field, spec.kind(value)
-    owner, _, name = field.rpartition(".")
-    if owner == "finger.material":
-        material = design.finger.material
-        cls = next(c for c in MATERIALS.values()
-                   if name in (f.name for f in fields(c)))
-        if not all(hasattr(material, f.name) or f.name == name
-                   for f in fields(cls)):
-            raise InvalidDesignError(f"{path} requires a {cls.__name__} "
-                                     f"material, design uses "
-                                     f"{type(material).__name__}")
-        field, value = owner, cls(**{
-            f.name: value if f.name == name else getattr(material, f.name)
-            for f in fields(cls)})
-    return _with_field(design, field, value)

@@ -78,6 +78,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not UTF-8"):
             load_config(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path,
+                                                          baseline_doc):
+        # Some editors save UTF-8 text with a byte-order mark in front.
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + BASELINE_CFG.read_bytes())
+        assert load_config(path) == baseline_doc
+
     def test_round_trip_is_identity(self, baseline_doc):
         assert parse_config(serialize_config(baseline_doc)) == baseline_doc
 
@@ -232,12 +239,13 @@ class TestRegistry:
         "ring.well_halfwidth": 1e-170, "ring.stiffness": -1.0,
         "ring.width_scale": 0.0, "gripper.inertia": 0.0,
         "gripper.damping": -1.0, "gripper.payload_mass": -1.0,
-        "gripper.gravity": math.nan}
+        "gripper.gravity": math.nan, "solver.theta_min": math.nan,
+        "solver.theta_max": math.nan, "solver.grid_n": 99}
 
     @pytest.mark.parametrize("key", [
         key for key, spec in KEY_SPECS.items() if spec.field is not None
         and spec.field.partition(".")[0] in
-        {f.name for f in fields(GripperDesign)} - {"window"}])
+        {f.name for f in fields(GripperDesign)}])
     def test_config_and_records_refuse_by_the_same_rule(self, key):
         rule, value = KEY_SPECS[key].rule, self.BREAKS_RULE[key]
         assert rule
@@ -561,6 +569,17 @@ class TestCli:
             "snapgrip: error: sweep parameter 'gripper.gravity' is given "
             "more than once"]
         assert not (tmp_path / "out").exists()
+
+    def test_ring_trim_below_its_tolerance_exits_2(self, tmp_path):
+        # A monostable ring, barrier 0, would meet the target within 1e-9 J.
+        res = run_main("tunering", "--target-barrier", "1e-300",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == (
+            "snapgrip: error: target barrier 1e-300 J is below the trim "
+            "tolerance 1e-09 J, which a monostable ring meets\n")
+        assert not (tmp_path / "tunering.csv").exists()
 
     def test_failed_run_creates_no_output_directory(self, tmp_path):
         res = run_main("sweep", "--param", "finger.n_segments=2.5,3",

@@ -229,6 +229,12 @@ class TestTuneRingWidth:
         with pytest.raises(ValueError):
             tune_ring_width(baseline, 0.0)
 
+    @pytest.mark.parametrize("target", [1e-300, 1e-12, 5e-10])
+    def test_target_below_the_tolerance_unreachable(self, baseline, target):
+        # A monostable width, barrier 0, is within 1e-9 J of each target.
+        with pytest.raises(TargetUnreachableError, match="tolerance"):
+            tune_ring_width(baseline, target)
+
     def test_target_above_current_barrier_unreachable(self, baseline):
         current = snap_through_energy(baseline)
         with pytest.raises(TargetUnreachableError):
