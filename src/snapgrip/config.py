@@ -1,20 +1,20 @@
 """Flat dotted-key configuration files.
 
 Grammar: one ``key = value`` pair per line, '#' starts a comment, blank
-lines ignored.  Unknown keys are rejected, and so are non-finite numbers
-and values that break their key's rule in ``KEY_SPECS``, the rule the
-design records apply; missing keys fall back to the defaults there.
+lines ignored.  Unknown keys are rejected, and so are values that break
+their key's rule in ``KEY_SPECS``, refused with the text the design
+records give; missing keys fall back to the defaults there.
 Those defaults are not the calibrated design of ``configs/baseline.cfg``.
 All values are SI.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .model import KEY_SPECS, GripperDesign, design_from_values
+from .errors import ConfigError, InvalidDesignError
+from .model import (KEY_SPECS, GripperDesign, _check_value,
+                    design_from_values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,28 +65,20 @@ def parse_config(text: str) -> ConfigDocument:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         seen.add(key)
-        if spec.kind is str:
-            parsed = value
-        else:
+        parsed = value
+        if spec.kind is not str:
             try:
                 parsed = float(value)
             except ValueError:
                 problems.append(f"line {lineno}: non-numeric value {value!r} "
                                 f"for {key}")
                 continue
-            if not math.isfinite(parsed):
-                problems.append(f"line {lineno}: {key} = {value!r} "
-                                "must be finite")
-                continue
-            if spec.kind is int:
-                if parsed != int(parsed):
-                    problems.append(f"line {lineno}: {key} must be an "
-                                    f"integer, got {value!r}")
-                    continue
+            if spec.kind is int and parsed.is_integer():
                 parsed = int(parsed)
-        if not spec.check(parsed):
-            problems.append(f"line {lineno}: {key} {spec.rule}, "
-                            f"got {value!r}")
+        try:
+            _check_value(key, parsed)
+        except InvalidDesignError as exc:
+            problems.append(f"line {lineno}: {exc}")
             continue
         values[key] = parsed
     if problems:
@@ -125,7 +117,3 @@ def build_solver_settings(doc: ConfigDocument) -> SolverSettings:
     return SolverSettings(**{spec.field: doc[key]
                              for key, spec in KEY_SPECS.items()
                              if spec.field in names})
-
-
-def default_config() -> ConfigDocument:
-    return ConfigDocument(values={k: s.default for k, s in KEY_SPECS.items()})

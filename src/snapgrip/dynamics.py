@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteStateError, StepSizeError
 from . import model  # functions looked up at each call, as in statics
-from .model import DEFAULT_IMPULSE_FACTOR, GripperDesign
+from .model import DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -103,7 +103,9 @@ def _require_finite(**values) -> None:
 
 
 def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
-                  dt: float = 2e-5, t_end: float = 0.1) -> Trajectory:
+                  dt: float = KEY_SPECS["solver.dt"].default,
+                  t_end: float = KEY_SPECS["solver.t_end"].default
+                  ) -> Trajectory:
     """Integrate the passive dynamics and record every step.
 
     A run of more than MAX_STEPS steps is refused.  The step size is

@@ -15,7 +15,7 @@ from .errors import (BudgetExceededError, InvalidArgumentError,
 from .dynamics import closing_time, minimal_trigger_impulse, natural_frequency
 from . import model  # functions looked up at each call, as in statics
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
-                    GripperDesign)
+                    KEY_SPECS, GripperDesign)
 from .statics import (EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable, trigger_moment)
 
@@ -53,7 +53,7 @@ class SweepSpec:
     """Cartesian sweep over dotted design-parameter paths."""
 
     parameters: tuple          # ((path, (values...)), ...)
-    budget: int = 1_000_000
+    budget: int = KEY_SPECS["solver.sweep_budget"].default
     include_closing_time: bool = True
     include_grip_force: bool = True
     object_halfwidth: float = DEFAULT_OBJECT_HALFWIDTH

@@ -123,29 +123,39 @@ _DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
                 if spec.field is not None
                 and not (key.startswith("solver.") and "." not in spec.field)}
 
-# Path of each design record -> [(field, check, key spec), ...] of its
-# keys; an integer key's check also refuses any value but an int.  The
+# Path of each design record -> [(field, key), ...] of its keys.  The
 # records are built after it: the first is ``DEFAULT_WINDOW``.
 _FIELD_RULES = {}
-for _spec in _DESIGN_KEYS.values():
+for _key, _spec in _DESIGN_KEYS.items():
     _owner, _, _name = _spec.field.rpartition(".")
-    _check = _spec.check
-    if _spec.kind is int:
-        _check = lambda v, in_range=_check: type(v) is int and in_range(v)
-    _FIELD_RULES.setdefault(_owner, []).append((_name, _check, _spec))
+    _FIELD_RULES.setdefault(_owner, []).append((_name, _key))
 _ABSENT = object()
+
+
+def _check_value(key: str, value) -> None:
+    """Raise if ``value`` breaks the rule of ``key``: a float must be
+    finite, an integer key takes only an ``int``, and then the key's own
+    rule applies.  The configuration reader, ``set_design_value`` and the
+    records all refuse through here, so a value gets one text."""
+    spec = KEY_SPECS[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        rule = "must be finite"
+    elif spec.kind is int and type(value) is not int:
+        rule = "must be an integer"
+    elif spec.check(value):
+        return
+    else:
+        rule = spec.rule
+    raise InvalidDesignError(f"{key} {rule}, got {value!r}")
 
 
 def _check_fields(record, path: str) -> None:
     """Raise for the first field of ``record``, the record at ``path`` in
     a design, that breaks its rule.  A material has its own fields only."""
-    for name, check, spec in _FIELD_RULES[path]:
+    for name, key in _FIELD_RULES[path]:
         value = getattr(record, name, _ABSENT)
-        if value is not _ABSENT and not check(value):
-            rule = spec.rule
-            if spec.kind is int and type(value) is not int:
-                rule, value = "must be an integer", repr(value)
-            raise InvalidDesignError(f"{name} {rule}, got {value}")
+        if value is not _ABSENT:
+            _check_value(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +188,8 @@ class Yeoh:
     """
 
     c10: float
-    c20: float = 0.0
-    c30: float = 0.0
+    c20: float = KEY_SPECS["material.c20"].default
+    c30: float = KEY_SPECS["material.c30"].default
 
     def __post_init__(self):
         _check_fields(self, "finger.material")
@@ -238,8 +248,8 @@ class FingerDesign:
     natural_curvature: float
     cross_section: CrossSection
     material: MaterialModel
-    n_segments: int = 1
-    linear_density: float = 0.1
+    n_segments: int = KEY_SPECS["finger.n_segments"].default
+    linear_density: float = KEY_SPECS["finger.linear_density"].default
 
     def __post_init__(self):
         _check_fields(self, "finger")
@@ -276,7 +286,7 @@ class RingDesign:
     well_center: float
     well_halfwidth: float
     stiffness: float
-    width_scale: float = 1.0
+    width_scale: float = KEY_SPECS["ring.width_scale"].default
 
     def __post_init__(self):
         _check_fields(self, "ring")
@@ -321,10 +331,10 @@ class GripperDesign:
 
     finger: FingerDesign
     ring: RingDesign
-    inertia: float = 2.0e-5
-    damping: float = 1.0e-4
-    payload_mass: float = 0.0
-    gravity: float = 0.0
+    inertia: float = KEY_SPECS["gripper.inertia"].default
+    damping: float = KEY_SPECS["gripper.damping"].default
+    payload_mass: float = KEY_SPECS["gripper.payload_mass"].default
+    gravity: float = KEY_SPECS["gripper.gravity"].default
     window: SolveWindow = DEFAULT_WINDOW
 
     def __post_init__(self):
@@ -417,10 +427,12 @@ def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     spec = _DESIGN_KEYS.get(path)
     if spec is None:
         raise InvalidDesignError(f"unknown design parameter path: {path}")
-    if spec.kind is int and (isinstance(value, bool)
-                             or not float(value).is_integer()):
-        raise InvalidDesignError(f"{path} must be an integer, got {value!r}")
-    field, value = spec.field, spec.kind(value)
+    if spec.kind is float:
+        value = float(value)
+    elif not isinstance(value, bool) and float(value).is_integer():
+        value = int(value)
+    _check_value(path, value)   # before the material switch, as in a config
+    field = spec.field
     owner, _, name = field.rpartition(".")
     if owner == "finger.material":
         material = design.finger.material
@@ -1086,21 +1098,6 @@ def chain_gradient_hessian(angles, design: GripperDesign) -> tuple:
 def chain_hessian(angles, design: GripperDesign) -> np.ndarray:
     """Hessian by central differences of the joint gradients."""
     return chain_gradient_hessian(angles, design)[1]
-
-
-def forward_kinematics(angles, finger: FingerDesign) -> np.ndarray:
-    """Node positions of the rigid-link chain, rooted at the origin.
-
-    The first tangent points along +y; joint i rotates the following link
-    by the cumulative angle.  Returns an (n+1, 2) array of (x, y).
-    """
-    phi = _check_chain(angles, finger)
-    ell = finger.length / finger.n_segments
-    psi = np.cumsum(phi)
-    xy = np.zeros((finger.n_segments + 1, 2))
-    xy[1:, 0] = np.cumsum(ell * np.sin(psi))
-    xy[1:, 1] = np.cumsum(ell * np.cos(psi))
-    return xy
 
 
 def uniform_chain(design: GripperDesign, tip_angle: float) -> np.ndarray:

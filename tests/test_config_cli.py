@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from snapgrip.config import (ConfigDocument, build_design,
-                             build_solver_settings, default_config,
-                             load_config, parse_config, serialize_config)
+                             build_solver_settings, load_config,
+                             parse_config, serialize_config)
 from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                simulate_1dof)
 from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
@@ -31,7 +31,8 @@ class TestParseConfig:
 
     def test_empty_file_yields_defaults(self):
         doc = parse_config("")
-        assert doc == default_config()
+        assert doc == ConfigDocument({k: s.default
+                                      for k, s in KEY_SPECS.items()})
         assert doc["finger.length"] == 0.08
         assert doc["ring.stiffness"] == 0.02
 
@@ -208,7 +209,10 @@ class TestRegistry:
         ("finger.n_segments", math.nan), ("finger.n_segments", math.inf),
         ("solver.grid_n", 4096.5)])
     def test_integer_key_refuses_other_values(self, baseline, path, value):
-        with pytest.raises(InvalidDesignError, match="must be an integer"):
+        rule = "must be an integer" if math.isfinite(value) \
+            else "must be finite"
+        with pytest.raises(InvalidDesignError, match=re.escape(
+                f"{path} {rule}, got {value!r}") + "$"):
             set_design_value(baseline, path, value)
 
     def test_integer_key_takes_a_whole_float(self, baseline):
@@ -247,16 +251,38 @@ class TestRegistry:
         and spec.field.partition(".")[0] in
         {f.name for f in fields(GripperDesign)}])
     def test_config_and_records_refuse_by_the_same_rule(self, key):
-        rule, value = KEY_SPECS[key].rule, self.BREAKS_RULE[key]
-        assert rule
-        with pytest.raises(ConfigError) as err:
-            parse_config(f"# first line\n{key} = {value!r}\n")
-        (problem,) = err.value.problems
-        assert problem.startswith("line 2: ") and rule in problem
+        spec = KEY_SPECS[key]
+        assert spec.rule
+        # Each break value with the rule it breaks: the key's own, then
+        # the integer test of an integer key and the finite test.
+        breaks = [(self.BREAKS_RULE[key], spec.rule)]
+        if spec.kind is int:
+            breaks.append((2.5, "must be an integer"))
+        breaks += [(math.nan, "must be finite"), (math.inf, "must be finite")]
         model = "yeoh" if key.startswith("material.c") else "linear"
         design = build_design(parse_config(f"material.model = {model}\n"))
-        with pytest.raises(InvalidDesignError, match=re.escape(rule)):
-            set_design_value(design, key, value)
+        for value, rule in breaks:
+            with pytest.raises(InvalidDesignError) as refused:
+                set_design_value(design, key, value)
+            message = str(refused.value)
+            assert message == f"{key} {rule}, got {value!r}"
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"# first line\n{key} = {value!r}\n")
+            assert err.value.problems == [f"line 2: {message}"]
+
+    def test_records_default_to_the_key_defaults(self):
+        v = parse_config("").values
+        design = GripperDesign(
+            finger=FingerDesign(
+                v["finger.length"], v["finger.natural_curvature"],
+                CrossSection(v["finger.width"], v["finger.thickness"]),
+                LinearElastic(v["material.youngs_modulus"])),
+            ring=RingDesign(v["ring.attach_fraction"], v["ring.well_center"],
+                            v["ring.well_halfwidth"], v["ring.stiffness"]),
+            window=SolveWindow(v["solver.theta_min"], v["solver.theta_max"]))
+        assert design == build_design(parse_config(""))
+        yeoh = build_design(parse_config("material.model = yeoh\n"))
+        assert Yeoh(v["material.c10"]) == yeoh.finger.material
 
     def test_two_rule_problems_give_two_lines(self):
         with pytest.raises(ConfigError) as err:
@@ -559,6 +585,15 @@ class TestCli:
                               "an integer, got 2.5\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_sweep_refusal_names_the_key(self, tmp_path):
+        res = run_main("sweep", "--param", "finger.length=0.08,-1",
+                       "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("snapgrip: error: finger.length must be "
+                              "finite and > 0, got -1.0\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_repeated_sweep_path_exits_2_without_table(self, tmp_path):
         res = run_main("sweep", "--param", "gripper.gravity=1,2",
                        "--param", "gripper.gravity=3",
@@ -853,9 +888,9 @@ EXPORTS = {
               "FingerDesign", "GripperDesign", "LinearElastic", "RingDesign",
               "Yeoh", "chain_energy", "chain_gradient",
               "chain_gradient_hessian", "chain_hessian", "finger_energy_1dof",
-              "forward_kinematics", "gradient_1dof", "gravity_energy_1dof",
-              "moment_curvature", "ring_energy_1dof", "sample_landscape",
-              "set_design_value", "total_energy_1dof"),
+              "gradient_1dof", "gravity_energy_1dof", "moment_curvature",
+              "ring_energy_1dof", "sample_landscape", "set_design_value",
+              "total_energy_1dof"),
     "statics": ("ContinuationPath", "Equilibrium", "EquilibriumReport",
                 "continuation_ramped_load", "find_equilibria_1dof",
                 "find_equilibria_chain", "saddle_search_chain",
@@ -867,8 +902,7 @@ EXPORTS = {
                 "grip_force_estimate", "reproduce_fea_cases", "run_sweep",
                 "tune_ring_width"),
     "config": ("ConfigDocument", "build_design", "build_solver_settings",
-               "default_config", "load_config", "parse_config",
-               "serialize_config"),
+               "load_config", "parse_config", "serialize_config"),
 }
 
 

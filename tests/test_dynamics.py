@@ -472,6 +472,8 @@ class TestCalibration:
     def test_calibrated_inertia_hits_target_time(self, baseline):
         target = 0.021
         j, c = calibrate_inertia(baseline, target)
+        # configs/baseline.cfg ships this inertia to two figures.
+        assert float(f"{j:.2g}") == baseline.inertia
         d = replace(baseline, inertia=j, damping=c)
         imp = 5.0 * minimal_trigger_impulse(d)
         event = closing_time(d, imp)

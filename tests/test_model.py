@@ -19,8 +19,8 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             chain_energy, chain_gradient,
                             chain_gradient_hessian, chain_hessian,
                             finger_energy_1dof, finger_gradient_1dof,
-                            forward_kinematics, gradient_1dof,
-                            gravity_energy_1dof, gravity_gradient_1dof,
+                            gradient_1dof, gravity_energy_1dof,
+                            gravity_gradient_1dof,
                             moment_curvature, ring_energy_1dof,
                             sample_landscape, scalar_energy, scalar_gradient,
                             set_design_value, tip_chord, total_energy_1dof,
@@ -653,11 +653,9 @@ class TestChainReduction:
 
     def test_wrong_shape_rejected(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 4)
-        with pytest.raises(InvalidDesignError):
-            chain_energy(np.zeros(3), d)
         with pytest.raises(InvalidDesignError, match=r"shape \(3,\), "
                            r"expected \(4,\)"):
-            forward_kinematics(np.zeros(3), d.finger)
+            chain_energy(np.zeros(3), d)
 
 
 def _chain_design(baseline, n, gravity, payload=0.0):
@@ -966,20 +964,6 @@ class TestChainBits:
 
 
 class TestKinematics:
-
-    def test_straight_chain_reaches_full_length(self, baseline):
-        d = set_design_value(baseline, "finger.n_segments", 10)
-        xy = forward_kinematics(np.zeros(10), d.finger)
-        assert xy[-1, 0] == pytest.approx(0.0, abs=1e-15)
-        assert xy[-1, 1] == pytest.approx(d.finger.length, rel=1e-12)
-
-    def test_link_lengths_preserved(self, baseline):
-        d = set_design_value(baseline, "finger.n_segments", 8)
-        rng = np.random.default_rng(3)
-        phi = rng.uniform(-0.4, 0.4, 8)
-        xy = forward_kinematics(phi, d.finger)
-        seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
-        assert np.allclose(seg, d.finger.length / 8, rtol=1e-12)
 
     def test_uniform_chain_tip_angle(self, baseline):
         d = set_design_value(baseline, "finger.n_segments", 16)
