@@ -13,8 +13,11 @@ gravity on in a solve window other than the default (theta from -2.5 to
 ``python -m snapgrip.cli`` in its own directory
 ``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
 ``stderr`` and, under ``files/``, every output the command wrote except
-``run_manifest.txt`` (it carries a timestamp).  The script exits 1 if any
-command exits non-zero.
+``run_manifest.txt`` (it carries a timestamp).  Three refusals run the
+same way in ``DIR/refusals/<name>/``: a config value that is not a
+number, an unknown config key, and a sweep with a fractional segment
+count.  The script exits 1 if any command exits non-zero or any refusal
+exits other than 2.
 
 Outputs are byte-deterministic, so ``diff -r`` of two snapshots shows
 every byte that a change moved.
@@ -55,6 +58,15 @@ COMMANDS = {
     "tunering": ["tunering", "--target-barrier", "0.01"],
     "gravitycheck": ["gravitycheck"],
     "continuation": ["continuation", "--tau-max", "0.03", "--steps", "50"],
+}
+
+# Refusal name -> (keys set on top of the baseline configuration, CLI
+# arguments without --config and --out).  Each must exit 2.
+REFUSALS = {
+    "non_numeric_value": ({"finger.length": "abc"}, ["equilibria"]),
+    "unknown_key": ({"finger.colour": "3"}, ["equilibria"]),
+    "fractional_sweep": ({}, ["sweep", "--param",
+                              "finger.n_segments=2,3,2.5"]),
 }
 
 
@@ -102,9 +114,17 @@ def main(argv=None) -> int:
             code = run(src, cfg, command, out / config / name)
             if code != 0:
                 failed.append(f"{config}/{name} exited {code}")
+    (out / "refusals").mkdir()
+    for name, (overrides, command) in REFUSALS.items():
+        cfg = out / "refusals" / f"{name}.cfg"
+        write_config(cfg, overrides)
+        code = run(src, cfg, command, out / "refusals" / name)
+        if code != 2:
+            failed.append(f"refusals/{name} exited {code}, not 2")
     for line in failed:
         print(line, file=sys.stderr)
-    print(f"{len(CONFIGS) * len(COMMANDS)} commands, {len(failed)} failed")
+    print(f"{len(CONFIGS) * len(COMMANDS)} commands and {len(REFUSALS)} "
+          f"refusals, {len(failed)} failed")
     return 1 if failed else 0
 
 

@@ -13,12 +13,11 @@ _EXPORTS = {
     "model": ("ChainConfiguration", "CrossSection", "EnergyLandscape",
               "FingerDesign", "GripperDesign", "LinearElastic", "RingDesign",
               "Yeoh", "chain_energy", "chain_gradient",
-              "chain_gradient_hessian", "chain_hessian", "finger_energy_1dof",
-              "gradient_1dof", "gravity_energy_1dof", "moment_curvature",
-              "ring_energy_1dof", "sample_landscape", "set_design_value",
-              "total_energy_1dof"),
-    "config": ("ConfigDocument", "build_design", "build_solver_settings",
-               "load_config", "parse_config", "serialize_config"),
+              "chain_gradient_hessian", "finger_energy_1dof", "gradient_1dof",
+              "gravity_energy_1dof", "moment_curvature", "ring_energy_1dof",
+              "sample_landscape", "set_design_value", "total_energy_1dof"),
+    "config": ("build_design", "build_solver_settings", "load_config",
+               "parse_config", "serialize_config"),
     "statics": ("ContinuationPath", "Equilibrium", "EquilibriumReport",
                 "continuation_ramped_load", "find_equilibria_1dof",
                 "find_equilibria_chain", "saddle_search_chain",

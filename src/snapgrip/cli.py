@@ -154,9 +154,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     out = Path(args.out)
-    doc = load_config(args.config)
-    design = build_design(doc)
-    settings = build_solver_settings(doc)
+    values = load_config(args.config)
+    design = build_design(values)
+    settings = build_solver_settings(values)
     outputs = []
     failure = None      # raised once the outputs and the manifest are written
 
@@ -324,7 +324,7 @@ def _dispatch(args) -> int:
         print(fmt(force))
 
     command = "snapgrip " + args.command
-    write_manifest(out / "run_manifest.txt", serialize_config(doc),
+    write_manifest(out / "run_manifest.txt", serialize_config(values),
                    __version__, command, outputs)
     if failure is not None:
         raise failure

@@ -3,9 +3,9 @@
 Grammar: one ``key = value`` pair per line, '#' starts a comment, blank
 lines ignored.  Unknown keys are rejected, and so are values that break
 their key's rule in ``KEY_SPECS``, refused with the text the design
-records give; missing keys fall back to the defaults there.
-Those defaults are not the calibrated design of ``configs/baseline.cfg``.
-All values are SI.
+records give; missing keys fall back to the defaults there, which are not
+the calibrated design of ``configs/baseline.cfg``.  A configuration is a
+plain dict of every key's value, all SI.
 """
 
 from __future__ import annotations
@@ -13,21 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidDesignError
-from .model import (KEY_SPECS, GripperDesign, _check_value,
-                    design_from_values)
-
-
-@dataclass(frozen=True, slots=True)
-class ConfigDocument:
-    """A fully resolved configuration (defaults overlaid with file values)."""
-
-    values: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-
-    def __getitem__(self, key):
-        return self.values[key]
+from .model import KEY_SPECS, GripperDesign, _read_value, design_from_values
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +27,7 @@ class SolverSettings:
     impulse_factor: float
 
 
-def parse_config(text: str) -> ConfigDocument:
+def parse_config(text: str) -> dict:
     """Parse configuration text, reporting every problem at once."""
     values = {k: s.default for k, s in KEY_SPECS.items()}
     seen = set()
@@ -57,36 +43,23 @@ def parse_config(text: str) -> ConfigDocument:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        spec = KEY_SPECS.get(key)
-        if spec is None:
+        if key not in KEY_SPECS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         seen.add(key)
-        parsed = value
-        if spec.kind is not str:
-            try:
-                parsed = float(value)
-            except ValueError:
-                problems.append(f"line {lineno}: non-numeric value {value!r} "
-                                f"for {key}")
-                continue
-            if spec.kind is int and parsed.is_integer():
-                parsed = int(parsed)
         try:
-            _check_value(key, parsed)
+            values[key] = _read_value(key, value)
         except InvalidDesignError as exc:
             problems.append(f"line {lineno}: {exc}")
-            continue
-        values[key] = parsed
     if problems:
         raise ConfigError(problems)
-    return ConfigDocument(values=values)
+    return values
 
 
-def load_config(path) -> ConfigDocument:
+def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
@@ -96,24 +69,16 @@ def load_config(path) -> ConfigDocument:
     return parse_config(text)
 
 
-def serialize_config(doc: ConfigDocument) -> str:
-    """Canonical text form; parsing it back yields an identical document."""
-    lines = []
-    for key in sorted(KEY_SPECS):
-        value = doc.values[key]
-        if isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+def serialize_config(values: dict) -> str:
+    """Canonical text form; parsing it back yields equal values (``str``
+    of a float is its shortest round-trip ``repr``)."""
+    return "".join(f"{key} = {values[key]}\n" for key in sorted(KEY_SPECS))
 
 
-def build_design(doc: ConfigDocument) -> GripperDesign:
-    return design_from_values(doc.values)
+def build_design(values: dict) -> GripperDesign:
+    return design_from_values(values)
 
 
-def build_solver_settings(doc: ConfigDocument) -> SolverSettings:
-    names = {f.name for f in fields(SolverSettings)}
-    return SolverSettings(**{spec.field: doc[key]
-                             for key, spec in KEY_SPECS.items()
-                             if spec.field in names})
+def build_solver_settings(values: dict) -> SolverSettings:
+    return SolverSettings(**{f.name: values[f"solver.{f.name}"]
+                             for f in fields(SolverSettings)})

@@ -69,8 +69,8 @@ def natural_frequency(design: GripperDesign,
     """Small-oscillation angular frequency sqrt(U''/J) at a stable
     equilibrium of the reduced model, from its recorded curvature."""
     if not equilibrium.stable:
-        raise ValueError("natural frequency is undefined at an "
-                         "unstable equilibrium")
+        raise InvalidArgumentError("natural frequency is undefined at an "
+                                   "unstable equilibrium")
     return math.sqrt(equilibrium.curvature / design.inertia)
 
 

@@ -36,7 +36,7 @@ class NonConvergenceError(DomainError):
 
 class NonFiniteStateError(DomainError):
     """An integrated state or a sampled energy left the range of finite
-    floating-point numbers."""
+    floating-point numbers, or their precision."""
 
 
 class SaddleOrderError(DomainError):

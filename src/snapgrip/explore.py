@@ -74,6 +74,10 @@ class SweepSpec:
             raise BudgetExceededError(
                 f"sweep would evaluate {self.n_points} design points, "
                 f"budget is {self.budget}")
+        # A bad value is refused here, before any point is solved.
+        for path, values in self.parameters:
+            for value in values:
+                model._read_design_value(path, value)
 
     @property
     def n_points(self) -> int:

@@ -55,10 +55,9 @@ _FINITE = (math.isfinite, "must be finite")
 
 @dataclass(frozen=True, slots=True)
 class _KeySpec:
-    """One configuration key and the dotted attribute path it sets.
-
-    Paths are in a ``GripperDesign``, or else name a field of the solver
-    settings; ``material.model`` has none, it picks the material.
+    """One configuration key and the dotted attribute path it sets in a
+    ``GripperDesign``, or ``None``: ``material.model`` picks the material,
+    and a solver setting ``solver.NAME`` is the settings' field NAME.
     """
 
     field: Optional[str]
@@ -107,21 +106,17 @@ KEY_SPECS = {
     "solver.grid_n": _KeySpec("window.grid_n", 4096,
                               lambda v: 100 <= v <= MAX_GRID_POINTS,
                               f"must be in [100, {MAX_GRID_POINTS}]", int),
-    "solver.dt": _KeySpec("dt", 2e-5, *_POSITIVE),
-    "solver.t_end": _KeySpec("t_end", 0.1, *_POSITIVE),
-    "solver.sweep_budget": _KeySpec("sweep_budget", 1_000_000, *_POSITIVE,
-                                    int),
-    "solver.object_halfwidth": _KeySpec("object_halfwidth",
-                                        DEFAULT_OBJECT_HALFWIDTH, *_POSITIVE),
-    "solver.impulse_factor": _KeySpec("impulse_factor", DEFAULT_IMPULSE_FACTOR,
+    "solver.dt": _KeySpec(None, 2e-5, *_POSITIVE),
+    "solver.t_end": _KeySpec(None, 0.1, *_POSITIVE),
+    "solver.sweep_budget": _KeySpec(None, 1_000_000, *_POSITIVE, int),
+    "solver.object_halfwidth": _KeySpec(None, DEFAULT_OBJECT_HALFWIDTH,
+                                        *_POSITIVE),
+    "solver.impulse_factor": _KeySpec(None, DEFAULT_IMPULSE_FACTOR,
                                       *_POSITIVE),
 }
 
-# Keys whose path is in a ``GripperDesign``: all but the material model and
-# the solver settings, whose paths are bare names under ``solver.`` keys.
 _DESIGN_KEYS = {key: spec for key, spec in KEY_SPECS.items()
-                if spec.field is not None
-                and not (key.startswith("solver.") and "." not in spec.field)}
+                if spec.field is not None}
 
 # Path of each design record -> [(field, key), ...] of its keys.  The
 # records are built after it: the first is ``DEFAULT_WINDOW``.
@@ -147,6 +142,33 @@ def _check_value(key: str, value) -> None:
     else:
         rule = spec.rule
     raise InvalidDesignError(f"{key} {rule}, got {value!r}")
+
+
+def _read_value(key: str, raw):
+    """The value of ``key`` read from ``raw``, text from a config file or a
+    number from a caller, and checked: a number key takes ``float(raw)``,
+    an integer key an ``int`` as it is (a bool fails the check) and a
+    whole float as an ``int``."""
+    kind = KEY_SPECS[key].kind
+    if kind is str or kind is int and isinstance(raw, int):
+        value = raw
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise InvalidDesignError(f"non-numeric value {raw!r} for "
+                                     f"{key}") from None
+        if kind is int and value.is_integer():
+            value = int(value)
+    _check_value(key, value)
+    return value
+
+
+def _read_design_value(path: str, raw):
+    """``_read_value`` for a key that sets a field of a design."""
+    if path not in _DESIGN_KEYS:
+        raise InvalidDesignError(f"unknown design parameter path: {path}")
+    return _read_value(path, raw)
 
 
 def _check_fields(record, path: str) -> None:
@@ -421,18 +443,11 @@ def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     or ``finger.natural_curvature``.  A material key switches the finger to
     the material class that has its field, which must then be fully known:
     ``material.youngs_modulus`` makes any finger linear elastic, while a
-    Yeoh coefficient on a linear finger is refused.  An integer key, such
-    as ``finger.n_segments``, takes only a whole number.
+    Yeoh coefficient on a linear finger is refused.  ``value`` is read by
+    the rule of a config file's text, so ``"3.0"`` sets an integer to 3.
     """
-    spec = _DESIGN_KEYS.get(path)
-    if spec is None:
-        raise InvalidDesignError(f"unknown design parameter path: {path}")
-    if spec.kind is float:
-        value = float(value)
-    elif not isinstance(value, bool) and float(value).is_integer():
-        value = int(value)
-    _check_value(path, value)   # before the material switch, as in a config
-    field = spec.field
+    value = _read_design_value(path, value)  # before the material switch
+    field = KEY_SPECS[path].field
     owner, _, name = field.rpartition(".")
     if owner == "finger.material":
         material = design.finger.material
@@ -1093,11 +1108,6 @@ def chain_gradient_hessian(angles, design: GripperDesign) -> tuple:
         (phi, phi + step, phi - step), axis=-2), design)
     hess = (grads[..., 1:n + 1, :] - grads[..., n + 1:, :]) / (2.0 * h)
     return grads[..., 0, :], 0.5 * (hess + np.swapaxes(hess, -1, -2))
-
-
-def chain_hessian(angles, design: GripperDesign) -> np.ndarray:
-    """Hessian by central differences of the joint gradients."""
-    return chain_gradient_hessian(angles, design)[1]
 
 
 def uniform_chain(design: GripperDesign, tip_angle: float) -> np.ndarray:

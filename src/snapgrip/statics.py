@@ -111,7 +111,8 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
     exactly three equilibria alternate stable/unstable/stable the report
     identifies open state, saddle and closed state and the snap-through
     energy (saddle energy minus open-state energy).  Fewer equilibria give
-    a monostable report; bistability is never fabricated.
+    a monostable report; bistability is never fabricated.  A negative
+    snap-through energy raises NonFiniteStateError.
     """
     return _assemble_report(_scan_equilibria(design)[0])
 
@@ -159,6 +160,10 @@ def _assemble_report(equilibria) -> EquilibriumReport:
     eq = tuple(equilibria)
     if len(eq) == 3 and eq[0].stable and not eq[1].stable and eq[2].stable:
         barrier = eq[1].energy - eq[0].energy
+        if barrier < 0.0:   # the gradient is > 0 from open state to saddle
+            raise NonFiniteStateError(
+                f"the saddle's energy is below the open state's by "
+                f"{-barrier:.6g} J: the energy has lost its float precision")
         return EquilibriumReport(equilibria=eq, open_state=eq[0],
                                  closed_state=eq[2], saddle=eq[1],
                                  snap_through_energy=barrier)

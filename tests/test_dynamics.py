@@ -380,7 +380,10 @@ class TestNaturalFrequency:
                 baseline, report.closed_state), rel=1e-12)
 
     def test_unstable_point_rejected(self, baseline, report):
-        with pytest.raises(ValueError):
+        # A domain error (exit code 2 in the CLI) that is still a ValueError.
+        assert issubclass(InvalidArgumentError, ValueError)
+        with pytest.raises(InvalidArgumentError,
+                           match="undefined at an unstable equilibrium"):
             natural_frequency(baseline, report.saddle)
 
 

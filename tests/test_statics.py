@@ -18,7 +18,8 @@ from snapgrip.model import (DIFFERENCE_STEP, MAX_GRID_POINTS,
                             SolveWindow, Yeoh,
                             set_design_value, total_energy_1dof,
                             gradient_1dof, chain_energy, chain_gradient,
-                            chain_hessian, uniform_chain, window_gradient)
+                            chain_gradient_hessian, uniform_chain,
+                            window_gradient)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -600,7 +601,7 @@ class TestChainStatics:
         stable = [e for e in eqs if e.stable]
         saddle = saddle_search_chain(d, stable[0].configuration,
                                      stable[1].configuration)
-        hess = chain_hessian(saddle.configuration.as_array(), d)
+        _, hess = chain_gradient_hessian(saddle.configuration.as_array(), d)
         eigs = np.linalg.eigvalsh(hess)
         assert int(np.sum(eigs < 0.0)) == 1
         grad = chain_gradient(saddle.configuration.as_array(), d)
@@ -697,8 +698,8 @@ class TestChainStatics:
         saddle_energies, barriers = [], []
         for n in (8, 16, 32):
             d, open_, saddle, closed = self._gravity_saddle(baseline, n)
-            eigs = np.linalg.eigvalsh(chain_hessian(
-                saddle.configuration.as_array(), d))
+            eigs = np.linalg.eigvalsh(chain_gradient_hessian(
+                saddle.configuration.as_array(), d)[1])
             assert int(np.sum(eigs < 0.0)) == 1
             assert saddle.energy > max(open_.energy, closed.energy)
             saddle_energies.append(saddle.energy)
@@ -819,7 +820,8 @@ class TestChainNewton:
     def _check_pairs(self, design, pairs):
         for phi, hess in pairs:
             np.testing.assert_array_equal(
-                self._bits(hess), self._bits(chain_hessian(phi, design)))
+                self._bits(hess),
+                self._bits(chain_gradient_hessian(phi, design)[1]))
 
     def test_solved_points_carry_their_own_hessian(self, baseline,
                                                    monkeypatch):
@@ -902,7 +904,8 @@ class TestChainNewton:
         g = chain_gradient(first, d)
         second = first - 1e-7 * g / float(np.max(np.abs(g)))
         assert chain_energy(second, d) < chain_energy(first, d)
-        hessians = {p.tobytes(): chain_hessian(p, d) for p in (first, second)}
+        hessians = {p.tobytes(): chain_gradient_hessian(p, d)[1]
+                    for p in (first, second)}
         monkeypatch.setattr(
             statics, "_chain_newton",
             lambda design, seed: (seed, hessians[seed.tobytes()]))
