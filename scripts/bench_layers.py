@@ -18,10 +18,9 @@ called ``gradient_1dof`` (array form), ``find_equilibria_1dof``,
 made inside the model: each ``chain_gradient_hessian`` call adds its one
 stacked ``chain_gradient`` call (rows phi and phi +- h e_k), and each
 array-form Yeoh ``gradient_1dof`` or ``chain_gradient`` call its
-``moment_curvature`` call.  The Yeoh float closures (``scalar_gradient``,
-``scalar_energy``) and the Yeoh bend energy evaluate the closed form
-themselves and make no ``moment_curvature`` call.  Counts do not change
-from run to run.  The ``chain_hessian`` layers time the Hessian of
+``moment_curvature`` call.  The Yeoh float closures (``scalar_model``)
+and the Yeoh bend energy evaluate the closed form themselves and make
+no ``moment_curvature`` call.  Counts do not change from run to run.  The ``chain_hessian`` layers time the Hessian of
 ``chain_gradient_hessian``, under the name of the function it replaced,
 so older records still compare.  The ``closing_time`` layers kick the baseline with 5 times its minimal trigger
 impulse, without gravity and at g = 9.81; their equilibrium reports are
@@ -66,7 +65,15 @@ configs/baseline.cfg``: ``cli_snapthrough_cold`` runs ``snapthrough``,
 ``--param ring.stiffness=0.1:0.14:5 --param
 finger.natural_curvature=18:22:5``.  Besides its wall time, each records
 the child's CPU time (user + system, from the ``os.wait4`` rusage) as
-``cpu_median_s`` and ``cpu_runs_s``, and none has call counts.
+``cpu_median_s`` and ``cpu_runs_s`` and its peak RSS (``ru_maxrss`` of
+the same rusage) as ``maxrss_median_mib`` and ``maxrss_runs_mib``, and
+none has call counts.  A child's ``ru_maxrss`` starts at the high-water
+mark of the process that spawned it, with fork or vfork alike, so it
+reads at least the spawner's own peak: a ``true`` child of a 100 MiB
+process reads 110-114 MiB, one of a 14 MiB process 13.8 MiB.  This
+script's own process imports neither snapgrip nor numpy and stays near
+14 MiB, below the about 33 MiB a cold CLI child peaks at, so the number
+is the child's own peak.
 """
 
 import argparse
@@ -296,8 +303,9 @@ def cold_layers(workdir):
 
 
 def cold_run(src, workdir, args):
-    """Wall and child CPU seconds of ``python args`` in a fresh interpreter
-    that imports the checkout whose ``src`` directory is ``src``."""
+    """Wall and child CPU seconds and the child's peak RSS in MiB of
+    ``python args`` in a fresh interpreter that imports the checkout whose
+    ``src`` directory is ``src``."""
     argv = [sys.executable, *args]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=workdir, stdout=subprocess.DEVNULL,
@@ -307,7 +315,8 @@ def cold_run(src, workdir, args):
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         sys.exit(f"{' '.join(argv)} exited with {proc.returncode}")
-    return wall, usage.ru_utime + usage.ru_stime
+    return (wall, usage.ru_utime + usage.ru_stime,
+            usage.ru_maxrss / 1024)     # ru_maxrss is in KiB
 
 
 def counted(names):
@@ -374,12 +383,14 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         for name, cold_args in cold_layers(workdir).items():
             cold_run(args.src, workdir, cold_args)
-            walls, cpus = map(list, zip(*(
+            walls, cpus, rss = map(list, zip(*(
                 cold_run(args.src, workdir, cold_args)
                 for _ in range(args.repeats))))
             result[name] = {
                 "median_s": statistics.median(walls), "runs_s": walls,
-                "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus}
+                "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus,
+                "maxrss_median_mib": statistics.median(rss),
+                "maxrss_runs_mib": rss}
     print(json.dumps(result, indent=1))
 
 

@@ -12,6 +12,7 @@ it; it tracks no dissipation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -36,8 +37,8 @@ CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
 # energy inside the band rose at most 2.7e-14 of that depth above an
 # earlier in-band value below u_edge.
 CERTIFICATE_MARGIN = 1e-6
-# Most steps a recorded simulation or a closing run may take; at about
-# 0.3 KiB a recorded step, a trajectory holds at most about 300 MiB.
+# Most steps a recorded simulation or a closing run may take; at five
+# float64 columns a recorded step, a trajectory holds at most about 40 MB.
 MAX_STEPS = 10 ** 6
 
 
@@ -121,8 +122,7 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
             f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
             f"{MAX_STEPS} steps")
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
-    gradient = model.scalar_gradient(design)
-    energy_at = model.scalar_energy(design)
+    gradient = model.scalar_model(design)[1]
     inv_j = 1.0 / design.inertia
     c = design.damping
     half, sixth = dt / 2, dt / 6
@@ -130,11 +130,10 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
 
     n = int(round(t_end / dt))
     theta, omega, diss = float(theta_init), float(omega_init), 0.0
-    half_j = 0.5 * design.inertia
-    rows = []
+    thetas, omegas, dissipated = (array("d", bytes(8 * (n + 1)))
+                                  for _ in range(3))
     for i in range(n + 1):
-        rows.append((i * dt, theta, omega,
-                     energy_at(theta) + half_j * omega * omega, diss))
+        thetas[i], omegas[i], dissipated[i] = theta, omega, diss
         if i == n:
             break
         # The four RK4 stages on floats; the dissipated energy integrates
@@ -153,7 +152,15 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
         if not (isfinite(theta) and isfinite(omega) and isfinite(diss)):
             raise NonFiniteStateError(
                 f"the state left the finite range by t = {i * dt + dt:.6g} s")
-    return Trajectory(*np.array(rows).T.copy())
+    # The energy column in one array pass, with the bits of the float
+    # energy of ``scalar_model`` at each step; a finite angle may still
+    # overflow the energy.
+    thetas, omegas = np.frombuffer(thetas), np.frombuffer(omegas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (model.total_energy_1dof(thetas, design)
+                  + 0.5 * design.inertia * omegas * omegas)
+    return Trajectory(np.arange(n + 1) * dt, thetas, omegas, energy,
+                      np.frombuffer(dissipated))
 
 
 def closing_time(design: GripperDesign, perturbation_impulse: float,
@@ -195,8 +202,7 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
             f"a closing run of {CLOSING_T_MAX:g} s takes {n} steps of "
             f"{dt:.3g} s, over the limit of {MAX_STEPS} steps")
     _check_step(design, theta_open, dt, report)
-    gradient = model.scalar_gradient(design)
-    energy_at = model.scalar_energy(design)
+    energy_at, gradient = model.scalar_model(design)
     inv_j = 1.0 / design.inertia
     c = design.damping
     half, sixth = dt / 2, dt / 6

@@ -424,5 +424,5 @@ def grip_force_estimate(design: GripperDesign, object_halfwidth: float,
     # Chord decreases monotonically with bend angle on (0, closed].
     theta_obj = _bracketed_root(gap, 1e-9, theta_closed, gap(1e-9),
                                 xtol=1e-12)
-    moment = -model.scalar_gradient(design)(theta_obj)
+    moment = -model.scalar_model(design)[1](theta_obj)
     return max(moment, 0.0) / model.tip_chord(theta_obj, length)

@@ -129,10 +129,17 @@ _ABSENT = object()
 
 def _check_value(key: str, value) -> None:
     """Raise if ``value`` breaks the rule of ``key``: a float must be
-    finite, an integer key takes only an ``int``, and then the key's own
-    rule applies.  The configuration reader, ``set_design_value`` and the
+    finite, and so must a number key's ``int`` read as a float (one beyond
+    the float range reads as inf, as its digits do in a config file), an
+    integer key takes only an ``int``, and then the key's own rule
+    applies.  The configuration reader, ``set_design_value`` and the
     records all refuse through here, so a value gets one text."""
     spec = KEY_SPECS[key]
+    if spec.kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
     if isinstance(value, float) and not math.isfinite(value):
         rule = "must be finite"
     elif spec.kind is int and type(value) is not int:
@@ -146,9 +153,10 @@ def _check_value(key: str, value) -> None:
 
 def _read_value(key: str, raw):
     """The value of ``key`` read from ``raw``, text from a config file or a
-    number from a caller, and checked: a number key takes ``float(raw)``,
-    an integer key an ``int`` as it is (a bool fails the check) and a
-    whole float as an ``int``."""
+    number from a caller, and checked: a number key takes ``float(raw)``
+    (an ``int`` beyond the float range is refused as inf), an integer key
+    an ``int`` as it is (a bool fails the check) and a whole float as an
+    ``int``."""
     kind = KEY_SPECS[key].kind
     if kind is str or kind is int and isinstance(raw, int):
         value = raw
@@ -158,8 +166,11 @@ def _read_value(key: str, raw):
         except ValueError:
             raise InvalidDesignError(f"non-numeric value {raw!r} for "
                                      f"{key}") from None
-        if kind is int and value.is_integer():
-            value = int(value)
+        except OverflowError:   # refused by _check_value
+            value = raw
+        else:
+            if kind is int and value.is_integer():
+                value = int(value)
     _check_value(key, value)
     return value
 
@@ -837,133 +848,100 @@ def window_gradient(design: GripperDesign) -> tuple:
                   + ring_gradient_1dof(grid, design.ring) + gravity)
 
 
-def _plus_scalar_gravity(design, elastic, derivative):
-    """``elastic`` plus the gravity term at psi = 0, on floats: the
-    finger's mass times the centroid advance (``_MEAN_X``) and the payload
-    times the tip advance (``_END_DX``), or their phi derivatives
-    (``_MEAN_X_DPHI``, ``_END_DX_DPHI``) if ``derivative``.
-
-    The four arc terms are written out at c = cos 0 = 1 and s = sin 0 = 0
-    with the operations of the pairs above, so every value keeps its bits:
-    1.0 * x is x and -0.0 + x is x for every float x, while each 0.0 + x
-    stays, since it maps -0.0 to +0.0.
-    """
-    g = design.gravity
-    if g == 0.0:
-        return elastic
-    finger = design.finger
-    m_f, m_p, ell = finger.mass, design.payload_mass, finger.length
-    neg_g = -g
-    cos, sin, isinf = math.cos, math.sin, math.isinf
-
-    if derivative:
-        def total(t):
-            if abs(t) < ARC_SERIES_SWITCH:
-                a = ell * (1.0 / 6 + t * (t * (-1.0 / 40 + t * (
-                    0.0 + t / 1008))))
-                b = ell * (0.5 + t * (t * (-0.125 + t * (0.0 + t / 144))))
-            elif isinf(t):      # numpy gives NaN here too
-                return math.nan
-            else:
-                cp, sp = cos(t), sin(t)
-                a = ell * ((1.0 - cp) * t - 2.0 * (t - sp + 0.0)) / (t * t * t)
-                b = ell * (sp * t - (1.0 - cp)) / (t * t)
-            return elastic(t) + neg_g * (m_f * a + m_p * b)
-    else:
-        def total(t):
-            if abs(t) < ARC_SERIES_SWITCH:
-                a = ell * (0.0 + t * (1.0 / 6 + t * (t * (-1.0 / 120 + t * (
-                    0.0 + t / 5040)))))
-                b = ell * (0.0 + t * (0.5 + t * (t * (-1.0 / 24 + t * (
-                    0.0 + t / 720)))))
-            elif isinf(t):      # numpy gives NaN here too
-                return math.nan
-            else:
-                cp, sp = cos(t), sin(t)
-                a = ell * (t - sp + 0.0) / (t * t)
-                b = ell * (1.0 - cp) / t
-            return elastic(t) + neg_g * (m_f * a + m_p * b)
-
-    return total
-
-
-def _scalar_yeoh(finger, terms):
-    """Tip angle -> (a, reduced integral at a) of a Yeoh finger on floats,
-    a = kappa * t/2, with the operations of the array form."""
-    rest, length = finger.rest_angle, finger.length
-    half_t = finger.cross_section.thickness / 2.0
-    exact, series = terms
-
-    def reduced(theta):
-        a = (theta - rest) / length * half_t
-        if abs(a) < YEOH_SERIES_SWITCH:
-            return a, _reduced_series(a, series)
-        _check_strain(a)
-        return a, float(_reduced_exact(a, np.arctanh(a), np.log1p(-a * a),
-                                       exact))
-
-    return reduced
-
-
-def scalar_gradient(design: GripperDesign) -> Callable[[float], float]:
-    """``gradient_1dof`` of ``design`` as a float -> float function.
+def scalar_model(design: GripperDesign) -> tuple:
+    """(``total_energy_1dof``, ``gradient_1dof``) of ``design`` as two
+    float -> float functions.
 
     The design's constants are read once and the terms are evaluated with
     plain floats and ``math`` (numpy for the Yeoh law's atanh and log1p),
-    in the same order of operations as the array form, so the result is
-    equal bit for bit at a fraction of the cost.
+    in the same order of operations as the array form, so each result is
+    equal bit for bit at a fraction of the cost.  The gravity terms are
+    the four arc terms at psi = 0 (``_MEAN_X`` and ``_END_DX`` for the
+    energy, ``_MEAN_X_DPHI`` and ``_END_DX_DPHI`` for the gradient),
+    written out at c = cos 0 = 1 and s = sin 0 = 0 with the operations of
+    the pairs above: 1.0 * x is x and -0.0 + x is x for every float x,
+    while each 0.0 + x stays, since it maps -0.0 to +0.0.
     """
     finger, ring = design.finger, design.ring
     d = ring.well_halfwidth
-    k_r = ring.effective_stiffness / (2.0 * d * d)
     dd = d * d
+    k = ring.effective_stiffness
+    k_re, k_rg = k / (8.0 * d * d), k / (2.0 * d * d)
     center = ring.well_center
+    rest, length = finger.rest_angle, finger.length
     if isinstance(finger.material, LinearElastic):
-        k_f = finger.bending_stiffness / finger.length
-        rest = finger.rest_angle
+        ei = finger.bending_stiffness
+        k_fe, k_fg = 0.5 * ei / length, ei / length
 
-        def elastic(theta):
-            x = theta - center
-            return k_f * (theta - rest) + k_r * x * (x * x - dd)
-    else:
-        moment = _scalar_yeoh(finger, _yeoh_terms(finger.cross_section,
-                                                  finger.material))
-
-        def elastic(theta):
-            x = theta - center
-            return moment(theta)[1] + 0.0 + k_r * x * (x * x - dd)
-
-    return _plus_scalar_gravity(design, elastic, derivative=True)
-
-
-def scalar_energy(design: GripperDesign) -> Callable[[float], float]:
-    """``total_energy_1dof`` of ``design`` as a float -> float function,
-    equal bit for bit; see ``scalar_gradient``."""
-    finger, ring = design.finger, design.ring
-    d = ring.well_halfwidth
-    k_r = ring.effective_stiffness / (8.0 * d * d)
-    dd = d * d
-    center = ring.well_center
-    if isinstance(finger.material, LinearElastic):
-        k_f = 0.5 * finger.bending_stiffness / finger.length
-        rest = finger.rest_angle
-
-        def elastic(theta):
+        def elastic_energy(theta):
             e = theta - rest
             x = theta - center
             q = x * x - dd
-            return k_f * e * e + k_r * q * q
-    else:
-        bend = _scalar_yeoh(finger, _yeoh_terms(
-            finger.cross_section, finger.material, finger.length))
+            return k_fe * e * e + k_re * q * q
 
-        def elastic(theta):
-            a, reduced = bend(theta)
+        def elastic_gradient(theta):
+            x = theta - center
+            return k_fg * (theta - rest) + k_rg * x * (x * x - dd)
+    else:
+        section, material = finger.cross_section, finger.material
+        bend = _yeoh_terms(section, material, length)
+        moment = _yeoh_terms(section, material)
+        half_t = section.thickness / 2.0
+
+        def reduced(theta, terms):
+            """(a, the reduced integral of ``terms`` at a), a = kappa * t/2."""
+            a = (theta - rest) / length * half_t
+            exact, series = terms
+            if abs(a) < YEOH_SERIES_SWITCH:
+                return a, _reduced_series(a, series)
+            _check_strain(a)
+            return a, float(_reduced_exact(a, np.arctanh(a),
+                                           np.log1p(-a * a), exact))
+
+        def elastic_energy(theta):
+            a, u = reduced(theta, bend)
             x = theta - center
             q = x * x - dd
-            return a * reduced + k_r * q * q
+            return a * u + k_re * q * q
 
-    return _plus_scalar_gravity(design, elastic, derivative=False)
+        def elastic_gradient(theta):
+            x = theta - center
+            return reduced(theta, moment)[1] + 0.0 + k_rg * x * (x * x - dd)
+
+    g = design.gravity
+    if g == 0.0:
+        return elastic_energy, elastic_gradient
+    m_f, m_p, neg_g = finger.mass, design.payload_mass, -g
+    cos, sin, isinf = math.cos, math.sin, math.isinf
+
+    def energy(t):
+        if abs(t) < ARC_SERIES_SWITCH:
+            a = length * (0.0 + t * (1.0 / 6 + t * (t * (-1.0 / 120 + t * (
+                0.0 + t / 5040)))))
+            b = length * (0.0 + t * (0.5 + t * (t * (-1.0 / 24 + t * (
+                0.0 + t / 720)))))
+        elif isinf(t):      # numpy gives NaN here too
+            return math.nan
+        else:
+            cp, sp = cos(t), sin(t)
+            a = length * (t - sp + 0.0) / (t * t)
+            b = length * (1.0 - cp) / t
+        return elastic_energy(t) + neg_g * (m_f * a + m_p * b)
+
+    def gradient(t):
+        if abs(t) < ARC_SERIES_SWITCH:
+            a = length * (1.0 / 6 + t * (t * (-1.0 / 40 + t * (
+                0.0 + t / 1008))))
+            b = length * (0.5 + t * (t * (-0.125 + t * (0.0 + t / 144))))
+        elif isinf(t):      # numpy gives NaN here too
+            return math.nan
+        else:
+            cp, sp = cos(t), sin(t)
+            a = length * ((1.0 - cp) * t - 2.0 * (t - sp + 0.0)) / (t * t * t)
+            b = length * (sp * t - (1.0 - cp)) / (t * t)
+        return elastic_gradient(t) + neg_g * (m_f * a + m_p * b)
+
+    return energy, gradient
 
 
 def sample_landscape(design: GripperDesign, theta_grid) -> EnergyLandscape:

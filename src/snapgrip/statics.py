@@ -124,17 +124,17 @@ def _scan_equilibria(design: GripperDesign):
 
     The grid gradient comes from ``window_gradient``, which keeps the grid
     and gravity arc terms of recent windows.  Each root is refined and
-    classified on floats: ``scalar_gradient`` bisects its cell and gives
-    the curvature as a central difference, ``scalar_energy`` its energy,
-    each equal bit for bit to the array form.
+    classified on floats with the closures of ``scalar_model``: the
+    gradient bisects its cell and gives the curvature as a central
+    difference, and the energy gives its energy, each equal bit for bit
+    to the array form.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         grid, g = model.window_gradient(design)
     if not np.isfinite(g).all():
         raise NonFiniteStateError("the energy gradient is not finite at "
                                   "every point of the solve window grid")
-    gradient = model.scalar_gradient(design)
-    energy = model.scalar_energy(design)
+    energy, gradient = model.scalar_model(design)
     # A grid point where the gradient is exactly zero is a root as it
     # stands; a cell whose ends differ in sign is bisected unless one of
     # its ends is such a root.
@@ -202,7 +202,7 @@ def trigger_moment(design: GripperDesign,
     i = int(np.argmax(g))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]
-    peak = _golden_section_max(model.scalar_gradient(design), float(a),
+    peak = _golden_section_max(model.scalar_model(design)[1], float(a),
                                float(b), tol=1e-12)
     return max(peak, float(g[i]))
 
@@ -269,7 +269,7 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
     stables = [e for e in equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
-    gradient = model.scalar_gradient(design)
+    gradient = model.scalar_model(design)[1]
     # In walk order, with g and the load negated for a falling load, the
     # stable branch always rises.
     sign = 1 if tau_max >= 0.0 else -1

@@ -221,6 +221,20 @@ class TestRegistry:
         assert d.finger.n_segments == 3
         assert type(d.finger.n_segments) is int
 
+    def test_int_beyond_the_float_range_is_refused_as_inf(self, baseline):
+        # As the config text 1e400 is; an integer key takes any int.
+        huge = 10 ** 400
+        for make in (
+                lambda: set_design_value(baseline, "ring.stiffness", huge),
+                lambda: explore.SweepSpec(
+                    parameters=(("ring.stiffness", (1.0, -huge)),)),
+                lambda: RingDesign(0.5, 0.35, 1.25, huge)):
+            with pytest.raises(InvalidDesignError, match=r"^ring\.stiffness "
+                               r"must be finite, got -?inf$"):
+                make()
+        d = set_design_value(baseline, "finger.n_segments", huge)
+        assert d.finger.n_segments == huge
+
     def test_youngs_modulus_swaps_in_a_linear_material(self):
         yeoh = build_design(parse_config("material.model = yeoh\n"))
         d = set_design_value(yeoh, "material.youngs_modulus", 1e5)
@@ -520,6 +534,7 @@ class TestCli:
     @pytest.mark.parametrize("param", ["ring.stiffness=abc",
                                        "ring.stiffness=0.1:0.2:x",
                                        "ring.well_center=nan",
+                                       "ring.well_center=1:inf:3",
                                        "ring.stiffness=0.1:0.2:0",
                                        "ring.stiffness",
                                        "ring.stiffness=0.1:0.2"])
@@ -531,6 +546,9 @@ class TestCli:
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "sweep.csv").exists()
+        if param == "ring.well_center=nan":     # refused by the key's rule
+            assert res.stderr == ("snapgrip: error: ring.well_center must "
+                                  "be finite, got nan\n")
 
     @pytest.mark.parametrize("impulse", ["-1", "0"])
     def test_non_positive_impulse_exits_2(self, tmp_path, impulse):

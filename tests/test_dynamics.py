@@ -13,7 +13,7 @@ from snapgrip import dynamics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonFiniteStateError, NotBistableError,
                              StepSizeError)
-from snapgrip.model import SolveWindow, set_design_value
+from snapgrip.model import SolveWindow, Yeoh, set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (CLOSING_STEP_FRACTION, CLOSING_T_MAX,
                                MAX_STEPS, calibrate_inertia, closing_time,
@@ -159,16 +159,25 @@ class TestSimulate:
                 traj.total_mechanical_energy[-1],
                 traj.dissipated[-1]) == end_state
 
-    @pytest.mark.parametrize("gravity, digest", [
-        (0.0, "21af7c06cb9b0c934a7b85c72031e863"
-              "a5e9e9ccdb6c57354523f1a6c5465a66"),
-        (9.81, "7c75b6bb689b1e26eed7a64048072e75"
-               "8599e1983969cbf72c5a86877cdb0abc"),
-    ])
-    def test_frozen_trajectory_bits(self, baseline, gravity, digest):
-        # SHA-256 of all five columns of the 1,001 rows above.  A reordered
-        # RK4 operation can move rows in the middle and leave the end state.
+    # The linear cases keep the ids they had before the Yeoh case.
+    @pytest.mark.parametrize("gravity, material, digest", [
+        pytest.param(g, m, h, id=("yeoh-" if m else "") + f"{g}-{h}")
+        for g, m, h in [
+            (0.0, None, "21af7c06cb9b0c934a7b85c72031e863"
+                        "a5e9e9ccdb6c57354523f1a6c5465a66"),
+            (9.81, None, "7c75b6bb689b1e26eed7a64048072e75"
+                         "8599e1983969cbf72c5a86877cdb0abc"),
+            (9.81, Yeoh(1.0e5), "af3c0466b65bf45f0511b5532e455321"
+                                "ddbd15c3765ca485912ca7e97a66b7ba"),
+        ]])
+    def test_frozen_trajectory_bits(self, baseline, gravity, material,
+                                    digest):
+        # SHA-256 of all five columns of the 1,001 rows above, for the
+        # baseline finger and a Yeoh one.  A reordered RK4 operation can
+        # move rows in the middle and leave the end state.
         d = set_design_value(baseline, "gripper.gravity", gravity)
+        if material is not None:
+            d = replace(d, finger=replace(d.finger, material=material))
         traj = simulate_1dof(d, -0.85, 60.0, t_end=0.02)
         columns = (traj.times, traj.thetas, traj.velocities,
                    traj.total_mechanical_energy, traj.dissipated)
@@ -347,20 +356,19 @@ class TestClosingCertificate:
         d = set_design_value(baseline, "gripper.gravity", gravity)
         report = find_equilibria_1dof(d)
         impulse = 5.0 * minimal_trigger_impulse(d, report)
-        made = dynamics.model.scalar_gradient
+        made = dynamics.model.scalar_model
         count = 0
 
-        def counting_gradient(design):
-            gradient = made(design)
+        def counting_model(design):
+            energy, gradient = made(design)
 
             def counted(theta):
                 nonlocal count
                 count += 1
                 return gradient(theta)
-            return counted
+            return energy, counted
 
-        monkeypatch.setattr(dynamics.model, "scalar_gradient",
-                            counting_gradient)
+        monkeypatch.setattr(dynamics.model, "scalar_model", counting_model)
         assert closing_time(d, impulse, report).triggered
         assert count % 4 == 0
         assert count // 4 == steps < full_hold_steps

@@ -22,7 +22,7 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             gradient_1dof, gravity_energy_1dof,
                             gravity_gradient_1dof,
                             moment_curvature, ring_energy_1dof,
-                            sample_landscape, scalar_energy, scalar_gradient,
+                            sample_landscape, scalar_model,
                             set_design_value, tip_chord, total_energy_1dof,
                             uniform_chain, window_gradient)
 from snapgrip.statics import find_equilibria_1dof
@@ -524,7 +524,7 @@ class TestScalarClosures:
                                                 payload):
         d = set_design_value(baseline, "gripper.gravity", gravity)
         d = set_design_value(d, "gripper.payload_mass", payload)
-        gradient, energy = scalar_gradient(d), scalar_energy(d)
+        energy, gradient = scalar_model(d)
         angles = self.ANGLES.tolist()
         np.testing.assert_array_equal(
             self._bits([gradient(t) for t in angles]),
@@ -550,7 +550,7 @@ class TestScalarClosures:
         angles = np.concatenate([
             np.linspace(rest - 23.9, rest + 23.9, 4001),
             _switch_angles(d.finger), [rest, 0.0, -0.0]])
-        gradient, energy = scalar_gradient(d), scalar_energy(d)
+        energy, gradient = scalar_model(d)
         np.testing.assert_array_equal(
             self._bits([gradient(t) for t in angles.tolist()]),
             self._bits(gradient_1dof(angles, d)))
@@ -566,7 +566,7 @@ class TestScalarClosures:
 
     def test_infinite_angle_gives_nan_under_gravity(self, baseline):
         d = set_design_value(baseline, "gripper.gravity", 9.81)
-        for f in (scalar_gradient(d), scalar_energy(d)):
+        for f in scalar_model(d):
             assert math.isnan(f(math.inf))
             assert math.isnan(f(-math.inf))
 

@@ -209,8 +209,10 @@ class TestFindEquilibria1Dof:
         root = float(grid[2500])
         monkeypatch.setattr(statics.model, "window_gradient",
                             lambda design: (grid, -(grid - root)))
-        monkeypatch.setattr(statics.model, "scalar_gradient",
-                            lambda design: lambda t: -(t - root))
+        made = statics.model.scalar_model
+        monkeypatch.setattr(statics.model, "scalar_model",
+                            lambda design: (made(design)[0],
+                                            lambda t: -(t - root)))
         report = find_equilibria_1dof(baseline)
         assert [e.theta for e in report.equilibria] == [root]
         assert not report.equilibria[0].stable
@@ -393,7 +395,7 @@ class TestBracketedRoot:
         # The equilibrium scan passes a grid value, a numpy float64.
         d = set_design_value(baseline, "gripper.gravity", gravity)
         grid, g = window_gradient(d)
-        gradient = statics.model.scalar_gradient(d)
+        gradient = statics.model.scalar_model(d)[1]
         cells = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
         assert cells.size == 3
         for i in cells:
