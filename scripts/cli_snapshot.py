@@ -13,11 +13,12 @@ gravity on in a solve window other than the default (theta from -2.5 to
 ``python -m snapgrip.cli`` in its own directory
 ``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
 ``stderr`` and, under ``files/``, every output the command wrote except
-``run_manifest.txt`` (it carries a timestamp).  Three refusals run the
+``run_manifest.txt`` (it carries a timestamp).  Four refusals run the
 same way in ``DIR/refusals/<name>/``: a config value that is not a
-number, an unknown config key, and a sweep with a fractional segment
-count.  The script exits 1 if any command exits non-zero or any refusal
-exits other than 2.
+number, an unknown config key, a sweep with a fractional segment count,
+and a sweep of a Yeoh coefficient on the linear baseline finger.  The
+script exits 1 if any command exits non-zero or any refusal exits other
+than 2.
 
 Outputs are byte-deterministic, so ``diff -r`` of two snapshots shows
 every byte that a change moved.
@@ -67,6 +68,8 @@ REFUSALS = {
     "unknown_key": ({"finger.colour": "3"}, ["equilibria"]),
     "fractional_sweep": ({}, ["sweep", "--param",
                               "finger.n_segments=2,3,2.5"]),
+    "material_key_of_another_law": ({}, ["sweep", "--param",
+                                         "material.c10=1e5"]),
 }
 
 

@@ -29,7 +29,8 @@ CLOSURE_BAND = 0.05       # rad
 CLOSURE_HOLD = 5e-3       # s
 MAX_STEP_FRACTION = 0.05  # dt <= this / natural frequency
 CLOSING_STEP_FRACTION = 0.02  # closing-run dt = this / closed-state frequency,
-                              # or 2e-5 s if that is less
+                              # at most 2e-5 s and MAX_STEP_FRACTION /
+                              # open-state frequency
 CLOSING_T_MAX = 1.0       # s, a closing run gives up after this long
 # Safety margin of the energy certificate of a closing run, as a fraction of
 # the band's energy depth u_edge - U_closed.  Over the 364 closing runs of
@@ -174,7 +175,9 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     seconds.  The design must be bistable: the run starts at the open
     state of its equilibrium report (``report``, solved unless given) and
     reads the saddle and closed state from the same report.  A run that
-    would take more than MAX_STEPS steps is refused before it starts.
+    would take more than MAX_STEPS steps is refused before it starts, and
+    so is a negative ``perturbation_impulse``; a zero one is a run with no
+    kick.
 
     A run inside the band may end before the hold is over, with the
     event the full hold would give.  With damping >= 0 the mechanical
@@ -189,19 +192,22 @@ def closing_time(design: GripperDesign, perturbation_impulse: float,
     ends before CLOSING_T_MAX.
     """
     _require_finite(perturbation_impulse=perturbation_impulse)
+    if perturbation_impulse < 0.0:
+        raise InvalidArgumentError(f"perturbation_impulse must be >= 0, "
+                                   f"got {perturbation_impulse!r}")
     report = require_bistable(design, report)
     theta_open = report.open_state.theta
     theta_saddle, u_saddle = report.saddle.theta, report.saddle.energy
     theta_closed = report.closed_state.theta
 
     dt = min(2e-5, CLOSING_STEP_FRACTION
-             / natural_frequency(design, report.closed_state))
+             / natural_frequency(design, report.closed_state),
+             MAX_STEP_FRACTION / natural_frequency(design, report.open_state))
     n = int(round(CLOSING_T_MAX / dt))
     if n > MAX_STEPS:
         raise InvalidArgumentError(
             f"a closing run of {CLOSING_T_MAX:g} s takes {n} steps of "
             f"{dt:.3g} s, over the limit of {MAX_STEPS} steps")
-    _check_step(design, theta_open, dt, report)
     energy_at, gradient = model.scalar_model(design)
     inv_j = 1.0 / design.inertia
     c = design.damping

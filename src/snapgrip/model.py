@@ -128,16 +128,16 @@ _ABSENT = object()
 
 
 def _check_value(key: str, value) -> None:
-    """Raise if ``value`` breaks the rule of ``key``: a float must be
-    finite, and so must a number key's ``int`` read as a float (one beyond
-    the float range reads as inf, as its digits do in a config file), an
-    integer key takes only an ``int``, and then the key's own rule
-    applies.  The configuration reader, ``set_design_value`` and the
-    records all refuse through here, so a value gets one text."""
+    """Raise if ``value`` breaks the rule of ``key``: a number key reads an
+    ``int`` as a float (one beyond the float range reads as inf, as its
+    digits do in a config file), a float must be finite, an integer key
+    takes only an ``int``, and then the key's own rule applies.  The
+    configuration reader, ``set_design_value`` and the records all refuse
+    through here, so a value gets one text."""
     spec = KEY_SPECS[key]
     if spec.kind is float and isinstance(value, int):
         try:
-            float(value)
+            value = float(value)
         except OverflowError:
             value = math.inf if value > 0 else -math.inf
     if isinstance(value, float) and not math.isfinite(value):
@@ -451,27 +451,20 @@ def set_design_value(design: GripperDesign, path: str, value) -> GripperDesign:
     """Return a copy of ``design`` with one dotted-path field replaced.
 
     Paths follow the configuration-file key names, e.g. ``ring.stiffness``
-    or ``finger.natural_curvature``.  A material key switches the finger to
-    the material class that has its field, which must then be fully known:
-    ``material.youngs_modulus`` makes any finger linear elastic, while a
-    Yeoh coefficient on a linear finger is refused.  ``value`` is read by
-    the rule of a config file's text, so ``"3.0"`` sets an integer to 3.
+    or ``finger.natural_curvature``.  Only ``material.model`` picks the
+    finger's law, so a material key that the design's law lacks is
+    refused.  ``value`` is read by the rule of a config file's text, so
+    ``"3.0"`` sets an integer to 3.
     """
-    value = _read_design_value(path, value)  # before the material switch
+    value = _read_design_value(path, value)
     field = KEY_SPECS[path].field
     owner, _, name = field.rpartition(".")
-    if owner == "finger.material":
-        material = design.finger.material
-        cls = next(c for c in MATERIALS.values()
-                   if name in (f.name for f in fields(c)))
-        if not all(hasattr(material, f.name) or f.name == name
-                   for f in fields(cls)):
-            raise InvalidDesignError(f"{path} requires a {cls.__name__} "
-                                     f"material, design uses "
-                                     f"{type(material).__name__}")
-        field, value = owner, cls(**{
-            f.name: value if f.name == name else getattr(material, f.name)
-            for f in fields(cls)})
+    material = design.finger.material
+    if owner == "finger.material" and not hasattr(material, name):
+        cls = next(c for c in MATERIALS.values() if hasattr(c, name))
+        raise InvalidDesignError(f"{path} requires a {cls.__name__} "
+                                 f"material, design uses "
+                                 f"{type(material).__name__}")
     return _with_field(design, field, value)
 
 

@@ -235,11 +235,24 @@ class TestRegistry:
         d = set_design_value(baseline, "finger.n_segments", huge)
         assert d.finger.n_segments == huge
 
-    def test_youngs_modulus_swaps_in_a_linear_material(self):
-        yeoh = build_design(parse_config("material.model = yeoh\n"))
-        d = set_design_value(yeoh, "material.youngs_modulus", 1e5)
-        assert d.finger.material == LinearElastic(1e5)
-        assert d.ring == yeoh.ring
+    def test_material_key_of_another_law_is_refused(self, baseline_doc):
+        # Only material.model picks the law, in either direction.
+        yeoh_doc = parse_config("material.model = yeoh\nmaterial.c20 = 1e3\n")
+        linear, yeoh = build_design(baseline_doc), build_design(yeoh_doc)
+        for design, key, needs, uses in (
+                (yeoh, "material.youngs_modulus", "LinearElastic", "Yeoh"),
+                (linear, "material.c10", "Yeoh", "LinearElastic")):
+            with pytest.raises(InvalidDesignError, match=re.escape(
+                    f"{key} requires a {needs} material, design uses "
+                    f"{uses}") + "$"):
+                set_design_value(design, key, 5e5)
+        # A key of the design's own law sets that one field.
+        for doc, key in ((baseline_doc, "material.youngs_modulus"),
+                         (yeoh_doc, "material.c10")):
+            assert set_design_value(build_design(doc), key, 5e5) == \
+                build_design({**doc, key: 5e5})
+        d = set_design_value(yeoh, "material.c10", 5e5)
+        assert d.finger.material == Yeoh(5e5, 1e3, 0.0)
 
     def test_solver_key_is_not_a_design_path(self, baseline):
         for path in ("solver.dt", "material.model"):
@@ -640,6 +653,17 @@ class TestCli:
         assert res.returncode == 2
         assert res.stderr == ("snapgrip: error: finger.length must be "
                               "finite and > 0, got -1.0\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_material_key_of_another_law_in_sweep_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"material.model": "yeoh"})
+        res = run_main("sweep", "--param", "material.youngs_modulus=5e5,6e5",
+                       "--config", str(cfg), "--out", str(tmp_path),
+                       cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("snapgrip: error: material.youngs_modulus "
+                              "requires a LinearElastic material, design "
+                              "uses Yeoh\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_repeated_sweep_path_exits_2_without_table(self, tmp_path):

@@ -13,10 +13,12 @@ from snapgrip import dynamics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonFiniteStateError, NotBistableError,
                              StepSizeError)
+from snapgrip.explore import design_metrics
 from snapgrip.model import SolveWindow, Yeoh, set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (CLOSING_STEP_FRACTION, CLOSING_T_MAX,
-                               MAX_STEPS, calibrate_inertia, closing_time,
+                               MAX_STEP_FRACTION, MAX_STEPS,
+                               calibrate_inertia, closing_time,
                                closing_time_vs_frequency_study,
                                FrequencyStudyRow, frequency_study_spearman,
                                gravity_trigger_check, minimal_trigger_impulse,
@@ -261,6 +263,36 @@ class TestClosingTime:
     def test_non_finite_start_rejected(self, baseline, impulse):
         with pytest.raises(InvalidArgumentError, match="finite"):
             closing_time(baseline, impulse)
+
+    def test_step_stays_within_the_open_state_bound(self, baseline):
+        # The closed state admits a longer step than the stability bound at
+        # the open state, where the run starts; the run takes the shorter.
+        d = baseline
+        for key, value in (("ring.stiffness", 1.804),
+                           ("finger.natural_curvature", 6.071),
+                           ("gripper.gravity", -28.473),
+                           ("ring.well_halfwidth", 1.22),
+                           ("gripper.payload_mass", 0.47),
+                           ("material.youngs_modulus", 1912209.146)):
+            d = set_design_value(d, key, value)
+        r = find_equilibria_1dof(d)
+        assert (CLOSING_STEP_FRACTION / natural_frequency(d, r.closed_state)
+                > MAX_STEP_FRACTION / natural_frequency(d, r.open_state))
+        event = closing_time(d, 5.0 * minimal_trigger_impulse(d, r),
+                             report=r)
+        assert event.peak_velocity > 0.0
+
+    @pytest.mark.parametrize("run", [
+        lambda d, impulse: closing_time(d, impulse),
+        lambda d, impulse: design_metrics(d, impulse=impulse),
+    ], ids=["closing_time", "design_metrics"])
+    def test_negative_impulse_rejected(self, baseline, run):
+        impulse = minimal_trigger_impulse(baseline)
+        with pytest.raises(InvalidArgumentError, match=r"^perturbation_"
+                           r"impulse must be >= 0, got -"):
+            run(baseline, -5.0 * impulse)
+        # No kick is a valid run: the open state stays put.
+        assert not closing_time(baseline, 0.0).triggered
 
     @pytest.mark.parametrize("inertia, steps", [
         (1e-11, 5523246),

@@ -300,6 +300,14 @@ class TestDesignInvariants:
             RingDesign(attach_fraction=0.5, well_center=0.0,
                        well_halfwidth=1.0, stiffness=1.0, width_scale=1.1)
 
+    def test_int_field_is_checked_as_a_float(self):
+        # 10**200 squares to an int, but its float square overflows.
+        with pytest.raises(InvalidDesignError, match=r"^ring\.well_halfwidth "
+                           r"must be > 0 with a finite, non-zero square, "
+                           r"got 1e\+200$"):
+            RingDesign(attach_fraction=0.5, well_center=0.35,
+                       well_halfwidth=10 ** 200, stiffness=0.02)
+
     def test_nonpositive_section_rejected(self):
         with pytest.raises(InvalidDesignError):
             CrossSection(0.0, 0.006)
