@@ -47,14 +47,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p):
+    def common(p, plot=False):
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--plot", action="store_true",
-                       help="also emit an SVG plot where applicable")
+        if plot:
+            p.add_argument("--plot", action="store_true",
+                           help="also emit an SVG plot")
 
     p = sub.add_parser("landscape", help="sample the energy landscape")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--n", type=int, default=1001)
 
     for name, text in (("equilibria", "locate and classify equilibria"),
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
                        ("gravitycheck", "does gravity alone trigger closing"),
                        ("feacases", "four morphology cases and trend checks")):
         p = sub.add_parser(name, help=text)
-        common(p)
+        common(p, plot=name == "feacases")
         if name == "gravitycheck":
             p.add_argument("--orientation", type=int, default=1,
                            choices=(-1, 1))
@@ -74,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=200)
 
     p = sub.add_parser("simulate", help="integrate the passive dynamics")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--theta0", type=float, required=True)
     p.add_argument("--omega0", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=None)
@@ -146,10 +147,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return _dispatch(args)
-    except DomainError as exc:
-        print(f"snapgrip: error: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"snapgrip: error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NonFiniteStateError, StepSizeError
+from .errors import (InvalidArgumentError, NonFiniteStateError, StepSizeError,
+                     TargetUnreachableError)
 from . import model  # functions looked up at each call, as in statics
 from .model import DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
@@ -41,6 +42,10 @@ CERTIFICATE_MARGIN = 1e-6
 # Most steps a recorded simulation or a closing run may take; at five
 # float64 columns a recorded step, a trajectory holds at most about 40 MB.
 MAX_STEPS = 10 ** 6
+# A barrier below this protects nothing: gravity alone triggers such an
+# open state.  A ring trim stops this close to its target barrier, so a
+# trim to it gives a design that gravity triggers.
+BARRIER_TOLERANCE = 1e-9  # J
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +309,7 @@ def gravity_trigger_check(design: GripperDesign,
             return False, math.inf
         return True, 0.0
     barrier = float(report.snap_through_energy)
-    return barrier < 1e-9, barrier
+    return barrier < BARRIER_TOLERANCE, barrier
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,7 +374,8 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
     trigger impulse is measured by simulation.  Bisection on log-inertia
     over [1e-8, 1e-2] kg m^2 to within 1e-4 s of the target, in at most 60
     steps; the low end rises where a closing run would take more than
-    MAX_STEPS steps.  Returns (inertia, damping).  The
+    MAX_STEPS steps.  A target that no inertia in the bracket meets raises
+    TargetUnreachableError.  Returns (inertia, damping).  The
     procedure is the documented calibration step: the reference
     experiments report outcomes, not inertia or damping.
     """
@@ -388,10 +394,17 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
 
     # A lighter finger closes faster, so the miss is negative at the low end.
     # That end is 1e-8 kg m^2, or the lightest finger whose closing run
-    # stays within MAX_STEPS steps of CLOSING_STEP_FRACTION / omega.
-    j_lo = max(1e-8, curv * (CLOSING_T_MAX
-                             / (CLOSING_STEP_FRACTION * MAX_STEPS)) ** 2)
-    j = math.exp(_bracketed_root(miss, math.log(j_lo), math.log(1e-2), -1.0,
-                                 ftol=1e-4, max_iter=60))
+    # stays within MAX_STEPS steps of each bound on its step.
+    t_step = CLOSING_T_MAX / MAX_STEPS
+    j_lo = max(1e-8, curv * (t_step / CLOSING_STEP_FRACTION) ** 2,
+               report.open_state.curvature * (t_step / MAX_STEP_FRACTION) ** 2)
+    j_hi, tol = 1e-2, 1e-4
+    log_j = _bracketed_root(miss, math.log(j_lo), math.log(j_hi), -1.0,
+                            ftol=tol, max_iter=60)
+    if not abs(miss(log_j)) < tol:
+        raise TargetUnreachableError(
+            f"no inertia in [{j_lo:.6g}, {j_hi:g}] kg m^2 closes the design "
+            f"in {target_time:.6g} s to within {tol:g} s")
+    j = math.exp(log_j)
     c = 2.0 * math.sqrt(curv * j)
     return j, c

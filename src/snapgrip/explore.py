@@ -12,7 +12,8 @@ import numpy as np
 from .errors import (BudgetExceededError, InvalidArgumentError,
                      NotBistableError, ObjectTooLargeError,
                      TargetUnreachableError)
-from .dynamics import closing_time, minimal_trigger_impulse, natural_frequency
+from .dynamics import (BARRIER_TOLERANCE, closing_time,
+                       minimal_trigger_impulse, natural_frequency)
 from . import model  # functions looked up at each call, as in statics
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
                     KEY_SPECS, GripperDesign)
@@ -27,9 +28,6 @@ from .statics import (EquilibriumReport, _bracketed_root,
 # encode that geometric coupling for the morphology study.
 RING_RADIUS_STIFFNESS_SLOPE = 4.0
 RING_SPLAY_WELL_SLOPE = 0.4
-# How close to its target barrier a ring trim stops.  A monostable width,
-# barrier 0, is that close to any smaller target.
-TRIM_TOLERANCE = 1e-9    # J
 
 
 def ring_placement_variant(design: GripperDesign,
@@ -60,6 +58,11 @@ class SweepSpec:
     impulse_factor: float = DEFAULT_IMPULSE_FACTOR
 
     def __post_init__(self):
+        # A bad value is refused here, before any point is solved.
+        for key, value in (("solver.sweep_budget", self.budget),
+                           ("solver.object_halfwidth", self.object_halfwidth),
+                           ("solver.impulse_factor", self.impulse_factor)):
+            model._check_value(key, value)
         if not self.parameters:
             raise InvalidArgumentError("a sweep needs at least one parameter")
         paths = [path for path, _ in self.parameters]
@@ -74,7 +77,6 @@ class SweepSpec:
             raise BudgetExceededError(
                 f"sweep would evaluate {self.n_points} design points, "
                 f"budget is {self.budget}")
-        # A bad value is refused here, before any point is solved.
         for path, values in self.parameters:
             for value in values:
                 model._read_design_value(path, value)
@@ -339,11 +341,12 @@ def equal_barrier_force_gain(base: GripperDesign, base_metrics: dict,
 def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
     """Trim the ring (bisection on width_scale) to a target barrier.
 
-    The bisection stops within TRIM_TOLERANCE of the target, or after 60
-    steps.  The barrier is verified to be monotone in the width over the
-    bracket before bisecting.  Raises TargetUnreachable for a target below
-    TRIM_TOLERANCE and when even a vanishing ring keeps the barrier above
-    the target.  Each trial width is solved once.
+    The bisection stops within BARRIER_TOLERANCE of the target, or after
+    60 steps.  The barrier is verified to be monotone in the width over
+    the bracket before bisecting.  Raises TargetUnreachable for a target
+    below BARRIER_TOLERANCE, which a monostable width (barrier 0) meets,
+    and when even a vanishing ring keeps the barrier above the target.
+    Each trial width is solved once.
     """
     barriers = {}    # width_scale -> barrier, 0 where monostable
 
@@ -364,10 +367,11 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
                 f"target barrier {target_barrier:.6g} J exceeds the current "
                 f"barrier {current:.6g} J; widening is out of scope")
         raise InvalidArgumentError("target_barrier must be positive")
-    if target_barrier < TRIM_TOLERANCE:
+    if target_barrier < BARRIER_TOLERANCE:
         raise TargetUnreachableError(
             f"target barrier {target_barrier:.6g} J is below the trim "
-            f"tolerance {TRIM_TOLERANCE:g} J, which a monostable ring meets")
+            f"tolerance {BARRIER_TOLERANCE:g} J, which a monostable ring "
+            "meets")
     if target_barrier == current:
         return design.ring.width_scale
 
@@ -389,7 +393,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
 
     return _bracketed_root(
         lambda w: barrier(w) - target_barrier, lo, hi,
-        samples[0] - target_barrier, ftol=TRIM_TOLERANCE, max_iter=60)
+        samples[0] - target_barrier, ftol=BARRIER_TOLERANCE, max_iter=60)
 
 
 def grip_force_estimate(design: GripperDesign, object_halfwidth: float,

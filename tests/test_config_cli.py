@@ -1,5 +1,6 @@
 """Configuration grammar, serialization, plots, and CLI contract tests."""
 
+import argparse
 import functools
 import json
 import math
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from snapgrip import explore
+from snapgrip import cli, explore
 from snapgrip.config import (build_design, build_solver_settings,
                              load_config, parse_config, serialize_config)
 from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
@@ -609,11 +610,13 @@ class TestCli:
         # The window holds only the saddle: its grid's curvature bounds dt.
         (["simulate", "--theta0", "0.3", "--dt", "2e-3", "--t-end", "0.1"],
          {"solver.theta_min": "0.0", "solver.theta_max": "0.6"}),
-        # c30 / c10 = 1e295 leaves c10 below the rounding of the Yeoh
-        # series coefficients, whose noise puts a saddle below the open
-        # state.
+        # c30 / c10 = 1e295 would leave c10 below the rounding of the Yeoh
+        # series coefficients: the law is refused when it is built.
         (["snapthrough"], {"material.model": "yeoh", "material.c30": "1e300"}),
         (["closingtime"], {"material.model": "yeoh", "material.c30": "1e300"}),
+        (["equilibria"], {"material.model": "yeoh", "material.c30": "1e300"}),
+        (["landscape", "--plot"],
+         {"material.model": "yeoh", "material.c30": "1e300"}),
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):
@@ -863,6 +866,99 @@ class TestCli:
     def test_version_flag(self, tmp_path):
         res = run_cli("--version", cwd=tmp_path)
         assert res.returncode == 0
+
+
+# (subcommand, option) -> the two settings at which the option must change
+# what its subcommand prints or writes.  None leaves the option out, a list
+# gives what follows it ([] for a flag).  An option whose first setting is
+# a list is given at it in every run of its subcommand where it is not the
+# option under test, so a required option is always there.
+OPTION_SETTINGS = {
+    ("landscape", "--plot"): (None, []),
+    ("landscape", "--n"): (["101"], ["201"]),
+    ("gravitycheck", "--orientation"): (None, ["-1"]),
+    ("feacases", "--plot"): (None, []),
+    ("continuation", "--tau-max"): (["0.03"], ["0.02"]),
+    ("continuation", "--steps"): (["20"], ["30"]),
+    ("simulate", "--plot"): (None, []),
+    ("simulate", "--theta0"): (["-0.85"], ["-0.8"]),
+    ("simulate", "--omega0"): (None, ["60"]),
+    ("simulate", "--dt"): (None, ["1e-5"]),
+    ("simulate", "--t-end"): (["0.002"], ["0.001"]),
+    ("closingtime", "--impulse"): (None, ["1e-3"]),
+    ("sweep", "--param"): (["ring.stiffness=0.12"], ["ring.stiffness=0.13"]),
+    ("sweep", "--no-closing-time"): (None, []),
+    ("sweep", "--no-grip-force"): (None, []),
+    ("tunering", "--target-barrier"): (["0.01"], ["0.005"]),
+    ("gripforce", "--object-halfwidth"): (None, ["0.01"]),
+}
+DRAWING_COMMANDS = ("landscape", "feacases", "simulate")
+
+
+def parser_options():
+    """{subcommand: [option, ...]} of the CLI parser, without ``--config``,
+    ``--out`` and ``-h``."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[0] for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)
+                   and a.option_strings[0] not in ("--config", "--out")]
+            for name, p in sub.choices.items()}
+
+
+def option_argv(command, tested=None, setting=None):
+    """``command`` with each option of OPTION_SETTINGS at its first
+    setting, and option ``tested`` at ``setting`` instead."""
+    argv = [command]
+    for (name, option), (first, _) in OPTION_SETTINGS.items():
+        value = setting if option == tested else first
+        if name == command and value is not None:
+            argv += [option, *value]
+    return argv
+
+
+class TestCliOptions:
+
+    def test_the_table_names_every_option(self):
+        options = parser_options()
+        assert set(OPTION_SETTINGS) == {(name, option)
+                                        for name, names in options.items()
+                                        for option in names}
+        assert [name for name, names in options.items()
+                if "--plot" in names] == list(DRAWING_COMMANDS)
+
+    @pytest.mark.parametrize("command, option", [
+        (name, option) for name, options in parser_options().items()
+        for option in options])
+    def test_option_changes_the_output(self, tmp_path, command, option):
+        # Gravity on, so that --orientation has a field to turn.
+        cfg = write_config(tmp_path, {"gripper.gravity": "9.81"})
+        seen = []
+        for i, setting in enumerate(OPTION_SETTINGS[command, option]):
+            out = tmp_path / str(i)
+            res = run_main(*option_argv(command, option, setting),
+                           "--config", str(cfg), "--out", str(out),
+                           cwd=tmp_path)
+            assert res.returncode == 0, res.stderr
+            # The manifest carries a timestamp.
+            seen.append((res.stdout, {p.name: p.read_bytes()
+                                      for p in out.iterdir()
+                                      if p.name != "run_manifest.txt"}))
+        assert seen[0] != seen[1]
+
+    @pytest.mark.parametrize("command", [name for name in parser_options()
+                                         if name not in DRAWING_COMMANDS])
+    def test_plot_is_refused_where_nothing_is_drawn(self, tmp_path, command):
+        res = run_main(*option_argv(command), "--plot", "--config",
+                       str(BASELINE_CFG), "--out", str(tmp_path),
+                       cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("usage: snapgrip ")
+        assert res.stderr.endswith(
+            "\nsnapgrip: error: unrecognized arguments: --plot\n")
+        assert res.stderr.count("error") == 1
+        assert not list(tmp_path.iterdir())
 
 
 # One small run of each subcommand; the drawn configuration does the rest.

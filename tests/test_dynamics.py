@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import struct
 from dataclasses import fields, replace
 
@@ -12,7 +13,7 @@ import pytest
 from snapgrip import dynamics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonFiniteStateError, NotBistableError,
-                             StepSizeError)
+                             StepSizeError, TargetUnreachableError)
 from snapgrip.explore import design_metrics
 from snapgrip.model import SolveWindow, Yeoh, set_design_value
 from snapgrip.statics import find_equilibria_1dof
@@ -523,18 +524,54 @@ class TestCalibration:
         assert event.triggered
         assert event.closing_time == pytest.approx(target, abs=5e-4)
 
-    def test_bracket_starts_at_the_lightest_admitted_finger(self, baseline):
+    @staticmethod
+    def _lightest_admitted_inertia(report):
+        t_step = CLOSING_T_MAX / MAX_STEPS
+        return max(1e-8, report.closed_state.curvature
+                   * (t_step / CLOSING_STEP_FRACTION) ** 2,
+                   report.open_state.curvature
+                   * (t_step / MAX_STEP_FRACTION) ** 2)
+
+    def test_target_below_the_lightest_admitted_finger_is_refused(
+            self, baseline):
         # At a closed-state curvature of 20 N m/rad, 1e-8 kg m^2 would take
-        # 2.2 million closing steps.  No inertia in the bracket reaches a
-        # closure in 0.1 ms, so bisection ends at the bracket's low end.
+        # 2.2 million closing steps, so the bracket starts above it.  No
+        # inertia in the bracket closes the design in 0.1 ms.
         d = set_design_value(baseline, "ring.stiffness", 20.0)
-        curv = find_equilibria_1dof(d).closed_state.curvature
-        j_lo = curv * (CLOSING_T_MAX
-                       / (CLOSING_STEP_FRACTION * MAX_STEPS)) ** 2
+        j_lo = self._lightest_admitted_inertia(find_equilibria_1dof(d))
         assert j_lo > 1e-8
-        j, c = calibrate_inertia(d, 1e-4)
-        assert j == pytest.approx(j_lo, rel=1e-9)
-        assert c == pytest.approx(2.0 * math.sqrt(curv * j), rel=1e-12)
+        with pytest.raises(TargetUnreachableError,
+                           match=re.escape(f"[{j_lo:.6g}, 0.01] kg m^2")):
+            calibrate_inertia(d, 1e-4)
+
+    @pytest.mark.parametrize("target", [1e-3, 5.0])
+    def test_target_beyond_either_end_is_refused(self, baseline, target):
+        # 1e-8 kg m^2 closes in 4.3 ms, and no run closes after
+        # CLOSING_T_MAX.
+        with pytest.raises(TargetUnreachableError,
+                           match=re.escape("[1e-08, 0.01] kg m^2")):
+            calibrate_inertia(baseline, target)
+
+    def test_open_state_bound_raises_the_low_end(self, baseline):
+        # A stiff open state: at the low end of the closed-state bound
+        # alone, a closing run would take 1,084,585 steps.  No inertia
+        # closes this design with 5 times the minimal kick.
+        d = baseline
+        for key, value in (("ring.stiffness", 82.6598576460535),
+                           ("finger.natural_curvature", 15.544006837427986),
+                           ("ring.well_center", -0.0033537109698869028),
+                           ("ring.well_halfwidth", 0.4936596043731517),
+                           ("material.youngs_modulus", 4824528.838104951),
+                           ("gripper.gravity", -142.1974042505723),
+                           ("gripper.payload_mass", 1.3731249489693067)):
+            d = set_design_value(d, key, value)
+        report = find_equilibria_1dof(d)
+        j_lo = self._lightest_admitted_inertia(report)
+        assert j_lo > 1e-8 and j_lo > report.closed_state.curvature * (
+            CLOSING_T_MAX / (CLOSING_STEP_FRACTION * MAX_STEPS)) ** 2
+        with pytest.raises(TargetUnreachableError,
+                           match=re.escape(f"[{j_lo:.6g}, 0.01] kg m^2")):
+            calibrate_inertia(d, 0.021)
 
     def test_shipped_calibration_is_a_fixed_point(self, baseline):
         # The config ships critical damping at the closed state.

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from snapgrip.errors import (BudgetExceededError, DomainError,
-                             InvalidArgumentError, NotBistableError,
-                             ObjectTooLargeError, TargetUnreachableError)
+                             InvalidArgumentError, InvalidDesignError,
+                             NotBistableError, ObjectTooLargeError,
+                             TargetUnreachableError)
 from snapgrip import dynamics, explore, statics
 from snapgrip.model import (DEFAULT_OBJECT_HALFWIDTH, SMALL_ANGLE,
                             set_design_value, tip_chord)
@@ -78,6 +79,25 @@ class TestSweep:
             SweepSpec(parameters=parameters)
         with pytest.raises(ValueError):
             SweepSpec(parameters=parameters)
+
+    @pytest.mark.parametrize("setting, value, text", [
+        ("object_halfwidth", -1.0,
+         "solver.object_halfwidth must be finite and > 0, got -1.0"),
+        ("object_halfwidth", math.inf,
+         "solver.object_halfwidth must be finite, got inf"),
+        ("impulse_factor", -1.0,
+         "solver.impulse_factor must be finite and > 0, got -1.0"),
+        ("impulse_factor", math.nan,
+         "solver.impulse_factor must be finite, got nan"),
+        ("budget", 0, "solver.sweep_budget must be finite and > 0, got 0"),
+    ])
+    def test_bad_setting_is_refused_before_any_point_is_solved(
+            self, baseline, solves, setting, value, text):
+        with pytest.raises(InvalidDesignError) as info:
+            SweepSpec(parameters=(("ring.stiffness", (0.12, 0.0, 0.13)),),
+                      **{setting: value})
+        assert str(info.value) == text
+        assert solves == []
 
     def test_barrier_identity_on_bistable_rows(self, baseline):
         spec = SweepSpec(parameters=(("ring.stiffness", (0.1, 0.12, 0.14)),),

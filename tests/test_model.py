@@ -269,8 +269,8 @@ class TestYeohArrays:
         assert calls == []
 
     def test_energy_scan_memory_does_not_grow_with_the_grid(self, baseline):
-        # One pass over the whole (10001, 96) curvature stack peaked at
-        # 24.5 MiB; blocks of angles keep it near 2.4 MiB.
+        # The closed form holds about a dozen arrays of the grid's length
+        # at a time: its peak is 0.85 MiB at 10,001 angles.
         design = self._yeoh_design(baseline)
         grid = np.linspace(-2.5, 2.5, 10_001)
         sample_landscape(design, grid[:10])
@@ -320,6 +320,19 @@ class TestDesignInvariants:
         # dW/dI1 = c10 + 2*c20*(I1 - 3) turns negative before stretch 2.
         with pytest.raises(InvalidDesignError, match="non-monotonic"):
             Yeoh(1.0e5, -1.0e5, 0.0)
+
+    @pytest.mark.parametrize("c20, c30", [(0.0, 1.0e300), (0.0, -1.1e11),
+                                          (1.1e11, 0.0), (-1.1e11, 0.0)])
+    def test_yeoh_coefficient_that_dwarfs_c10_rejected(self, c20, c30):
+        # Beyond 1e6 times c10 the series coefficients lose c10 to
+        # rounding; at c30 = 1e300 the noise put a saddle below the open
+        # state.
+        with pytest.raises(InvalidDesignError,
+                           match="at most 1e6 times c10 in magnitude"):
+            Yeoh(1.0e5, c20, c30)
+
+    def test_yeoh_coefficient_at_the_ratio_bound_accepted(self):
+        assert Yeoh(1.0e5, 0.0, 1.0e11).c30 == 1.0e11
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make", [

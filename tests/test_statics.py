@@ -11,8 +11,8 @@ import pytest
 
 import snapgrip.statics as statics
 from snapgrip.errors import (DomainError, InvalidArgumentError,
-                             NonConvergenceError, NotBistableError,
-                             SaddleOrderError)
+                             NonConvergenceError, NonFiniteStateError,
+                             NotBistableError, SaddleOrderError)
 from snapgrip.model import (DIFFERENCE_STEP, MAX_GRID_POINTS,
                             ChainConfiguration,
                             SolveWindow, Yeoh,
@@ -221,6 +221,16 @@ class TestFindEquilibria1Dof:
         report = find_equilibria_1dof(baseline)
         assert report.snap_through_energy == pytest.approx(
             report.saddle.energy - report.open_state.energy, abs=1e-15)
+
+
+    def test_saddle_below_the_open_state_is_refused(self, baseline):
+        # A rest angle of 8e15 rad puts every energy near 6.5e28 J, where
+        # the float spacing, 8.8e12 J, swamps the barrier.
+        d = set_design_value(baseline, "finger.natural_curvature", 1e17)
+        d = set_design_value(d, "ring.stiffness", 8e13)
+        with pytest.raises(NonFiniteStateError,
+                           match="below the open state's by 8.79609e"):
+            find_equilibria_1dof(d)
 
 
 def scan_designs(baseline):
