@@ -5,12 +5,12 @@ Usage, from the root of a checkout:
     python3 scripts/cli_snapshot.py --src PATH --out DIR
 
 ``--src`` is the ``src`` directory to import, so the same script can
-snapshot two checkouts.  Fifteen invocations, which reach all twelve
-subcommands and the three that draw with ``--plot``, run on each of four
-configurations: ``configs/baseline.cfg``, a copy with a Yeoh finger
+snapshot two checkouts.  Sixteen invocations, which reach all twelve
+subcommands, the three that draw with ``--plot`` and a continuation under
+a rising and a falling load, run on each of four configurations: ``configs/baseline.cfg``, a copy with a Yeoh finger
 (c10 = 1e5 Pa), a copy with gravity on (g = 9.81 m/s^2) and a copy with
 gravity on in a solve window other than the default (theta from -2.5 to
-3.0 rad on 3,001 grid points), 60 commands in all.  Each one runs as
+3.0 rad on 3,001 grid points), 64 commands in all.  Each one runs as
 ``python -m snapgrip.cli`` in its own directory
 ``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
 ``stderr`` and, under ``files/``, every output the command wrote except
@@ -63,6 +63,8 @@ COMMANDS = {
     "tunering": ["tunering", "--target-barrier", "0.01"],
     "gravitycheck": ["gravitycheck"],
     "continuation": ["continuation", "--tau-max", "0.03", "--steps", "50"],
+    "continuation_falling": ["continuation", "--tau-max", "-0.05",
+                             "--steps", "50"],
 }
 
 # Refusal name -> (keys set on top of the baseline configuration, CLI

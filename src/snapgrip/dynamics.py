@@ -375,9 +375,10 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
     over [1e-8, 1e-2] kg m^2 to within 1e-4 s of the target, in at most 60
     steps; the low end rises where a closing run would take more than
     MAX_STEPS steps.  A target that no inertia in the bracket meets raises
-    TargetUnreachableError.  Returns (inertia, damping).  The
-    procedure is the documented calibration step: the reference
-    experiments report outcomes, not inertia or damping.
+    TargetUnreachableError; no closing run ends after CLOSING_T_MAX, so a
+    target 1e-4 s past it or later is refused without a run.  Returns
+    (inertia, damping).  The procedure is the documented calibration step:
+    the reference experiments report outcomes, not inertia or damping.
     """
     report = require_bistable(design)
     curv = report.closed_state.curvature
@@ -399,9 +400,12 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
     j_lo = max(1e-8, curv * (t_step / CLOSING_STEP_FRACTION) ** 2,
                report.open_state.curvature * (t_step / MAX_STEP_FRACTION) ** 2)
     j_hi, tol = 1e-2, 1e-4
-    log_j = _bracketed_root(miss, math.log(j_lo), math.log(j_hi), -1.0,
-                            ftol=tol, max_iter=60)
-    if not abs(miss(log_j)) < tol:
+    reachable = target_time < CLOSING_T_MAX + tol
+    if reachable:
+        log_j = _bracketed_root(miss, math.log(j_lo), math.log(j_hi), -1.0,
+                                ftol=tol, max_iter=60)
+        reachable = abs(miss(log_j)) < tol
+    if not reachable:
         raise TargetUnreachableError(
             f"no inertia in [{j_lo:.6g}, {j_hi:g}] kg m^2 closes the design "
             f"in {target_time:.6g} s to within {tol:g} s")

@@ -31,9 +31,8 @@ SMALL_ANGLE = 1e-4
 DIFFERENCE_STEP = 1e-6    # rad
 # Most points a sampled grid may have: a landscape's angles, the solve
 # window's scan and a continuation's load steps.  Memory and time grow
-# with each; a continuation's load step binary-searches the scan and reads
-# only the grid cells it walks, so its time grows with steps x log(grid
-# points) plus the cells walked, not with their product.
+# with each; a continuation walks the scan's grid once, forward, so its
+# time grows with grid points + steps, not with their product.
 MAX_GRID_POINTS = 10 ** 5
 
 

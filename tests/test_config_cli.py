@@ -21,7 +21,8 @@ from snapgrip.explore import (grip_force_estimate, reproduce_fea_cases,
                               tune_ring_width)
 from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
                             FingerDesign, GripperDesign, LinearElastic,
-                            RingDesign, SolveWindow, Yeoh, set_design_value)
+                            RingDesign, SolveWindow, Yeoh, set_design_value,
+                            total_energy_1dof)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import (continuation_ramped_load, snap_through_energy,
                               trigger_moment)
@@ -497,6 +498,20 @@ class TestCli:
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,theta,omega,U,kinetic,dissipated"
 
+    def test_trajectory_energy_columns(self, tmp_path, baseline):
+        res = run_main("simulate", "--theta0", "-0.85", "--omega0", "5",
+                       "--t-end", "0.02", "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(lines) == 1001
+        for line in lines:
+            _, theta, omega, u, kinetic, _ = map(float, line.split(","))
+            expected = 0.5 * baseline.inertia * omega ** 2
+            assert abs(kinetic - expected) <= math.ulp(expected)
+            assert u == pytest.approx(total_energy_1dof(theta, baseline),
+                                      rel=1e-12)
+
     def test_landscape_is_byte_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -617,6 +632,11 @@ class TestCli:
         (["equilibria"], {"material.model": "yeoh", "material.c30": "1e300"}),
         (["landscape", "--plot"],
          {"material.model": "yeoh", "material.c30": "1e300"}),
+        # Every energy is near 6.48e28 J, and the snap-through barrier
+        # rounds to 0.
+        *[([cmd], {"finger.natural_curvature": "1e17",
+                   "ring.stiffness": "9e13"})
+          for cmd in ("snapthrough", "trigger", "equilibria")],
     ])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, argv,
                                                 overrides):
