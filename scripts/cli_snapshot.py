@@ -5,12 +5,13 @@ Usage, from the root of a checkout:
     python3 scripts/cli_snapshot.py --src PATH --out DIR
 
 ``--src`` is the ``src`` directory to import, so the same script can
-snapshot two checkouts.  Sixteen invocations, which reach all twelve
-subcommands, the three that draw with ``--plot`` and a continuation under
-a rising and a falling load, run on each of four configurations: ``configs/baseline.cfg``, a copy with a Yeoh finger
-(c10 = 1e5 Pa), a copy with gravity on (g = 9.81 m/s^2) and a copy with
-gravity on in a solve window other than the default (theta from -2.5 to
-3.0 rad on 3,001 grid points), 64 commands in all.  Each one runs as
+snapshot two checkouts.  Twenty invocations, which reach all twelve
+subcommands and set every option of each (``--config`` and ``--out``
+aside), with a continuation under a rising and a falling load, run on
+each of four configurations: ``configs/baseline.cfg``, a copy with a Yeoh
+finger (c10 = 1e5 Pa), a copy with gravity on (g = 9.81 m/s^2) and a copy
+with gravity on in a solve window other than the default (theta from -2.5
+to 3.0 rad on 3,001 grid points), 80 commands in all.  Each one runs as
 ``python -m snapgrip.cli`` in its own directory
 ``DIR/<config>/<command>/``, which then holds ``exit_code``, ``stdout``,
 ``stderr`` and, under ``files/``, every output the command wrote except
@@ -46,8 +47,11 @@ CONFIGS = {
 # Command name -> CLI arguments, without --config and --out.
 COMMANDS = {
     "landscape": ["landscape", "--plot"],
+    "landscape_201": ["landscape", "--n", "201"],
     "snapthrough": ["snapthrough"],
     "gripforce": ["gripforce"],
+    # Between the closed-state and the open-state chord of every config.
+    "gripforce_halfwidth": ["gripforce", "--object-halfwidth", "0.074"],
     "closingtime": ["closingtime"],
     "closingtime_hard_kick": ["closingtime", "--impulse", "1e-3"],
     "closingtime_untriggered": ["closingtime", "--impulse", "1e-4"],
@@ -58,10 +62,13 @@ COMMANDS = {
     "feacases": ["feacases", "--plot"],
     "sweep": ["sweep", "--param", "ring.stiffness=0.1:0.14:5",
               "--param", "finger.natural_curvature=18,20,22"],
+    "sweep_statics_only": ["sweep", "--param", "ring.stiffness=0.1:0.14:3",
+                           "--no-closing-time", "--no-grip-force"],
     "equilibria": ["equilibria"],
     "trigger": ["trigger"],
     "tunering": ["tunering", "--target-barrier", "0.01"],
     "gravitycheck": ["gravitycheck"],
+    "gravitycheck_flipped": ["gravitycheck", "--orientation", "-1"],
     "continuation": ["continuation", "--tau-max", "0.03", "--steps", "50"],
     "continuation_falling": ["continuation", "--tau-max", "-0.05",
                              "--steps", "50"],

@@ -85,7 +85,7 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
                 report: EquilibriumReport) -> None:
     """Refuse a step above MAX_STEP_FRACTION / omega, with omega the
     natural frequency at the stable equilibrium nearest ``theta_init`` or,
-    in a window that holds none, sqrt(max |U''| / J) over the window grid.
+    in a window that holds none, sqrt(max |U''| / J) on ``report.grid``.
     A grid on which U'' reads 0 everywhere bounds no step."""
     stables = [e for e in report.equilibria if e.stable]
     if stables:
@@ -93,7 +93,7 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
         omega = natural_frequency(design, nearest)
         where = "at the nearest equilibrium"
     else:
-        grid, g = model.window_gradient(design)
+        grid, g = report.grid, report.gradient
         stiffest = float(np.abs(np.diff(g) / np.diff(grid)).max())
         omega = math.sqrt(stiffest / design.inertia)
         where = "on the solve window"
@@ -379,7 +379,13 @@ def calibrate_inertia(design: GripperDesign, target_time: float):
     target 1e-4 s past it or later is refused without a run.  Returns
     (inertia, damping).  The procedure is the documented calibration step:
     the reference experiments report outcomes, not inertia or damping.
+    A target that is not a positive finite time raises
+    InvalidArgumentError before any solve.
     """
+    _require_finite(target_time=target_time)
+    if target_time <= 0.0:
+        raise InvalidArgumentError(
+            f"target_time must be positive, got {target_time!r}")
     report = require_bistable(design)
     curv = report.closed_state.curvature
 

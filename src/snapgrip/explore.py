@@ -175,6 +175,13 @@ PLACEMENT_DELTA = 0.15
 THINNER_WIDTH_FACTOR = 0.5
 HIGHER_CURVATURE = 25.0   # 1/m, up from the reference 20 1/m
 EQUAL_BARRIER_TOL = 0.05  # relative, "equal barrier" of the combined move
+# (case, metric, sign of its change from the baseline) of each trend claim.
+TRENDS = (
+    ("ring_higher", "open_energy", -1), ("ring_higher", "snap_through", -1),
+    ("ring_lower", "open_energy", +1), ("ring_lower", "snap_through", +1),
+    ("thinner_ring", "open_energy", -1), ("thinner_ring", "snap_through", -1),
+    ("higher_curvature", "open_energy", +1),
+    ("higher_curvature", "snap_through", -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,27 +241,19 @@ def reproduce_fea_cases(base: GripperDesign,
                                      impulse=shared_impulse)
 
     assertions = []
-
-    def trend(name, case, metric, sign):
-        m = cases[case]
-        if not m["bistable"]:
+    for case, metric, sign in TRENDS:
+        # ring_higher_open_down, ..., higher_curvature_snap_down
+        name = (f"{case}_{metric.partition('_')[0]}_"
+                f"{'down' if sign < 0 else 'up'}")
+        if not cases[case]["bistable"]:
             assertions.append(CaseAssertion(name, False,
                                             f"{case} is monostable", True))
-            return
-        delta = m[metric] - base_m[metric]
-        ok = (delta < 0) if sign < 0 else (delta > 0)
+            continue
+        delta = cases[case][metric] - base_m[metric]
         arrow = "decrease" if sign < 0 else "increase"
         assertions.append(CaseAssertion(
-            name, ok, f"{case}: {metric} {arrow} expected, delta = {delta:.6g}"))
-
-    trend("ring_higher_open_down", "ring_higher", "open_energy", -1)
-    trend("ring_higher_snap_down", "ring_higher", "snap_through", -1)
-    trend("ring_lower_open_up", "ring_lower", "open_energy", +1)
-    trend("ring_lower_snap_up", "ring_lower", "snap_through", +1)
-    trend("thinner_ring_open_down", "thinner_ring", "open_energy", -1)
-    trend("thinner_ring_snap_down", "thinner_ring", "snap_through", -1)
-    trend("higher_curvature_open_up", "higher_curvature", "open_energy", +1)
-    trend("higher_curvature_snap_down", "higher_curvature", "snap_through", -1)
+            name, delta * sign > 0,
+            f"{case}: {metric} {arrow} expected, delta = {delta:.6g}"))
 
     # Thinner-ring deltas smaller in magnitude than both placement deltas.
     def magnitudes(metric):

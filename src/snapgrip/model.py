@@ -396,21 +396,13 @@ class ChainConfiguration:
         object.__setattr__(self, "packed", angles.tobytes())
 
     def __repr__(self):
-        return f"ChainConfiguration({self.joint_angles!r})"
-
-    @property
-    def joint_angles(self) -> tuple:
-        return tuple(np.frombuffer(self.packed).tolist())
+        return f"ChainConfiguration({np.frombuffer(self.packed).tolist()!r})"
 
     def as_array(self) -> np.ndarray:
         return np.frombuffer(self.packed).copy()
 
     def __array__(self, dtype=None, copy=None):
         return self.as_array()
-
-    @property
-    def tip_angle(self) -> float:
-        return float(sum(self.joint_angles))
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,13 +48,16 @@ class Equilibrium:
 
 @dataclass(frozen=True, slots=True)
 class EquilibriumReport:
-    """All equilibria in the search window, ordered by bend angle."""
+    """All equilibria in the search window, ordered by bend angle, with
+    the window's grid and the gradient on it that they were found on."""
 
     equilibria: tuple
     open_state: Optional[Equilibrium] = None
     closed_state: Optional[Equilibrium] = None
     saddle: Optional[Equilibrium] = None
     snap_through_energy: Optional[float] = None
+    grid: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    gradient: np.ndarray = field(kw_only=True, compare=False, repr=False)
 
     @property
     def bistable(self) -> bool:
@@ -110,35 +113,29 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
 def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
     """Locate every equilibrium of the reduced model in ``design.window``.
 
-    Sign changes of the analytic gradient on a uniform grid are refined by
-    bisection; stability comes from the local energy curvature.  When
-    exactly three equilibria alternate stable/unstable/stable the report
-    identifies open state, saddle and closed state and the snap-through
-    energy (saddle energy minus open-state energy).  Fewer equilibria give
-    a monostable report; bistability is never fabricated.  A snap-through
-    or closed-to-saddle barrier below BARRIER_ULPS float spacings of the
-    largest energy is lost to rounding and raises NonFiniteStateError.
-    """
-    return _assemble_report(_scan_equilibria(design)[0])
+    The gradient on the window's grid comes from ``window_gradient``,
+    which keeps the grid and gravity arc terms of recent windows; it must
+    be finite at every grid point, else NonFiniteStateError.  Sign changes
+    on the grid are bisected, and each root is refined and classified on
+    floats with the closures of ``scalar_model``: the gradient bisects its
+    cell and gives the curvature as a central difference, and the energy
+    gives its energy, each equal bit for bit to the array form.  The
+    report keeps the grid and the gradient on it, both read-only.
 
-
-def _scan_equilibria(design: GripperDesign):
-    """(equilibria sorted by bend angle, window grid, ``gradient_1dof`` on
-    the grid) of ``find_equilibria_1dof``; raises NonFiniteStateError if
-    the gradient is not finite at every grid point.
-
-    The grid gradient comes from ``window_gradient``, which keeps the grid
-    and gravity arc terms of recent windows.  Each root is refined and
-    classified on floats with the closures of ``scalar_model``: the
-    gradient bisects its cell and gives the curvature as a central
-    difference, and the energy gives its energy, each equal bit for bit
-    to the array form.
+    When exactly three equilibria alternate stable/unstable/stable the
+    report identifies open state, saddle and closed state and the
+    snap-through energy (saddle energy minus open-state energy).  Fewer
+    equilibria give a monostable report; bistability is never fabricated.
+    A snap-through or closed-to-saddle barrier below BARRIER_ULPS float
+    spacings of the largest energy is lost to rounding and raises
+    NonFiniteStateError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         grid, g = model.window_gradient(design)
     if not np.isfinite(g).all():
         raise NonFiniteStateError("the energy gradient is not finite at "
                                   "every point of the solve window grid")
+    grid.flags.writeable = g.flags.writeable = False
     energy, gradient = model.scalar_model(design)
     # A grid point where the gradient is exactly zero is a root as it
     # stands; a cell whose ends differ in sign is bisected unless one of
@@ -157,12 +154,7 @@ def _scan_equilibria(design: GripperDesign):
         curv = (gradient(theta + h) - gradient(theta - h)) / (2.0 * h)
         equilibria.append(Equilibrium(theta=theta, energy=energy(theta),
                                       stable=curv > 0.0, curvature=curv))
-    equilibria.sort(key=lambda e: e.theta)
-    return equilibria, grid, g
-
-
-def _assemble_report(equilibria) -> EquilibriumReport:
-    eq = tuple(equilibria)
+    eq = tuple(sorted(equilibria, key=lambda e: e.theta))
     if len(eq) == 3 and eq[0].stable and not eq[1].stable and eq[2].stable:
         barrier = eq[1].energy - eq[0].energy
         lowest = min(barrier, eq[1].energy - eq[2].energy)
@@ -173,8 +165,9 @@ def _assemble_report(equilibria) -> EquilibriumReport:
                 f"spacings ({floor:.6g} J): the energy has lost its precision")
         return EquilibriumReport(equilibria=eq, open_state=eq[0],
                                  closed_state=eq[2], saddle=eq[1],
-                                 snap_through_energy=barrier)
-    return EquilibriumReport(equilibria=eq)
+                                 snap_through_energy=barrier, grid=grid,
+                                 gradient=g)
+    return EquilibriumReport(equilibria=eq, grid=grid, gradient=g)
 
 
 def require_bistable(design: GripperDesign,
@@ -236,8 +229,9 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
                              n_steps: int) -> ContinuationPath:
     """Trace the equilibrium branch as a closing moment ramps from zero.
 
-    The path starts at the lowest stable equilibrium.  The gradient g is
-    evaluated once on the grid of ``design.window``; each load step walks
+    The path starts at the lowest stable equilibrium of the design's
+    equilibrium report, whose refusals it shares, and walks the gradient g
+    on the grid of ``design.window`` kept in that report; each load step walks
     from the previous angle in the direction the load moves (right for a
     rising load, left for a falling one) to the first grid cell where g
     passes the load, and bisects that cell.  A walk that passes a local
@@ -259,10 +253,11 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
                                    f"{MAX_GRID_POINTS}], got {n_steps}")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
-    equilibria, grid, g = _scan_equilibria(design)
-    stables = [e for e in equilibria if e.stable]
+    report = find_equilibria_1dof(design)
+    stables = [e for e in report.equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
+    grid, g = report.grid, report.gradient
     gradient = model.scalar_model(design)[1]
     # In walk order, with g and the load negated for a falling load, the
     # stable branch always rises.

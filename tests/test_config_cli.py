@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import re
@@ -16,7 +17,8 @@ from snapgrip.config import (build_design, build_solver_settings,
                              load_config, parse_config, serialize_config)
 from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
                                simulate_1dof)
-from snapgrip.errors import ConfigError, EmptyDataError, InvalidDesignError
+from snapgrip.errors import (ConfigError, EmptyDataError, InvalidDesignError,
+                             NonFiniteStateError)
 from snapgrip.explore import (grip_force_estimate, reproduce_fea_cases,
                               tune_ring_width)
 from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
@@ -24,9 +26,10 @@ from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
                             RingDesign, SolveWindow, Yeoh, set_design_value,
                             total_energy_1dof)
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
-from snapgrip.statics import (continuation_ramped_load, snap_through_energy,
-                              trigger_moment)
-from tests.conftest import BASELINE_CFG, child_env, run_cli, run_main
+from snapgrip.statics import (continuation_ramped_load, find_equilibria_1dof,
+                              snap_through_energy, trigger_moment)
+from tests.conftest import (BASELINE_CFG, REPO_ROOT, child_env, run_cli,
+                            run_main)
 
 
 class TestParseConfig:
@@ -649,6 +652,27 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("stiffness", ["8e13", "9e13"])
+    def test_continuation_refuses_a_barrier_lost_to_rounding(
+            self, tmp_path, baseline, stiffness):
+        # Every energy is near 6.48e28 J: the continuation is refused with
+        # the equilibrium report's line, as every other analysis is.
+        overrides = {"finger.natural_curvature": "1e17",
+                     "ring.stiffness": stiffness}
+        d = baseline
+        for key, value in overrides.items():
+            d = set_design_value(d, key, float(value))
+        with pytest.raises(NonFiniteStateError,
+                           match="the energy has lost its precision") as err:
+            find_equilibria_1dof(d)
+        out = tmp_path / "out"
+        res = run_main("continuation", "--tau-max", "1e14", "--steps", "20",
+                       "--config", str(write_config(tmp_path, overrides)),
+                       "--out", str(out), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == f"snapgrip: error: {err.value}\n"
+        assert not out.exists()
+
     def test_fractional_segment_count_in_sweep_exits_2(self, tmp_path,
                                                        monkeypatch):
         # Every value is read before the first design point is solved.
@@ -947,6 +971,18 @@ class TestCliOptions:
                                         for option in names}
         assert [name for name, names in options.items()
                 if "--plot" in names] == list(DRAWING_COMMANDS)
+
+    def test_the_cli_snapshot_sets_every_option(self):
+        # The snapshot's byte diff covers only what its commands set.
+        spec = importlib.util.spec_from_file_location(
+            "cli_snapshot", REPO_ROOT / "scripts" / "cli_snapshot.py")
+        snapshot = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(snapshot)
+        unset = [(name, option) for name, options in parser_options().items()
+                 for option in options
+                 if not any(argv[0] == name and option in argv
+                            for argv in snapshot.COMMANDS.values())]
+        assert unset == []
 
     @pytest.mark.parametrize("command, option", [
         (name, option) for name, options in parser_options().items()

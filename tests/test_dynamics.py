@@ -552,6 +552,20 @@ class TestCalibration:
                            match=re.escape("[1e-08, 0.01] kg m^2")):
             calibrate_inertia(baseline, target)
 
+    @pytest.mark.parametrize("target, rule", [
+        (math.nan, "must be finite, got nan"),
+        (-1.0, "must be positive, got -1.0"),
+        (0.0, "must be positive, got 0.0")])
+    def test_target_that_is_no_time_is_refused_before_a_solve(
+            self, baseline, monkeypatch, target, rule):
+        solved = []
+        monkeypatch.setattr(dynamics, "require_bistable",
+                            lambda *args: solved.append(args))
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"target_time {rule}")):
+            calibrate_inertia(baseline, target)
+        assert solved == []
+
     def test_open_state_bound_raises_the_low_end(self, baseline):
         # A stiff open state: at the low end of the closed-state bound
         # alone, a closing run would take 1,084,585 steps.  No inertia
