@@ -53,22 +53,34 @@ g = 7.  The ``continuation_`` layers ramp the baseline's closing moment
 to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
 g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
 ``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
-shows.  The six cold layers each start a fresh interpreter that imports
+shows.  The eleven cold layers each start a fresh interpreter that imports
 ``--src``, so they include start-up and imports:
-``import_snapgrip_cold`` runs ``python -c "import snapgrip"``,
-``import_snapgrip_cli_cold`` runs ``python -c "import snapgrip.cli"``, and
-the four ``cli_*_cold`` layers are the CLI calls of the end-to-end
-measure, each ``python -m snapgrip.cli COMMAND --config
+``python_pass_cold`` runs ``python -c pass``, ``import_numpy_cold``
+imports numpy with one OpenBLAS thread, ``import_snapgrip_cold`` runs
+``python -c "import snapgrip"``, ``import_snapgrip_cli_cold`` runs
+``python -c "import snapgrip.cli"``, and the seven ``cli_*_cold`` layers
+are CLI calls, each ``python -m snapgrip.cli COMMAND --config
 configs/baseline.cfg``: ``cli_snapthrough_cold`` runs ``snapthrough``,
+``cli_trigger_cold`` ``trigger``, ``cli_gravitycheck_cold``
+``gravitycheck``, ``cli_unknown_key_cold`` a ``snapthrough`` that a
+misspelt key in its configuration (``ring.stifness``) ends with exit 2,
 ``cli_closingtime_cold`` ``closingtime``, ``cli_feacases_cold``
 ``feacases``, and ``cli_sweep_5x5_cold`` a ``sweep`` over
 ``--param ring.stiffness=0.1:0.14:5 --param
 finger.natural_curvature=18:22:5``.  Besides its wall time, each records
 the child's CPU time (user + system, from the ``os.wait4`` rusage) as
-``cpu_median_s`` and ``cpu_runs_s`` and its peak RSS (``ru_maxrss`` of
+``cpu_median_s`` and ``cpu_runs_s``, its peak RSS (``ru_maxrss`` of
 the same rusage) as ``maxrss_median_mib`` and ``maxrss_runs_mib``, and
-none has call counts.  A child's ``ru_maxrss`` starts at the high-water
-mark of the process that spawned it, with fork or vfork alike, so it
+whether it imports numpy as ``loads_numpy`` (from ``-X importtime`` in
+one more run), and none has call counts.  Each CLI call also records
+``cpu_split_s``, its CPU time split into the interpreter (``python -c
+pass``), numpy (``import_numpy_cold`` less the interpreter, 0 for a call
+that does not load it), the import of ``snapgrip.cli`` (less the
+interpreter and, if that import loads numpy, numpy) and the work, the
+rest.  The cold layers run in rounds, one run of each a round, so that
+a slow spell of the host falls on all of them alike.  A child's
+``ru_maxrss`` starts at the high-water mark of the process that spawned
+it, with fork or vfork alike, so it
 reads at least the spawner's own peak: a ``true`` child of a 100 MiB
 process reads 110-114 MiB, one of a 14 MiB process 13.8 MiB.  This
 script's own process imports neither snapgrip nor numpy and stays near
@@ -284,15 +296,28 @@ GROUPS = {"1dof": one_dof_layers, "chain": chain_layers,
 
 
 def cold_layers(workdir):
-    """Cold layers: name -> the arguments of ``python`` for one run."""
-    def cli(*argv):
-        return ["-m", "snapgrip.cli", *argv, "--config", str(BASELINE_CFG),
-                "--out", workdir]
+    """Cold layers: name -> (the arguments of ``python`` for one run, its
+    exit code)."""
+    unknown_key = Path(workdir) / "unknown_key.cfg"
+    unknown_key.write_text(BASELINE_CFG.read_text()
+                           + "ring.stifness = 0.12\n")
+
+    def cli(*argv, config=BASELINE_CFG, code=0):
+        return (["-m", "snapgrip.cli", *argv, "--config", str(config),
+                 "--out", workdir], code)
 
     return {
-        "import_snapgrip_cold": ["-c", "import snapgrip"],
-        "import_snapgrip_cli_cold": ["-c", "import snapgrip.cli"],
+        "python_pass_cold": (["-c", "pass"], 0),
+        "import_numpy_cold": (["-c", "import os\n"
+                               "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                               "import numpy"], 0),
+        "import_snapgrip_cold": (["-c", "import snapgrip"], 0),
+        "import_snapgrip_cli_cold": (["-c", "import snapgrip.cli"], 0),
         "cli_snapthrough_cold": cli("snapthrough"),
+        "cli_trigger_cold": cli("trigger"),
+        "cli_gravitycheck_cold": cli("gravitycheck"),
+        "cli_unknown_key_cold": cli("snapthrough", config=unknown_key,
+                                    code=2),
         "cli_closingtime_cold": cli("closingtime"),
         "cli_feacases_cold": cli("feacases"),
         "cli_sweep_5x5_cold": cli("sweep",
@@ -302,21 +327,53 @@ def cold_layers(workdir):
     }
 
 
-def cold_run(src, workdir, args):
+def cold_run(src, workdir, args, code):
     """Wall and child CPU seconds and the child's peak RSS in MiB of
     ``python args`` in a fresh interpreter that imports the checkout whose
-    ``src`` directory is ``src``."""
+    ``src`` directory is ``src``; the run must exit with ``code``."""
     argv = [sys.executable, *args]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=workdir, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
                             env=dict(os.environ, PYTHONPATH=src))
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
+    if proc.returncode != code:
         sys.exit(f"{' '.join(argv)} exited with {proc.returncode}")
     return (wall, usage.ru_utime + usage.ru_stime,
             usage.ru_maxrss / 1024)     # ru_maxrss is in KiB
+
+
+def loads_numpy(src, workdir, args):
+    """Whether ``python args`` imports numpy, read from ``-X importtime``
+    in one more, untimed, run."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          cwd=workdir, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return any(line.rpartition("|")[2].strip() == "numpy"
+               for line in proc.stderr.splitlines())
+
+
+def cold_split(result):
+    """CPU seconds of each cold CLI call split into the interpreter
+    (``python -c pass``), numpy (``import numpy`` with one OpenBLAS thread,
+    less the interpreter) if the call loads it, the import of
+    ``snapgrip.cli`` less those two, and the work, which is the rest."""
+    cpu = {name: layer["cpu_median_s"] for name, layer in result.items()
+           if "cpu_median_s" in layer}
+    interpreter = cpu["python_pass_cold"]
+    numpy = cpu["import_numpy_cold"] - interpreter
+    package = cpu["import_snapgrip_cli_cold"] - interpreter - (
+        numpy if result["import_snapgrip_cli_cold"]["loads_numpy"] else 0.0)
+    for name, layer in result.items():
+        if name.startswith("cli_") and name in cpu:
+            own_numpy = numpy if layer["loads_numpy"] else 0.0
+            layer["cpu_split_s"] = {
+                "interpreter": interpreter, "numpy": own_numpy,
+                "snapgrip_import": package,
+                "work": cpu[name] - interpreter - own_numpy - package}
 
 
 def counted(names):
@@ -381,16 +438,24 @@ def main(argv=None):
             stdout=subprocess.PIPE, text=True, check=True)
         result.update(json.loads(child.stdout))
     with tempfile.TemporaryDirectory() as workdir:
-        for name, cold_args in cold_layers(workdir).items():
-            cold_run(args.src, workdir, cold_args)
-            walls, cpus, rss = map(list, zip(*(
-                cold_run(args.src, workdir, cold_args)
-                for _ in range(args.repeats))))
+        # One run of each cold layer per round, so that the host's slow
+        # spells, which last minutes, fall on every layer alike.
+        layers = cold_layers(workdir)
+        runs = {name: [] for name in layers}
+        for round_ in range(args.repeats + 1):    # round 0 warms up
+            for name, (cold_args, code) in layers.items():
+                run = cold_run(args.src, workdir, cold_args, code)
+                if round_:
+                    runs[name].append(run)
+        for name, (cold_args, _) in layers.items():
+            walls, cpus, rss = map(list, zip(*runs[name]))
             result[name] = {
                 "median_s": statistics.median(walls), "runs_s": walls,
                 "cpu_median_s": statistics.median(cpus), "cpu_runs_s": cpus,
                 "maxrss_median_mib": statistics.median(rss),
-                "maxrss_runs_mib": rss}
+                "maxrss_runs_mib": rss,
+                "loads_numpy": loads_numpy(args.src, workdir, cold_args)}
+    cold_split(result)
     print(json.dumps(result, indent=1))
 
 

@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-import os
 from importlib import import_module
 
 # The names the package exports, by the module that defines them.  model
-# and config load with the package.  The solver layers load on first
-# access (PEP 562), so a caller that only builds designs or reads a config
-# does not compile and build them.
+# and config load with the package, and neither imports numpy.  The solver
+# layers load on first access (PEP 562), so a caller that only builds
+# designs or reads a config does not compile and build them.
 _EXPORTS = {
     "model": ("ChainConfiguration", "CrossSection", "EnergyLandscape",
               "FingerDesign", "GripperDesign", "LinearElastic", "RingDesign",
@@ -34,28 +33,14 @@ _LAZY = {name: module for module, names in _EXPORTS.items()
          if module not in _EAGER for name in names}
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
-# numpy loads with the ``model`` import below, and OpenBLAS then starts a
-# thread pool (about 80 ms of CPU per process on a 2-core x86-64 machine).
-# snapgrip's BLAS calls (row dots, stacked mat-vec products at n <= 128)
-# are below OpenBLAS's threading threshold, so the package asks for one
-# thread while it loads, unless the caller chose a thread count.
-# os.environ ends as the caller left it, so child processes start as they
-# would have.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                          "OMP_NUM_THREADS")
-_single_thread = not any(name in os.environ
-                         for name in _BLAS_THREAD_VARIABLES)
-if _single_thread:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    for _module in _EAGER:
-        _home = import_module(f".{_module}", __name__)
-        globals().update((name, getattr(_home, name))
-                         for name in _EXPORTS[_module])
-    del _module, _home
-finally:
-    if _single_thread:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+# numpy loads where the package first builds an array, through
+# ``model._load_numpy``, with one OpenBLAS thread unless the caller chose
+# a count.
+for _module in _EAGER:
+    _home = import_module(f".{_module}", __name__)
+    globals().update((name, getattr(_home, name))
+                     for name in _EXPORTS[_module])
+del _module, _home
 
 
 def __getattr__(name):

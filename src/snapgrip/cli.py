@@ -13,21 +13,17 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (build_design, build_solver_settings, load_config,
                      serialize_config)
-from .dynamics import (closing_time, gravity_trigger_check,
-                       minimal_trigger_impulse, simulate_1dof)
 from .errors import BudgetExceededError, DomainError, InvalidArgumentError
-from .explore import (SweepRow, SweepSpec, grip_force_estimate,
-                      reproduce_fea_cases, run_sweep, tune_ring_width)
-from .model import MAX_GRID_POINTS, sample_landscape, set_design_value
+from .model import MAX_GRID_POINTS, np, sample_landscape, set_design_value
 from .report import (fmt, svg_grouped_bars, svg_line_plot, write_csv,
                      write_key_value, write_manifest)
-from .statics import (continuation_ramped_load, find_equilibria_1dof,
-                      require_bistable, snap_through_energy, trigger_moment)
+
+# Each subcommand imports the solver layers it uses, so a refused config
+# loads none, and a call that builds no array (snapthrough, trigger,
+# gravitycheck, a linear equilibria or closingtime) does not load numpy.
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -184,6 +180,7 @@ def _dispatch(args) -> int:
             zip(land.theta_grid, land.total, land.finger, land.ring,
                 land.gravity))
         if args.plot:
+            from .statics import find_equilibria_1dof
             report = find_equilibria_1dof(design)
             markers = [(e.theta, e.energy, e.classification[0].upper())
                        for e in report.equilibria]
@@ -194,6 +191,7 @@ def _dispatch(args) -> int:
                 "bend angle (rad)", "energy (J)", markers))
 
     elif args.command == "equilibria":
+        from .statics import find_equilibria_1dof
         report = find_equilibria_1dof(design)
         csv("equilibria.csv",
             ["theta", "energy", "classification", "curvature"],
@@ -204,6 +202,7 @@ def _dispatch(args) -> int:
                   f"energy = {e.energy:.12g} J")
 
     elif args.command == "snapthrough":
+        from .statics import require_bistable
         report = require_bistable(design)
         csv("snapthrough.csv",
             ["open_theta", "saddle_theta", "closed_theta", "open_energy",
@@ -215,11 +214,13 @@ def _dispatch(args) -> int:
         print(fmt(float(report.snap_through_energy)))
 
     elif args.command == "trigger":
+        from .statics import trigger_moment
         tau = trigger_moment(design)
         csv("trigger.csv", ["trigger_moment"], [(tau,)])
         print(fmt(tau))
 
     elif args.command == "continuation":
+        from .statics import continuation_ramped_load
         path = continuation_ramped_load(design, args.tau_max, args.steps)
         csv("continuation.csv", ["tau", "theta", "energy"],
             zip(path.taus, path.thetas, path.energies))
@@ -227,6 +228,7 @@ def _dispatch(args) -> int:
         print(f"{len(path.fold_points)} fold(s)")
 
     elif args.command == "simulate":
+        from .dynamics import simulate_1dof
         dt = args.dt if args.dt is not None else settings.dt
         t_end = args.t_end if args.t_end is not None else settings.t_end
         traj = simulate_1dof(design, args.theta0, args.omega0,
@@ -243,6 +245,8 @@ def _dispatch(args) -> int:
                 "time (s)", "bend angle (rad)"))
 
     elif args.command == "closingtime":
+        from .dynamics import closing_time, minimal_trigger_impulse
+        from .statics import find_equilibria_1dof
         impulse = args.impulse
         if impulse is not None and not 0.0 < impulse < math.inf:
             raise DomainError(f"--impulse must be a positive finite number, "
@@ -257,6 +261,7 @@ def _dispatch(args) -> int:
         print(fmt(event.closing_time) if event.triggered else "not triggered")
 
     elif args.command == "gravitycheck":
+        from .dynamics import gravity_trigger_check
         triggered, margin = gravity_trigger_check(design, args.orientation)
         csv("gravitycheck.csv", ["triggered", "margin"],
             [(triggered, margin if math.isfinite(margin) else math.nan)])
@@ -264,6 +269,7 @@ def _dispatch(args) -> int:
               f"margin = {fmt(margin)} J")
 
     elif args.command == "sweep":
+        from .explore import SweepRow, SweepSpec, run_sweep
         params = tuple(_parse_param(s, settings.sweep_budget)
                        for s in args.param)
         spec = SweepSpec(parameters=params, budget=settings.sweep_budget,
@@ -279,6 +285,7 @@ def _dispatch(args) -> int:
         print(f"{len(table.rows)} design points")
 
     elif args.command == "feacases":
+        from .explore import reproduce_fea_cases
         rep = reproduce_fea_cases(design, settings.object_halfwidth,
                                   settings.impulse_factor)
         by_case = {"baseline": rep.baseline, **rep.cases}
@@ -307,6 +314,8 @@ def _dispatch(args) -> int:
             failure = DomainError("one or more trend assertions failed")
 
     elif args.command == "tunering":
+        from .explore import tune_ring_width
+        from .statics import snap_through_energy
         width = tune_ring_width(design, args.target_barrier)
         achieved = snap_through_energy(
             set_design_value(design, "ring.width_scale", width))
@@ -315,6 +324,7 @@ def _dispatch(args) -> int:
         print(fmt(width))
 
     elif args.command == "gripforce":
+        from .explore import grip_force_estimate
         halfwidth = args.object_halfwidth
         if halfwidth is None:
             halfwidth = settings.object_halfwidth

@@ -16,12 +16,10 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (InvalidArgumentError, NonFiniteStateError, StepSizeError,
                      TargetUnreachableError)
 from . import model  # functions looked up at each call, as in statics
-from .model import DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign
+from .model import DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign, np
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -93,7 +91,7 @@ def _check_step(design: GripperDesign, theta_init: float, dt: float,
         omega = natural_frequency(design, nearest)
         where = "at the nearest equilibrium"
     else:
-        grid, g = report.grid, report.gradient
+        grid, g = np.asarray(report.grid), np.asarray(report.gradient)
         stiffest = float(np.abs(np.diff(g) / np.diff(grid)).max())
         omega = math.sqrt(stiffest / design.inertia)
         where = "on the solve window"
@@ -127,6 +125,7 @@ def simulate_1dof(design: GripperDesign, theta_init: float, omega_init: float,
         raise InvalidArgumentError(
             f"t_end / dt = {t_end / dt:.3g} steps exceeds the limit of "
             f"{MAX_STEPS} steps")
+    model._load_numpy()     # the trajectory is arrays, so the scan may be too
     _check_step(design, theta_init, dt, find_equilibria_1dof(design))
     gradient = model.scalar_model(design)[1]
     inv_j = 1.0 / design.inertia

@@ -14,14 +14,75 @@ open stable state sits in the negative-angle well.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from .errors import (CurvatureOutOfRangeError, InvalidDesignError,
                      NonFiniteStateError)
+
+
+# ---------------------------------------------------------------------------
+# numpy, loaded where arrays are built
+# ---------------------------------------------------------------------------
+
+# A cold CLI call that works on floats only (snap-through, trigger moment,
+# gravity check, a refused config) never imports numpy, which is about
+# half of its start-up.  Until numpy loads, ``np`` in the package's
+# modules is a stand-in whose first attribute read loads it.  OpenBLAS
+# then starts a thread pool (about 80 ms of CPU per process on a 2-core
+# x86-64 machine); snapgrip's BLAS calls (row dots, stacked mat-vec
+# products at n <= 128) are below OpenBLAS's threading threshold, so
+# numpy loads with one thread unless the caller chose a thread count.
+# os.environ ends as the caller left it, so child processes start as they
+# would have.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+
+
+class _LazyNumpy:
+    """``np`` of the package's modules until numpy loads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        return getattr(_load_numpy(), name)
+
+
+np = _LAZY_NUMPY = _LazyNumpy()
+
+
+def _load_numpy():
+    """numpy, imported with one OpenBLAS thread unless the caller chose a
+    count, and bound as ``np`` in every module that held the stand-in
+    (``python -m snapgrip.cli`` runs the CLI as ``__main__``), so that
+    later reads cost what they would after ``import numpy as np``."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        single = not any(name in os.environ
+                         for name in _BLAS_THREAD_VARIABLES)
+        if single:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            if single:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("np") is _LAZY_NUMPY:
+            module.np = numpy
+    return numpy
+
+
+def _numpy_loaded() -> bool:
+    """Whether this process has imported numpy.  The equilibrium scan and
+    the trigger moment's search grid work on arrays then and on floats
+    before, with the same bits: a batch has numpy loaded, and a cold call
+    on one design does not load it for a scan."""
+    return "numpy" in sys.modules
+
 
 # Below this bend angle ``tip_chord`` switches to its 2nd-order series to
 # avoid 0/0.  The arc terms of the gravity model switch at

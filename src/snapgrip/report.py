@@ -10,10 +10,9 @@ from __future__ import annotations
 import hashlib
 import math
 import platform
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from .errors import EmptyDataError
 
@@ -51,7 +50,9 @@ def write_manifest(path, config_text: str, version: str, command: str,
         ("config_sha256", digest),
         ("tool_version", version),
         ("python_version", platform.python_version()),
-        ("numpy_version", np.__version__),
+        # A run that built no array never imported numpy.
+        ("numpy_version", getattr(sys.modules.get("numpy"), "__version__",
+                                  "not loaded")),
         ("command", command),
         ("timestamp", stamp),
         ("outputs", ";".join(str(o) for o in outputs)),

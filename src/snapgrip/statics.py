@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (InvalidArgumentError, NonConvergenceError,
                      NonFiniteStateError, NotBistableError, SaddleOrderError)
 # The model's functions are read from the module at each call, not bound
@@ -15,7 +13,7 @@ from .errors import (InvalidArgumentError, NonConvergenceError,
 # say), and must not keep the wrapper once the caller restores it.
 from . import model
 from .model import (DIFFERENCE_STEP, MAX_GRID_POINTS, ChainConfiguration,
-                    GripperDesign)
+                    GripperDesign, np)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
 BISECTION_TOL = 1e-12       # rad
@@ -49,15 +47,17 @@ class Equilibrium:
 @dataclass(frozen=True, slots=True)
 class EquilibriumReport:
     """All equilibria in the search window, ordered by bend angle, with
-    the window's grid and the gradient on it that they were found on."""
+    the window's grid and the gradient on it that they were found on:
+    read-only arrays, or tuples of floats from a scan without numpy."""
 
     equilibria: tuple
     open_state: Optional[Equilibrium] = None
     closed_state: Optional[Equilibrium] = None
     saddle: Optional[Equilibrium] = None
     snap_through_energy: Optional[float] = None
-    grid: np.ndarray = field(kw_only=True, compare=False, repr=False)
-    gradient: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    grid: Sequence[float] = field(kw_only=True, compare=False, repr=False)
+    gradient: Sequence[float] = field(kw_only=True, compare=False,
+                                      repr=False)
 
     @property
     def bistable(self) -> bool:
@@ -110,17 +110,38 @@ def _bracketed_root(f, lo, hi, f_lo, xtol=0.0, ftol=0.0, max_iter=200):
         f"its last midpoint")
 
 
+def _float_scan(design: GripperDesign, gradient, lo: float, hi: float,
+                n: int) -> tuple:
+    """(grid, gradient on it) as tuples of floats, equal bit for bit to
+    ``np.linspace(lo, hi, n)`` and ``gradient_1dof`` on it: the grid by
+    numpy's formula, the gradient from ``gradient``, the float gradient of
+    ``scalar_model``."""
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    if step == 0.0:     # numpy's order for a step below the float range
+        grid = [i / div * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    # Without gravity the array form adds a zero gravity term, which
+    # turns -0.0 into +0.0; adding -0.0 keeps every float as it is.
+    zero = 0.0 if design.gravity == 0.0 else -0.0
+    return tuple(grid), tuple([gradient(t) + zero for t in grid])
+
+
 def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
     """Locate every equilibrium of the reduced model in ``design.window``.
 
-    The gradient on the window's grid comes from ``window_gradient``,
-    which keeps the grid and gravity arc terms of recent windows; it must
-    be finite at every grid point, else NonFiniteStateError.  Sign changes
-    on the grid are bisected, and each root is refined and classified on
-    floats with the closures of ``scalar_model``: the gradient bisects its
-    cell and gives the curvature as a central difference, and the energy
-    gives its energy, each equal bit for bit to the array form.  The
-    report keeps the grid and the gradient on it, both read-only.
+    The gradient on the window's grid must be finite at every grid point,
+    else NonFiniteStateError.  With numpy loaded it comes from
+    ``window_gradient``, which keeps the grid and gravity arc terms of
+    recent windows; before, from ``_float_scan``, with the same bits, so
+    a cold call on one design does not load numpy.  Sign changes on the
+    grid are bisected, and each root is refined and classified on floats
+    with the closures of ``scalar_model``: the gradient bisects its cell
+    and gives the curvature as a central difference, and the energy gives
+    its energy, each equal bit for bit to the array form.  The report
+    keeps the grid and the gradient on it, both read-only.
 
     When exactly three equilibria alternate stable/unstable/stable the
     report identifies open state, saddle and closed state and the
@@ -130,23 +151,35 @@ def find_equilibria_1dof(design: GripperDesign) -> EquilibriumReport:
     spacings of the largest energy is lost to rounding and raises
     NonFiniteStateError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid, g = model.window_gradient(design)
-    if not np.isfinite(g).all():
-        raise NonFiniteStateError("the energy gradient is not finite at "
-                                  "every point of the solve window grid")
-    grid.flags.writeable = g.flags.writeable = False
     energy, gradient = model.scalar_model(design)
     # A grid point where the gradient is exactly zero is a root as it
     # stands; a cell whose ends differ in sign is bisected unless one of
     # its ends is such a root.
-    zero = g == 0.0
-    positive = g > 0
-    cells = np.flatnonzero((positive[:-1] != positive[1:])
-                           & ~zero[:-1] & ~zero[1:])
+    if model._numpy_loaded():
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid, g = model.window_gradient(design)
+        finite = np.isfinite(g).all()
+        grid.flags.writeable = g.flags.writeable = False
+        zero = g == 0.0
+        positive = g > 0
+        cells = np.flatnonzero((positive[:-1] != positive[1:])
+                               & ~zero[:-1] & ~zero[1:])
+        zeros = grid[zero].tolist()
+    else:
+        w = design.window
+        grid, g = _float_scan(design, gradient, w.theta_min, w.theta_max,
+                              w.grid_n)
+        finite = all(map(math.isfinite, g))
+        positive = [v > 0 for v in g]
+        cells = [i for i in range(len(g) - 1)
+                 if positive[i] != positive[i + 1]
+                 and g[i] != 0.0 and g[i + 1] != 0.0]
+        zeros = [t for t, v in zip(grid, g) if v == 0.0]
+    if not finite:
+        raise NonFiniteStateError("the energy gradient is not finite at "
+                                  "every point of the solve window grid")
     roots = [_bracketed_root(gradient, float(grid[i]), float(grid[i + 1]),
-                             g[i], xtol=BISECTION_TOL) for i in cells]
-    roots += grid[zero].tolist()
+                             g[i], xtol=BISECTION_TOL) for i in cells] + zeros
 
     h = DIFFERENCE_STEP
     equilibria = []
@@ -192,18 +225,24 @@ def trigger_moment(design: GripperDesign,
     """Smallest quasi-static closing moment that guarantees snap-through.
 
     Equals the maximum of the energy gradient between the open state and
-    the saddle.  ``report`` is the design's equilibrium report, if already
-    solved.
+    the saddle, searched on a 2,048-point grid that, like the window scan
+    of ``find_equilibria_1dof``, is arrays with numpy loaded and floats
+    before, with the same bits.  ``report`` is the design's equilibrium
+    report, if already solved.
     """
     report = require_bistable(design, report)
     lo, hi = report.open_state.theta, report.saddle.theta
-    grid = np.linspace(lo, hi, 2048)
-    g = np.asarray(model.gradient_1dof(grid, design), dtype=float)
-    i = int(np.argmax(g))
+    gradient = model.scalar_model(design)[1]
+    if model._numpy_loaded():
+        grid = np.linspace(lo, hi, 2048)
+        g = np.asarray(model.gradient_1dof(grid, design), dtype=float)
+        i = int(np.argmax(g))
+    else:
+        grid, g = _float_scan(design, gradient, lo, hi, 2048)
+        i = g.index(max(g))     # the first maximum, as np.argmax
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-    peak = _golden_section_max(model.scalar_model(design)[1], float(a),
-                               float(b), tol=1e-12)
+    b = grid[min(i + 1, len(grid) - 1)]
+    peak = _golden_section_max(gradient, float(a), float(b), tol=1e-12)
     return max(peak, float(g[i]))
 
 
@@ -253,11 +292,12 @@ def continuation_ramped_load(design: GripperDesign, tau_max: float,
                                    f"{MAX_GRID_POINTS}], got {n_steps}")
     if not math.isfinite(tau_max):
         raise InvalidArgumentError(f"tau_max must be finite, got {tau_max!r}")
+    model._load_numpy()     # the path is arrays, so the scan may be too
     report = find_equilibria_1dof(design)
     stables = [e for e in report.equilibria if e.stable]
     if not stables:
         raise NonConvergenceError("no stable equilibrium to start from")
-    grid, g = report.grid, report.gradient
+    grid, g = np.asarray(report.grid), np.asarray(report.gradient)
     gradient = model.scalar_model(design)[1]
     # In walk order, with g and the load negated for a falling load, the
     # stable branch always rises.

@@ -13,8 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from snapgrip import model
 from snapgrip.cli import main
 from snapgrip.config import build_design, build_solver_settings, load_config
+
+# numpy loads through the package before any test module imports it, with
+# one OpenBLAS thread, as in a CLI call that builds arrays.
+model._load_numpy()
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_CFG = REPO_ROOT / "configs" / "baseline.cfg"

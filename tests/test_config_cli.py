@@ -8,11 +8,13 @@ import math
 import re
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from snapgrip import cli, explore
+from snapgrip import cli, explore, model
 from snapgrip.config import (build_design, build_solver_settings,
                              load_config, parse_config, serialize_config)
 from snapgrip.dynamics import (closing_time, minimal_trigger_impulse,
@@ -1140,9 +1142,14 @@ def run_python(code, tmp_path, **variables):
     return res.stdout
 
 
+# A public call that builds an array, so loads numpy through the package.
+LOAD_NUMPY = "snapgrip.ChainConfiguration([0.0])"
+
+
 class TestStartup:
-    """``import snapgrip`` loads numpy with one OpenBLAS thread unless the
-    caller chose a thread count, and leaves ``os.environ`` as it was."""
+    """``import snapgrip`` does not load numpy; the package loads it where
+    it first builds an array, with one OpenBLAS thread unless the caller
+    chose a thread count, and leaves ``os.environ`` as it was."""
 
     @pytest.mark.parametrize("first, variables", [
         ("", {}),
@@ -1156,6 +1163,8 @@ class TestStartup:
             f"import json, os\n{first}\nbefore = dict(os.environ)\n"
             "import snapgrip\n"
             "assert dict(os.environ) == before\n"
+            f"{LOAD_NUMPY}\n"
+            "assert dict(os.environ) == before\n"
             f"print(json.dumps({{k: os.environ.get(k) "
             f"for k in {BLAS_THREAD_VARIABLES!r}}}))",
             tmp_path, **variables)
@@ -1165,18 +1174,83 @@ class TestStartup:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
     def test_import_starts_no_blas_threads(self, tmp_path):
-        out = run_python("import os, snapgrip\n"
+        # Counted after the import and again once numpy has loaded.
+        out = run_python("import os, sys, snapgrip\n"
+                         "print(len(os.listdir('/proc/self/task')))\n"
+                         f"{LOAD_NUMPY}\n"
+                         "assert 'numpy' in sys.modules\n"
                          "print(len(os.listdir('/proc/self/task')))",
                          tmp_path)
-        assert out.strip() == "1"
+        assert out.split() == ["1", "1"]
 
     def test_import_loads_the_model_and_config_only(self, tmp_path):
         out = run_python("import json, sys, snapgrip\n"
                          "print(json.dumps(sorted(m for m in sys.modules\n"
-                         "                        if 'snapgrip.' in m)))",
+                         "                        if 'snapgrip.' in m\n"
+                         "                        or m == 'numpy')))",
                          tmp_path)
         assert json.loads(out) == ["snapgrip.config", "snapgrip.errors",
                                    "snapgrip.model"]
+
+    @pytest.mark.parametrize("argv, overrides, code, loaded", [
+        (["snapthrough"], {}, 0, ["statics"]),
+        (["trigger"], {}, 0, ["statics"]),
+        (["gravitycheck"], {"gripper.gravity": 9.81}, 0,
+         ["dynamics", "statics"]),
+        (["snapthrough"], {"ring.stifness": 0.12}, 2, []),
+        (["snapthrough"], {"ring.stiffness": 0.0}, 2, ["statics"]),
+        (["equilibria"], {"material.model": "yeoh"}, 0, ["numpy", "statics"]),
+        (["landscape"], {}, 0, ["numpy"]),
+    ], ids=["snapthrough", "trigger", "gravitycheck", "unknown_key",
+            "monostable", "yeoh_equilibria", "landscape"])
+    def test_a_cold_call_loads_numpy_only_to_build_arrays(
+            self, tmp_path, argv, overrides, code, loaded):
+        # A subcommand loads only the solver layers it uses, and numpy
+        # only where it builds an array: a Yeoh law or a landscape.
+        cfg = write_config(tmp_path, overrides)
+        out = run_python(
+            "import json, sys\n"
+            "from snapgrip.cli import main\n"
+            f"code = main({argv + ['--config', str(cfg), '--out', 'out']!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "    if m == 'numpy' or m.startswith('snapgrip.'))]))",
+            tmp_path)
+        assert json.loads(out.splitlines()[-1]) == [code, sorted(
+            ["snapgrip.cli", "snapgrip.config", "snapgrip.errors",
+             "snapgrip.model", "snapgrip.report"]
+            + [m if m == "numpy" else f"snapgrip.{m}" for m in loaded])]
+        if code == 0:
+            manifest = (tmp_path / "out" / "run_manifest.txt").read_text()
+            assert ("numpy_version = not loaded\n" in manifest) == (
+                "numpy" not in loaded)
+
+    def test_a_study_loads_numpy_before_its_first_scan(self, tmp_path):
+        # A 2-point sweep: each scan takes the array form, window_gradient.
+        out = run_python(
+            "import json, sys\n"
+            "from snapgrip import model, run_sweep, SweepSpec\n"
+            "from snapgrip.config import build_design, load_config\n"
+            "loaded = 'numpy' in sys.modules\n"
+            f"design = build_design(load_config({str(BASELINE_CFG)!r}))\n"
+            "scans = []\n"
+            "window_gradient = model.window_gradient\n"
+            "model.window_gradient = lambda d: (scans.append(d),\n"
+            "                                   window_gradient(d))[1]\n"
+            "spec = SweepSpec(parameters=(('ring.stiffness',\n"
+            "                              (0.11, 0.13)),))\n"
+            "rows = run_sweep(design, spec).rows\n"
+            "print(json.dumps([loaded, len(rows), len(scans)]))", tmp_path)
+        loaded, rows, scans = json.loads(out)
+        assert loaded and rows == 2 and scans >= 2
+
+    def test_the_numpy_stand_in_gives_way_to_numpy(self, monkeypatch):
+        # A module holding the stand-in reads numpy's attributes through
+        # it once, and holds numpy itself from then on.
+        user = types.ModuleType("user")
+        user.np = model._LAZY_NUMPY
+        monkeypatch.setitem(sys.modules, "user", user)
+        assert user.np.linspace is np.linspace
+        assert user.np is np
 
     def test_every_export_resolves_to_its_home_object(self, tmp_path):
         # A fresh interpreter, so that each solver-layer name is resolved

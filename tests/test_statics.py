@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 import snapgrip.statics as statics
+from snapgrip import model
+from snapgrip.dynamics import simulate_1dof
 from snapgrip.errors import (DomainError, InvalidArgumentError,
                              NonConvergenceError, NonFiniteStateError,
-                             NotBistableError, SaddleOrderError)
+                             NotBistableError, SaddleOrderError,
+                             StepSizeError)
 from snapgrip.model import (DIFFERENCE_STEP, MAX_GRID_POINTS,
-                            ChainConfiguration,
+                            ChainConfiguration, LinearElastic,
                             SolveWindow, Yeoh,
                             set_design_value, total_energy_1dof,
                             gradient_1dof, chain_energy, chain_gradient,
-                            chain_gradient_hessian, uniform_chain,
-                            window_gradient)
+                            chain_gradient_hessian, scalar_model,
+                            uniform_chain, window_gradient)
 from snapgrip.statics import (_bracketed_root, continuation_ramped_load,
                               default_chain_seeds, find_equilibria_1dof,
                               find_equilibria_chain, require_bistable,
@@ -311,6 +314,121 @@ class TestScanBits:
                 np.testing.assert_array_equal(
                     g.view(np.int64), expected.view(np.int64))
                 assert grid.size == w.grid_n
+
+    def test_float_scan_matches_frozen_digest(self, baseline):
+        # Every test process has numpy loaded, so the scans of a cold call,
+        # on floats, are asked for here; continuation then reads a report
+        # of tuples.
+        on_floats(self.test_scan_and_continuation_match_frozen_digest,
+                  baseline)
+
+
+def on_floats(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the scans of a process without numpy."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_numpy_loaded", lambda: False)
+        return fn(*args, **kwargs)
+
+
+def random_linear_designs(baseline, count):
+    """``count`` linear designs drawn around the baseline, gravity in
+    [-10, 10] m/s^2 with a payload, each in one of the three windows of
+    ``scan_designs``."""
+    rng = np.random.default_rng(33)
+    windows = (baseline.window, SolveWindow(-0.0, math.pi),
+               SolveWindow(-2.5, 3.0, 3001))
+    for k in range(count):
+        d = baseline
+        for key, lo, hi in (("ring.stiffness", 0.0, 0.3),
+                            ("ring.well_center", 0.0, 0.6),
+                            ("finger.natural_curvature", 10.0, 30.0),
+                            ("gripper.payload_mass", 0.0, 0.01),
+                            ("gripper.gravity", -10.0, 10.0)):
+            d = set_design_value(d, key, float(rng.uniform(lo, hi)))
+        yield replace(d, window=windows[k % 3])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestFloatScan:
+    """The scans of a process without numpy give the bits of the array
+    form: the window scan of ``find_equilibria_1dof`` and the search grid
+    of ``trigger_moment``."""
+
+    @pytest.fixture(scope="class")
+    def designs(self, baseline):
+        linear = [d for d in scan_designs(baseline)
+                  if isinstance(d.finger.material, LinearElastic)]
+        # Without gravity, the float gradient of this design at the
+        # window's end, theta = -0.0, is -0.0, and the array form's +0.0.
+        signed_zero = set_design_value(set_design_value(
+            baseline, "finger.natural_curvature", 0.0),
+            "ring.well_center", -0.0)
+        return (linear + list(random_linear_designs(baseline, 120))
+                + [replace(signed_zero, window=SolveWindow(-math.pi, -0.0))])
+
+    def test_window_scan_equals_window_gradient(self, designs):
+        for d in designs:
+            w = d.window
+            grid, g = statics._float_scan(d, scalar_model(d)[1],
+                                          w.theta_min, w.theta_max, w.grid_n)
+            expected_grid, expected = window_gradient(d)
+            np.testing.assert_array_equal(bits(grid), bits(expected_grid))
+            np.testing.assert_array_equal(bits(g), bits(expected))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-322), (-1e308, 1e308)])
+    def test_grid_follows_linspace_at_the_float_range(self, baseline, lo,
+                                                      hi):
+        # A step below the float range, and a width beyond it.
+        grid, _ = statics._float_scan(baseline, scalar_model(baseline)[1],
+                                      lo, hi, 100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.linspace(lo, hi, 100)
+        np.testing.assert_array_equal(bits(grid), bits(expected))
+
+    def test_trigger_search_grid_and_argmax(self, designs):
+        bistable = 0
+        for d in designs:
+            report = find_equilibria_1dof(d)
+            if not report.bistable:
+                continue
+            bistable += 1
+            lo, hi = report.open_state.theta, report.saddle.theta
+            grid, g = statics._float_scan(d, scalar_model(d)[1], lo, hi,
+                                          2048)
+            expected = gradient_1dof(np.linspace(lo, hi, 2048), d)
+            np.testing.assert_array_equal(bits(g), bits(expected))
+            assert g.index(max(g)) == np.argmax(expected)
+            assert on_floats(trigger_moment, d) == trigger_moment(d)
+        assert bistable >= 50
+
+    def test_reports_of_both_scans_serve_continuation_alike(self, baseline):
+        d = replace(baseline, gravity=9.81)
+        report = on_floats(find_equilibria_1dof, d)
+        assert isinstance(report.grid, tuple)
+        assert report == find_equilibria_1dof(d)
+        for tau_max in (0.03, -0.03):
+            path = on_floats(continuation_ramped_load, d, tau_max, 60)
+            expected = continuation_ramped_load(d, tau_max, 60)
+            for name in ("taus", "thetas", "energies"):
+                np.testing.assert_array_equal(
+                    bits(getattr(path, name)), bits(getattr(expected, name)))
+            assert path.fold_points == expected.fold_points
+
+    def test_reports_of_both_scans_bound_the_step_alike(self, baseline):
+        # The window holds only the saddle, so the step bound is read from
+        # the report's grid and gradient.
+        saddle_only = replace(baseline, window=SolveWindow(0.0, 0.6, 601))
+        texts = []
+        for run in (on_floats, lambda fn, *a, **k: fn(*a, **k)):
+            with pytest.raises(StepSizeError) as caught:
+                run(simulate_1dof, saddle_only, 0.3, 0.0, dt=1.1e-4,
+                    t_end=0.01)
+            texts.append(str(caught.value))
+        assert texts[0] == texts[1]
+        assert "on the solve window" in texts[0]
 
 
 class TestTriggerMoment:
