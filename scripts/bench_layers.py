@@ -40,7 +40,10 @@ text and builds its design 100 times.  The chain layers evaluate the uniform
 chain at the open-state tip angle with n = 8, 32 and 128 segments, without
 gravity and at g = 9.81.  The ``yeoh_`` layers repeat
 the main 1-DOF and n = 32 chain layers on the baseline design with a Yeoh
-finger (c10 = 1e5 Pa).  The ``saddle_`` layers time ``saddle_search_chain``
+finger (c10 = 1e5 Pa), and ``yeoh_construct_x100`` builds that law, whose
+monotonic-stress check runs on 601 stretches, 100 times.  Each group
+loads numpy before its set-up, as a study does, so every equilibrium
+scan times the array form.  The ``saddle_`` layers time ``saddle_search_chain``
 alone, at n = 2, g = 0.3 and at g = 9.81 with n = 4, 8 and 32; their two
 minima are solved outside the timer.  The ``find_equilibria_chain_`` layers
 solve those minima from the designs' ``default_chain_seeds``, built outside
@@ -53,21 +56,24 @@ g = 7.  The ``continuation_`` layers ramp the baseline's closing moment
 to 1.5 times its trigger moment in 50 and 200 steps, without gravity and at
 g = 9.81, and ``continuation_g0_1000_steps_grid1e5`` in 1,000 steps on a
 ``solver.grid_n`` = 10^5 scan grid, where the cost of each load step's walk
-shows.  The eleven cold layers each start a fresh interpreter that imports
-``--src``, so they include start-up and imports:
+shows.  The fourteen cold layers each start a fresh interpreter that
+imports ``--src``, so they include start-up and imports:
 ``python_pass_cold`` runs ``python -c pass``, ``import_numpy_cold``
 imports numpy with one OpenBLAS thread, ``import_snapgrip_cold`` runs
 ``python -c "import snapgrip"``, ``import_snapgrip_cli_cold`` runs
-``python -c "import snapgrip.cli"``, and the seven ``cli_*_cold`` layers
+``python -c "import snapgrip.cli"``, and the ten ``cli_*_cold`` layers
 are CLI calls, each ``python -m snapgrip.cli COMMAND --config
 configs/baseline.cfg``: ``cli_snapthrough_cold`` runs ``snapthrough``,
 ``cli_trigger_cold`` ``trigger``, ``cli_gravitycheck_cold``
 ``gravitycheck``, ``cli_unknown_key_cold`` a ``snapthrough`` that a
 misspelt key in its configuration (``ring.stifness``) ends with exit 2,
-``cli_closingtime_cold`` ``closingtime``, ``cli_feacases_cold``
-``feacases``, and ``cli_sweep_5x5_cold`` a ``sweep`` over
-``--param ring.stiffness=0.1:0.14:5 --param
-finger.natural_curvature=18:22:5``.  Besides its wall time, each records
+``cli_closingtime_cold`` ``closingtime``, ``cli_gripforce_cold``
+``gripforce``, ``cli_feacases_cold`` ``feacases``, and
+``cli_sweep_5x5_cold`` a ``sweep`` over ``--param
+ring.stiffness=0.1:0.14:5 --param finger.natural_curvature=18:22:5``;
+``cli_equilibria_yeoh_cold`` and ``cli_closingtime_yeoh_cold`` run
+``equilibria`` and ``closingtime`` on a copy of the configuration with
+``material.model = yeoh`` (c10 = 1e5 Pa).  Besides its wall time, each records
 the child's CPU time (user + system, from the ``os.wait4`` rusage) as
 ``cpu_median_s`` and ``cpu_runs_s``, its peak RSS (``ru_maxrss`` of
 the same rusage) as ``maxrss_median_mib`` and ``maxrss_runs_mib``, and
@@ -271,6 +277,7 @@ def yeoh_layers(design):
     yeoh_chain = set_design_value(yeoh_gravity, "finger.n_segments", 32)
     yeoh_phi = uniform_chain(yeoh_chain, yeoh_report.open_state.theta)
     return [
+        ("yeoh_construct_x100", repeated(100, Yeoh, 1.0e5)),
         ("yeoh_gradient_1dof_scalar_g9.81_x1000",
          repeated(1000, gradient_1dof, 0.3, yeoh_gravity)),
         ("yeoh_total_energy_1dof_g9.81_x10",
@@ -301,6 +308,9 @@ def cold_layers(workdir):
     unknown_key = Path(workdir) / "unknown_key.cfg"
     unknown_key.write_text(BASELINE_CFG.read_text()
                            + "ring.stifness = 0.12\n")
+    yeoh = Path(workdir) / "yeoh.cfg"
+    yeoh.write_text(BASELINE_CFG.read_text().replace(
+        "material.model = linear", "material.model = yeoh"))
 
     def cli(*argv, config=BASELINE_CFG, code=0):
         return (["-m", "snapgrip.cli", *argv, "--config", str(config),
@@ -319,6 +329,9 @@ def cold_layers(workdir):
         "cli_unknown_key_cold": cli("snapthrough", config=unknown_key,
                                     code=2),
         "cli_closingtime_cold": cli("closingtime"),
+        "cli_gripforce_cold": cli("gripforce"),
+        "cli_equilibria_yeoh_cold": cli("equilibria", config=yeoh),
+        "cli_closingtime_yeoh_cold": cli("closingtime", config=yeoh),
         "cli_feacases_cold": cli("feacases"),
         "cli_sweep_5x5_cold": cli("sweep",
                                   "--param", "ring.stiffness=0.1:0.14:5",
@@ -396,7 +409,9 @@ def counted(names):
 
 def time_group(group, repeats):
     """Time and count the layers of one group in this process."""
+    from snapgrip import model
     from snapgrip.config import build_design, load_config
+    model.np.asarray(0.0)   # numpy loads, as in a study
     design = build_design(load_config(BASELINE_CFG))
     result = {}
     for name, run in GROUPS[group](design):

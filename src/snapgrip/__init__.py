@@ -34,7 +34,7 @@ _LAZY = {name: module for module, names in _EXPORTS.items()
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
 # numpy loads where the package first builds an array, through
-# ``model._load_numpy``, with one OpenBLAS thread unless the caller chose
+# ``model._bind_numpy``, with one OpenBLAS thread unless the caller chose
 # a count.
 for _module in _EAGER:
     _home = import_module(f".{_module}", __name__)

@@ -14,14 +14,13 @@ from .dynamics import (BARRIER_TOLERANCE, closing_time,
                        minimal_trigger_impulse, natural_frequency)
 from . import model  # functions looked up at each call, as in statics
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
-                    KEY_SPECS, GripperDesign)
+                    KEY_SPECS, GripperDesign, np)
 from .statics import (EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable, trigger_moment)
 
-# A study solves many designs, so numpy loads with this module and every
-# equilibrium scan of a study works on arrays, 10 to 25 times faster
-# than on floats on the default 4,096-point grid.
-np = model._load_numpy()
+# A study (a sweep, the morphology cases, a ring trim) solves many
+# designs, so it loads numpy when it starts and scans each on arrays, 10
+# to 25 times faster than on floats on the default 4,096-point grid.
 
 # The ring wraps the splayed fingers, so its radius (and with it the
 # opposing stiffness it can provide) grows linearly from base to tip.
@@ -155,6 +154,7 @@ def design_metrics(design: GripperDesign,
 
 def run_sweep(base: GripperDesign, spec: SweepSpec) -> SweepTable:
     """Evaluate the Cartesian product of the sweep, in lexicographic order."""
+    model._load_numpy()     # a study
     names = tuple(path for path, _ in spec.parameters)
     value_lists = [tuple(float(v) for v in values)
                    for _, values in spec.parameters]
@@ -232,6 +232,7 @@ def reproduce_fea_cases(base: GripperDesign,
     baseline's minimal trigger impulse, so closing times compare the
     mechanisms rather than the kicks.
     """
+    model._load_numpy()     # a study
     report = find_equilibria_1dof(base)
     if not report.bistable:
         raise NotBistableError("baseline design is not bistable")
@@ -350,6 +351,7 @@ def tune_ring_width(design: GripperDesign, target_barrier: float) -> float:
     and when even a vanishing ring keeps the barrier above the target.
     Each trial width is solved once.
     """
+    model._load_numpy()     # a study
     barriers = {}    # width_scale -> barrier, 0 where monostable
 
     def barrier(width_scale):

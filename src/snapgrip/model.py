@@ -29,15 +29,15 @@ from .errors import (CurvatureOutOfRangeError, InvalidDesignError,
 # ---------------------------------------------------------------------------
 
 # A cold CLI call that works on floats only (snap-through, trigger moment,
-# gravity check, a refused config) never imports numpy, which is about
-# half of its start-up.  Until numpy loads, ``np`` in the package's
-# modules is a stand-in whose first attribute read loads it.  OpenBLAS
-# then starts a thread pool (about 80 ms of CPU per process on a 2-core
-# x86-64 machine); snapgrip's BLAS calls (row dots, stacked mat-vec
-# products at n <= 128) are below OpenBLAS's threading threshold, so
-# numpy loads with one thread unless the caller chose a thread count.
-# os.environ ends as the caller left it, so child processes start as they
-# would have.
+# gravity check, grip force, a refused config, a Yeoh law short of its
+# exact branch) never imports numpy, which is about half of its start-up.
+# Until numpy loads, ``np`` in the package's modules is a stand-in whose
+# first attribute read loads it.  OpenBLAS then starts a thread pool
+# (about 80 ms of CPU per process on a 2-core x86-64 machine); snapgrip's
+# BLAS calls (row dots, stacked mat-vec products at n <= 128) are below
+# OpenBLAS's threading threshold, so numpy loads with one thread unless
+# the caller chose a thread count.  os.environ ends as the caller left
+# it, so child processes start as they would have.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                           "OMP_NUM_THREADS")
 
@@ -48,13 +48,19 @@ class _LazyNumpy:
     __slots__ = ()
 
     def __getattr__(self, name):
-        return getattr(_load_numpy(), name)
+        return getattr(_bind_numpy(), name)
 
 
 np = _LAZY_NUMPY = _LazyNumpy()
 
 
 def _load_numpy():
+    """numpy; a repeat call costs a dict lookup, not ``_bind_numpy``'s
+    walk of every module."""
+    return sys.modules.get("numpy") or _bind_numpy()
+
+
+def _bind_numpy():
     """numpy, imported with one OpenBLAS thread unless the caller chose a
     count, and bound as ``np`` in every module that held the stand-in
     (``python -m snapgrip.cli`` runs the CLI as ``__main__``), so that
@@ -294,8 +300,12 @@ class Yeoh:
                 f"Yeoh c20 and c30 must be at most 1e6 times c10 in "
                 f"magnitude, got c10 = {self.c10!r}, c20 = {self.c20!r}, "
                 f"c30 = {self.c30!r}")
-        stress = self.uniaxial_stress(np.linspace(0.5, 2.0, 601))
-        if np.any(np.diff(stress) <= 0):
+        # Floats, so that a Yeoh design loads no numpy: the points of
+        # np.linspace(0.5, 2.0, 601) (its formula gives the last as 2.0)
+        # and np.any(np.diff(stress) <= 0).
+        stress = [self.uniaxial_stress(i * (1.5 / 600) + 0.5)
+                  for i in range(601)]
+        if any(b - a <= 0 for a, b in zip(stress, stress[1:])):
             raise InvalidDesignError(
                 "Yeoh coefficients give non-monotonic uniaxial stress "
                 "on stretch in [0.5, 2.0]")
@@ -305,9 +315,9 @@ class Yeoh:
         return self.c10 + 2.0 * self.c20 * x + 3.0 * self.c30 * x * x
 
     def uniaxial_stress(self, stretch):
-        lam = np.asarray(stretch, dtype=float)
-        i1 = lam * lam + 2.0 / lam
-        return 2.0 * (lam * lam - 1.0 / lam) * self.dW_dI1(i1)
+        """The stress at ``stretch``, a float or a numpy array."""
+        i1 = stretch * stretch + 2.0 / stretch
+        return 2.0 * (stretch * stretch - 1.0 / stretch) * self.dW_dI1(i1)
 
 
 MaterialModel = Union[LinearElastic, Yeoh]

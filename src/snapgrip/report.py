@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import platform
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from .errors import EmptyDataError
@@ -45,11 +44,11 @@ def write_manifest(path, config_text: str, version: str, command: str,
                    outputs) -> None:
     """Flat key-value run manifest, emitted beside every output set."""
     digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     write_key_value(path, [
         ("config_sha256", digest),
         ("tool_version", version),
-        ("python_version", platform.python_version()),
+        ("python_version", sys.version.split()[0]),
         # A run that built no array never imported numpy.
         ("numpy_version", getattr(sys.modules.get("numpy"), "__version__",
                                   "not loaded")),

@@ -1,10 +1,12 @@
 """Configuration grammar, serialization, plots, and CLI contract tests."""
 
 import argparse
+import datetime
 import functools
 import importlib.util
 import json
 import math
+import platform
 import re
 import subprocess
 import sys
@@ -450,6 +452,19 @@ class TestCli:
         for key in ("config_sha256", "tool_version", "python_version",
                     "numpy_version", "command", "timestamp", "outputs"):
             assert key in manifest
+
+    def test_manifest_records_the_python_version_and_utc_time(self,
+                                                               tmp_path):
+        res = run_main("snapthrough", "--config", str(BASELINE_CFG),
+                       "--out", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 0
+        fields = dict(line.split(" = ", 1) for line in (
+            tmp_path / "run_manifest.txt").read_text().splitlines())
+        assert fields["python_version"] == platform.python_version()
+        stamp = datetime.datetime.strptime(fields["timestamp"],
+                                           "%Y-%m-%dT%H:%M:%SZ")
+        now = datetime.datetime.now(datetime.timezone.utc)
+        assert abs(now.replace(tzinfo=None) - stamp).total_seconds() < 60
 
     def test_monostable_design_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "mono.cfg"
@@ -1199,14 +1214,22 @@ class TestStartup:
          ["dynamics", "statics"]),
         (["snapthrough"], {"ring.stifness": 0.12}, 2, []),
         (["snapthrough"], {"ring.stiffness": 0.0}, 2, ["statics"]),
-        (["equilibria"], {"material.model": "yeoh"}, 0, ["numpy", "statics"]),
+        (["equilibria"], {"material.model": "yeoh"}, 0, ["statics"]),
+        (["closingtime"], {"material.model": "yeoh"}, 0,
+         ["dynamics", "statics"]),
+        (["gripforce"], {}, 0, ["dynamics", "explore", "statics"]),
+        # |kappa| t/2 reaches 0.3 in the window: the Yeoh law's exact branch.
+        (["equilibria"], {"material.model": "yeoh", "finger.thickness": 0.01},
+         0, ["numpy", "statics"]),
         (["landscape"], {}, 0, ["numpy"]),
     ], ids=["snapthrough", "trigger", "gravitycheck", "unknown_key",
-            "monostable", "yeoh_equilibria", "landscape"])
+            "monostable", "yeoh_equilibria", "yeoh_closingtime", "gripforce",
+            "yeoh_exact_branch", "landscape"])
     def test_a_cold_call_loads_numpy_only_to_build_arrays(
             self, tmp_path, argv, overrides, code, loaded):
         # A subcommand loads only the solver layers it uses, and numpy
-        # only where it builds an array: a Yeoh law or a landscape.
+        # only where it builds an array: the Yeoh law's exact branch or a
+        # landscape.
         cfg = write_config(tmp_path, overrides)
         out = run_python(
             "import json, sys\n"
@@ -1225,23 +1248,28 @@ class TestStartup:
                 "numpy" not in loaded)
 
     def test_a_study_loads_numpy_before_its_first_scan(self, tmp_path):
-        # A 2-point sweep: each scan takes the array form, window_gradient.
-        out = run_python(
-            "import json, sys\n"
-            "from snapgrip import model, run_sweep, SweepSpec\n"
-            "from snapgrip.config import build_design, load_config\n"
-            "loaded = 'numpy' in sys.modules\n"
-            f"design = build_design(load_config({str(BASELINE_CFG)!r}))\n"
-            "scans = []\n"
-            "window_gradient = model.window_gradient\n"
-            "model.window_gradient = lambda d: (scans.append(d),\n"
-            "                                   window_gradient(d))[1]\n"
-            "spec = SweepSpec(parameters=(('ring.stiffness',\n"
-            "                              (0.11, 0.13)),))\n"
-            "rows = run_sweep(design, spec).rows\n"
-            "print(json.dumps([loaded, len(rows), len(scans)]))", tmp_path)
-        loaded, rows, scans = json.loads(out)
-        assert loaded and rows == 2 and scans >= 2
+        # Importing explore loads no numpy; each study, in a fresh
+        # interpreter, has it at its first scan, which so takes the array
+        # form, window_gradient.
+        for study in ("run_sweep(design, explore.SweepSpec(\n"
+                      "    parameters=(('ring.stiffness', (0.11, 0.13)),)))",
+                      "tune_ring_width(design, 0.01)",
+                      "reproduce_fea_cases(design)"):
+            out = run_python(
+                "import json, sys\n"
+                "from snapgrip import explore, model\n"
+                "imported = 'numpy' in sys.modules\n"
+                "from snapgrip.config import build_design, load_config\n"
+                f"design = build_design(load_config({str(BASELINE_CFG)!r}))\n"
+                "scans = []\n"
+                "window_gradient = model.window_gradient\n"
+                "model.window_gradient = lambda d: (\n"
+                "    scans.append('numpy' in sys.modules),\n"
+                "    window_gradient(d))[1]\n"
+                f"explore.{study}\n"
+                "print(json.dumps([imported, scans]))", tmp_path)
+            imported, scans = json.loads(out)
+            assert not imported and scans and all(scans), study
 
     def test_the_numpy_stand_in_gives_way_to_numpy(self, monkeypatch):
         # A module holding the stand-in reads numpy's attributes through

@@ -375,6 +375,79 @@ class TestDesignInvariants:
         assert ring.wells == (0.35 - 1.25, 0.35 + 1.25)
 
 
+def _falls_on_arrays(c10, c20, c30):
+    """The array form of the Yeoh monotonic-stress check, on a law built
+    without the check: np.any(np.diff(stress) <= 0) on
+    np.linspace(0.5, 2.0, 601)."""
+    law = object.__new__(Yeoh)
+    for name, value in zip(("c10", "c20", "c30"), (c10, c20, c30)):
+        object.__setattr__(law, name, value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stress = law.uniaxial_stress(np.linspace(0.5, 2.0, 601))
+        return bool(np.any(np.diff(stress) <= 0))
+
+
+def _refused_as_falling(c10, c20, c30):
+    try:
+        Yeoh(c10, c20, c30)
+    except InvalidDesignError as exc:
+        assert "non-monotonic" in str(exc)
+        return True
+    return False
+
+
+# c10 of a soft solid, or so large that the coefficients at the ratio
+# bound overflow the stress to inf.
+_C10 = st.one_of(st.floats(-3.0, 9.0), st.floats(295.0, 308.2)).map(
+    lambda k: 10.0 ** k)
+
+
+@st.composite
+def _yeoh_near_the_check(draw):
+    """(c10, c20, c30) with c20 and c30 on a ray that reaches the ratio
+    bound, 1e6 * c10 (at most the largest float), or a drawn fraction of
+    it: its end, or, where the stress falls there, either side of where
+    it starts to fall along the ray."""
+    c10 = draw(_C10)
+    bound = min(1e6 * c10, 1.7976931348623157e308)
+    reach = draw(st.one_of(st.just(1.0),
+                           st.floats(0.0, 6.0).map(lambda k: 10.0 ** -k)))
+    # Off the quadrant c20, c30 > 0, whose stress never falls.
+    phi = draw(st.floats(0.5 * math.pi, 2.0 * math.pi))
+    u, v = math.cos(phi), math.sin(phi)
+    u, v = u / max(abs(u), abs(v)), v / max(abs(u), abs(v))
+
+    def point(s):
+        return c10, s * u * bound, s * v * bound
+
+    if not _falls_on_arrays(*point(reach)):
+        return point(reach)
+    lo, hi = 0.0, reach
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _falls_on_arrays(*point(mid)) else (mid, hi)
+    return point(draw(st.sampled_from((lo, hi))))
+
+
+class TestYeohMonotonicCheck:
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(_yeoh_near_the_check())
+    def test_float_verdict_is_the_array_verdict(self, coefficients):
+        assert _refused_as_falling(*coefficients) == _falls_on_arrays(
+            *coefficients)
+
+    @pytest.mark.parametrize("c10, c20, c30, falls", [
+        (1.0e5, -1.0e5, 0.0, True), (1.0e5, 1.0e11, -1.0e11, True),
+        (1.0e5, 1.0e11, 1.0e11, False),
+        # Overflow: inf and NaN differences, which do not fall, and a fall
+        # next to them.
+        (1.0e303, -1.7e308, 0.0, False), (1.0e303, -5.0e307, 0.0, True)])
+    def test_float_verdict_on_known_laws(self, c10, c20, c30, falls):
+        assert _refused_as_falling(c10, c20, c30) == falls
+        assert _falls_on_arrays(c10, c20, c30) == falls
+
+
 # ---------------------------------------------------------------------------
 # Reduced (1-DOF) energies
 # ---------------------------------------------------------------------------
