@@ -10,14 +10,15 @@ plain dict of every key's value, all SI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .errors import ConfigError, InvalidDesignError
-from .model import KEY_SPECS, GripperDesign, _read_value, design_from_values
+from .model import (KEY_SPECS, GripperDesign, _read_value, _record, _Record,
+                    design_from_values)
 
 
-@dataclass(frozen=True, slots=True)
-class SolverSettings:
+@_record
+class SolverSettings(_Record):
     """Settings of the studies; the solve window is part of the design."""
 
     dt: float

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .errors import (InvalidArgumentError, NonFiniteStateError, StepSizeError,
                      TargetUnreachableError)
 from . import model  # functions looked up at each call, as in statics
-from .model import DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign, np
+from .model import (DEFAULT_IMPULSE_FACTOR, KEY_SPECS, GripperDesign, _record,
+                    _Record, np)
 from .statics import (Equilibrium, EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable)
 
@@ -46,8 +47,8 @@ MAX_STEPS = 10 ** 6
 BARRIER_TOLERANCE = 1e-9  # J
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+@_record
+class Trajectory(_Record):
     """Time series from one simulation, with its energy audit."""
 
     times: np.ndarray
@@ -60,8 +61,8 @@ class Trajectory:
         return 0.5 * design.inertia * self.velocities ** 2
 
 
-@dataclass(frozen=True, slots=True)
-class ClosingEvent:
+@_record
+class ClosingEvent(_Record):
     """Outcome of a triggered closing attempt."""
 
     triggered: bool
@@ -311,8 +312,10 @@ def gravity_trigger_check(design: GripperDesign,
     return barrier < BARRIER_TOLERANCE, barrier
 
 
-@dataclass(frozen=True, slots=True)
-class FrequencyStudyRow:
+@_record
+class FrequencyStudyRow(_Record):
+    """One ring stiffness of the closing-time vs frequency study."""
+
     stiffness_scale: float
     stiffness: float
     bistable: bool

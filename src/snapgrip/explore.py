@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (BudgetExceededError, InvalidArgumentError,
@@ -14,7 +13,7 @@ from .dynamics import (BARRIER_TOLERANCE, closing_time,
                        minimal_trigger_impulse, natural_frequency)
 from . import model  # functions looked up at each call, as in statics
 from .model import (DEFAULT_IMPULSE_FACTOR, DEFAULT_OBJECT_HALFWIDTH,
-                    KEY_SPECS, GripperDesign, np)
+                    KEY_SPECS, GripperDesign, _record, _Record, np)
 from .statics import (EquilibriumReport, _bracketed_root,
                       find_equilibria_1dof, require_bistable, trigger_moment)
 
@@ -48,8 +47,8 @@ def ring_placement_variant(design: GripperDesign,
         design.ring.well_center - RING_SPLAY_WELL_SLOPE * delta_fraction)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
+@_record
+class SweepSpec(_Record):
     """Cartesian sweep over dotted design-parameter paths."""
 
     parameters: tuple          # ((path, (values...)), ...)
@@ -88,8 +87,10 @@ class SweepSpec:
         return math.prod(len(values) for _, values in self.parameters)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+@_record
+class SweepRow(_Record):
+    """The metrics of one sweep point, NaN where they do not apply."""
+
     values: tuple
     bistable: bool
     open_energy: float = math.nan
@@ -101,8 +102,10 @@ class SweepRow:
     closing_time: float = math.nan
 
 
-@dataclass(frozen=True, slots=True)
-class SweepTable:
+@_record
+class SweepTable(_Record):
+    """A sweep's rows, in the order of its points."""
+
     parameter_names: tuple
     rows: tuple
 
@@ -187,16 +190,18 @@ TRENDS = (
     ("higher_curvature", "snap_through", -1))
 
 
-@dataclass(frozen=True, slots=True)
-class CaseAssertion:
+@_record
+class CaseAssertion(_Record):
+    """One trend claim of the morphology cases and whether it holds."""
+
     name: str
     passed: bool
     detail: str
     skipped: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class MorphologyCaseReport:
+@_record
+class MorphologyCaseReport(_Record):
     """Baseline vs four morphology variants, with trend assertions."""
 
     baseline: dict

@@ -16,8 +16,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
+                         replace)
 from functools import lru_cache
+from inspect import Parameter, Signature
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .errors import (CurvatureOutOfRangeError, InvalidDesignError,
@@ -104,6 +107,132 @@ MAX_GRID_POINTS = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+# The package's records behave as ``@dataclass(frozen=True, slots=True)``
+# classes do, but that decorator compiles six methods a class with
+# ``exec``, 0.6-1 ms each: most of what a cold CLI call spent in the
+# package's own start-up.  ``_Record`` writes those methods once, and
+# ``_record`` makes each record a dataclass that generates none, so that
+# ``dataclasses.fields`` and ``replace`` work on it as before (which is
+# why ``dataclasses`` is still imported).
+
+_setattr = object.__setattr__
+
+
+class _Signature:
+    """``inspect.signature`` of a record class: its fields, as the
+    generated ``__init__`` of a dataclass gives them."""
+
+    def __get__(self, record, cls):
+        if cls.__init__ is not _Record.__init__:
+            return None         # inspect reads the class's own __init__
+        return Signature(
+            [Parameter(f.name, Parameter.KEYWORD_ONLY if f.kw_only
+                       else Parameter.POSITIONAL_OR_KEYWORD,
+                       default=(Parameter.empty if f.default is MISSING
+                                else f.default),
+                       annotation=f.type)
+             for f in sorted(fields(cls), key=attrgetter("kw_only"))],
+            return_annotation=None)
+
+
+class _Record:
+    """The methods of a frozen dataclass, shared by every record class
+    (see ``_record``): a record binds, compares, hashes and prints as a
+    ``@dataclass(frozen=True)`` of the same fields and refuses assignment.
+    """
+
+    __slots__ = ()
+    __signature__ = _Signature()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        # A call by keyword, as ``replace`` makes, needs no binding.
+        values = cls._defaults | kwargs
+        if args or values.keys() != cls._names_set:
+            values = cls._bind(args, kwargs)
+        for name, value in values.items():
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """Every field's value from the arguments of ``__init__``:
+        positional ones in field order, keywords, then defaults."""
+        call = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(cls._positional):
+            raise TypeError(f"{call} takes {len(cls._positional) + 1} "
+                            f"positional arguments but {len(args) + 1} "
+                            f"were given")
+        values = cls._defaults | dict(zip(cls._positional, args))
+        for name, value in kwargs.items():
+            if name not in cls._names_set:
+                raise TypeError(f"{call} got an unexpected keyword argument "
+                                f"{name!r}")
+            if name in cls._positional[:len(args)]:
+                raise TypeError(f"{call} got multiple values for argument "
+                                f"{name!r}")
+            values[name] = value
+        missing = [name for name in cls._names if name not in values]
+        if missing:
+            raise TypeError(f"{call} missing required argument(s): "
+                            f"{', '.join(map(repr, missing))}")
+        return values
+
+    def __post_init__(self):
+        pass                    # a record without checks
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        text = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._repr_names)
+        return f"{self.__class__.__qualname__}({text})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self._names]
+
+    def __setstate__(self, state):
+        for name, value in zip(self._names, state):
+            _setattr(self, name, value)
+
+
+def _record(cls):
+    """``cls``, a subclass of ``_Record``, made a slotted dataclass with
+    no generated method, and the field names its methods read."""
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    every = fields(cls)
+    cls._names = tuple(f.name for f in every)
+    cls._names_set = frozenset(cls._names)
+    cls._positional = tuple(f.name for f in every if not f.kw_only)
+    cls._defaults = {f.name: f.default for f in every
+                     if f.default is not MISSING}
+    cls._repr_names = tuple(f.name for f in every if f.repr)
+    # The tuple a frozen dataclass compares and hashes; attrgetter gives
+    # one for two names or more.
+    compared = tuple(f.name for f in every if f.compare)
+    cls._key = staticmethod(
+        attrgetter(*compared) if len(compared) > 1
+        else lambda record: (getattr(record, compared[0]),))
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Parameter registry: configuration keys and the design fields they set
 # ---------------------------------------------------------------------------
 
@@ -119,8 +248,8 @@ _UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 _FINITE = (math.isfinite, "must be finite")
 
 
-@dataclass(frozen=True, slots=True)
-class _KeySpec:
+@_record
+class _KeySpec(_Record):
     """One configuration key and the dotted attribute path it sets in a
     ``GripperDesign``, or ``None``: ``material.model`` picks the material,
     and a solver setting ``solver.NAME`` is the settings' field NAME.
@@ -264,8 +393,8 @@ def _check_fields(record, path: str) -> None:
 # The records below check each field against its rule in ``KEY_SPECS``
 # (``_check_fields``); only checks that span fields are written out here.
 
-@dataclass(frozen=True, slots=True)
-class LinearElastic:
+@_record
+class LinearElastic(_Record):
     """Linear elastic material, characterized by its Young's modulus."""
 
     youngs_modulus: float
@@ -274,8 +403,8 @@ class LinearElastic:
         _check_fields(self, "finger.material")
 
 
-@dataclass(frozen=True, slots=True)
-class Yeoh:
+@_record
+class Yeoh(_Record):
     """Incompressible Yeoh solid, cubic in the first invariant.
 
     ``c20``/``c30`` may take any sign and up to 1e6 times ``c10`` in
@@ -302,9 +431,15 @@ class Yeoh:
                 f"c30 = {self.c30!r}")
         # Floats, so that a Yeoh design loads no numpy: the points of
         # np.linspace(0.5, 2.0, 601) (its formula gives the last as 2.0)
-        # and np.any(np.diff(stress) <= 0).
+        # and np.any(np.diff(stress) <= 0).  A stress past the float range
+        # is refused first: no difference of inf or NaN is <= 0.
         stress = [self.uniaxial_stress(i * (1.5 / 600) + 0.5)
                   for i in range(601)]
+        if not all(map(math.isfinite, stress)):
+            raise InvalidDesignError(
+                f"Yeoh coefficients give a uniaxial stress that is not "
+                f"finite on stretch in [0.5, 2.0], got c10 = {self.c10!r}, "
+                f"c20 = {self.c20!r}, c30 = {self.c30!r}")
         if any(b - a <= 0 for a, b in zip(stress, stress[1:])):
             raise InvalidDesignError(
                 "Yeoh coefficients give non-monotonic uniaxial stress "
@@ -328,8 +463,8 @@ MATERIALS = {"linear": LinearElastic, "yeoh": Yeoh}
 # Geometry / design records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CrossSection:
+@_record
+class CrossSection(_Record):
     """Rectangular finger cross-section."""
 
     width: float
@@ -351,8 +486,8 @@ class CrossSection:
         return self.width * self.thickness ** 3 / 12.0
 
 
-@dataclass(frozen=True, slots=True)
-class FingerDesign:
+@_record
+class FingerDesign(_Record):
     """One finger: a slender pre-curved elastic beam."""
 
     length: float
@@ -383,8 +518,8 @@ class FingerDesign:
         return 6.0 * self.material.c10 * i
 
 
-@dataclass(frozen=True, slots=True)
-class RingDesign:
+@_record
+class RingDesign(_Record):
     """Elastic ring wrapped around the fingers, bistable by itself.
 
     The two zero-energy bend angles (on the tip-angle scale) are
@@ -412,8 +547,8 @@ class RingDesign:
                 self.well_center + self.well_halfwidth)
 
 
-@dataclass(frozen=True, slots=True)
-class SolveWindow:
+@_record
+class SolveWindow(_Record):
     """Bend-angle range and grid size of the equilibrium scan."""
 
     theta_min: float
@@ -430,8 +565,8 @@ DEFAULT_WINDOW = SolveWindow(KEY_SPECS["solver.theta_min"].default,
                              KEY_SPECS["solver.theta_max"].default)
 
 
-@dataclass(frozen=True, slots=True)
-class GripperDesign:
+@_record
+class GripperDesign(_Record):
     """Complete design: finger + ring + lumped dynamic parameters.
 
     ``gravity`` is the signed acceleration along the closing coordinate;
@@ -452,8 +587,8 @@ class GripperDesign:
         _check_fields(self, "")
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ChainConfiguration:
+@_record
+class ChainConfiguration(_Record):
     """Joint angles of the segment chain, one per segment, packed as
     float64 bytes: 8 bytes an angle, where a tuple of floats takes 40.
     Configurations are equal when their angles are equal bit for bit."""
@@ -476,8 +611,8 @@ class ChainConfiguration:
         return self.as_array()
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyLandscape:
+@_record
+class EnergyLandscape(_Record):
     """Total energy and its decomposition sampled on a bend-angle grid."""
 
     theta_grid: np.ndarray

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Sequence
 
 from .errors import (InvalidArgumentError, NonConvergenceError,
@@ -13,7 +13,7 @@ from .errors import (InvalidArgumentError, NonConvergenceError,
 # say), and must not keep the wrapper once the caller restores it.
 from . import model
 from .model import (DIFFERENCE_STEP, MAX_GRID_POINTS, ChainConfiguration,
-                    GripperDesign, np)
+                    GripperDesign, _record, _Record, np)
 
 GRADIENT_TOL = 1e-10        # N*m at reported equilibria
 BISECTION_TOL = 1e-12       # rad
@@ -24,8 +24,8 @@ MERGE_TOL = 1e-6            # rad, duplicate chain equilibria
 BARRIER_ULPS = 64
 
 
-@dataclass(frozen=True, slots=True)
-class Equilibrium:
+@_record
+class Equilibrium(_Record):
     """A stationary point of the energy, with stability information.
 
     ``curvature`` is the second derivative at the point (smallest Hessian
@@ -44,8 +44,8 @@ class Equilibrium:
         return "stable" if self.stable else "unstable"
 
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumReport:
+@_record
+class EquilibriumReport(_Record):
     """All equilibria in the search window, ordered by bend angle, with
     the window's grid and the gradient on it that they were found on:
     read-only arrays, or tuples of floats from a scan without numpy."""
@@ -64,8 +64,8 @@ class EquilibriumReport:
         return self.saddle is not None
 
 
-@dataclass(frozen=True, slots=True)
-class ContinuationPath:
+@_record
+class ContinuationPath(_Record):
     """Quasi-static response under a ramped closing moment."""
 
     taus: np.ndarray

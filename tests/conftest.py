@@ -4,6 +4,7 @@ in the test process, ``run_cli`` starts a fresh ``python -m snapgrip.cli``
 for the tests where a new interpreter is the point."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from snapgrip import model
+from snapgrip import config, dynamics, explore, model, statics
 from snapgrip.cli import main
 from snapgrip.config import build_design, build_solver_settings, load_config
 
@@ -23,6 +24,12 @@ model._load_numpy()
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_CFG = REPO_ROOT / "configs" / "baseline.cfg"
+
+# Every record class of the package: the dataclasses its modules define.
+RECORDS = [value for module in (model, config, statics, dynamics, explore)
+           for value in vars(module).values()
+           if isinstance(value, type) and dataclasses.is_dataclass(value)
+           and value.__module__ == module.__name__]
 
 
 def child_env():

@@ -32,8 +32,8 @@ from snapgrip.model import (KEY_SPECS, MAX_GRID_POINTS, CrossSection,
 from snapgrip.report import fmt, svg_grouped_bars, svg_line_plot
 from snapgrip.statics import (continuation_ramped_load, find_equilibria_1dof,
                               snap_through_energy, trigger_moment)
-from tests.conftest import (BASELINE_CFG, REPO_ROOT, child_env, run_cli,
-                            run_main)
+from tests.conftest import (BASELINE_CFG, RECORDS, REPO_ROOT, child_env,
+                            run_cli, run_main)
 
 
 class TestParseConfig:
@@ -669,6 +669,21 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_yeoh_stress_past_the_float_range_is_refused(self, tmp_path):
+        # Stress inf, NaN, then -inf on the stretch grid: no difference is
+        # <= 0, and the law is refused when it is built.
+        cfg = write_config(tmp_path, {"material.model": "yeoh",
+                                      "material.c10": "1e303",
+                                      "material.c20": "-1.7e308"})
+        res = run_main("snapthrough", "--config", str(cfg), "--out",
+                       str(tmp_path / "out"), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "snapgrip: error: Yeoh coefficients give a uniaxial stress that "
+            "is not finite on stretch in [0.5, 2.0], got c10 = 1e+303, "
+            "c20 = -1.7e+308, c30 = 0.0"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stiffness", ["8e13", "9e13"])
     def test_continuation_refuses_a_barrier_lost_to_rounding(
             self, tmp_path, baseline, stiffness):
@@ -1270,6 +1285,23 @@ class TestStartup:
                 "print(json.dumps([imported, scans]))", tmp_path)
             imported, scans = json.loads(out)
             assert not imported and scans and all(scans), study
+
+    def test_every_record_takes_its_methods_from_the_base(self):
+        # ``@dataclass(frozen=True)`` compiles six methods a class at
+        # import; every record shares those of ``_Record`` instead, but
+        # for ChainConfiguration's own __init__ and __repr__.
+        own = {(model.ChainConfiguration, "__init__"),
+               (model.ChainConfiguration, "__repr__")}
+        assert len(RECORDS) == 22
+        for cls in RECORDS:
+            assert issubclass(cls, model._Record), cls
+            for name in ("__init__", "__eq__", "__hash__", "__repr__",
+                         "__setattr__", "__delattr__"):
+                if (cls, name) in own:
+                    assert name in vars(cls)
+                else:
+                    assert getattr(cls, name) is getattr(model._Record,
+                                                         name), (cls, name)
 
     def test_the_numpy_stand_in_gives_way_to_numpy(self, monkeypatch):
         # A module holding the stand-in reads numpy's attributes through

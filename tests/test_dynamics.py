@@ -18,7 +18,7 @@ from snapgrip.explore import design_metrics
 from snapgrip.model import SolveWindow, Yeoh, set_design_value
 from snapgrip.statics import find_equilibria_1dof
 from snapgrip.dynamics import (CLOSING_STEP_FRACTION, CLOSING_T_MAX,
-                               MAX_STEP_FRACTION, MAX_STEPS,
+                               CLOSURE_BAND, MAX_STEP_FRACTION, MAX_STEPS,
                                calibrate_inertia, closing_time,
                                closing_time_vs_frequency_study,
                                FrequencyStudyRow, frequency_study_spearman,
@@ -405,6 +405,39 @@ class TestClosingCertificate:
         assert closing_time(d, impulse, report).triggered
         assert count % 4 == 0
         assert count // 4 == steps < full_hold_steps
+
+
+    @pytest.mark.parametrize("edge, side", [("theta_min", -1.0),
+                                            ("theta_max", 1.0)])
+    def test_no_early_end_when_the_band_leaves_the_window(
+            self, baseline, monkeypatch, edge, side):
+        # With one band edge beyond the window, the report cannot show that
+        # the closed state is the least energy in the band: the run steps
+        # through the whole hold, to the event the early end gives.  Both
+        # runs read the report of the full window.
+        report = find_equilibria_1dof(baseline)
+        inside = report.closed_state.theta + side * 0.5 * CLOSURE_BAND
+        narrow = replace(baseline,
+                         window=replace(baseline.window, **{edge: inside}))
+        impulse = 5.0 * minimal_trigger_impulse(baseline, report)
+        made = dynamics.model.scalar_model
+        calls = []
+
+        def counting_model(design):
+            energy, gradient = made(design)
+
+            def counted(theta):
+                calls[-1] += 1
+                return gradient(theta)
+            return energy, counted
+
+        monkeypatch.setattr(dynamics.model, "scalar_model", counting_model)
+        events = []
+        for d in (baseline, narrow):
+            calls.append(0)
+            events.append(closing_time(d, impulse, report))
+        assert events[0].triggered and events[0] == events[1]
+        assert calls == [4 * 1064, 4 * 1294]
 
 
 class TestNaturalFrequency:

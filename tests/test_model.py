@@ -1,9 +1,13 @@
 """Energy model unit tests: constitutive laws, reduced model, chain model."""
 
+import copy
+import dataclasses
 import hashlib
+import inspect
 import math
+import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from snapgrip.model import (ARC_SERIES_SWITCH, DEFAULT_WINDOW,
                             sample_landscape, scalar_model,
                             set_design_value, tip_chord, total_energy_1dof,
                             uniform_chain, window_gradient)
+from snapgrip.explore import SweepSpec
 from snapgrip.statics import find_equilibria_1dof
+from tests.conftest import RECORDS
 
 
 def pure_quartic_ring(k=1.0, center=0.0, halfwidth=1.0):
@@ -375,25 +381,37 @@ class TestDesignInvariants:
         assert ring.wells == (0.35 - 1.25, 0.35 + 1.25)
 
 
-def _falls_on_arrays(c10, c20, c30):
-    """The array form of the Yeoh monotonic-stress check, on a law built
-    without the check: np.any(np.diff(stress) <= 0) on
+def _array_verdict(c10, c20, c30):
+    """The array form of the Yeoh stress checks, on a law built without
+    them: (np.all(np.isfinite(stress)), np.any(np.diff(stress) <= 0)) on
     np.linspace(0.5, 2.0, 601)."""
     law = object.__new__(Yeoh)
     for name, value in zip(("c10", "c20", "c30"), (c10, c20, c30)):
         object.__setattr__(law, name, value)
     with np.errstate(over="ignore", invalid="ignore"):
         stress = law.uniaxial_stress(np.linspace(0.5, 2.0, 601))
-        return bool(np.any(np.diff(stress) <= 0))
+        return (bool(np.all(np.isfinite(stress))),
+                bool(np.any(np.diff(stress) <= 0)))
 
 
-def _refused_as_falling(c10, c20, c30):
+def _array_refusal(c10, c20, c30):
+    """The refusal the array form gives: a stress that is not finite
+    first, then one that falls; None for a law it accepts."""
+    finite, falls = _array_verdict(c10, c20, c30)
+    if not finite:
+        return "not finite"
+    return "non-monotonic" if falls else None
+
+
+def _refusal(c10, c20, c30):
+    """The refusal ``Yeoh`` gives, in ``_array_refusal``'s terms."""
     try:
         Yeoh(c10, c20, c30)
     except InvalidDesignError as exc:
-        assert "non-monotonic" in str(exc)
-        return True
-    return False
+        (reason,) = [r for r in ("not finite", "non-monotonic")
+                     if r in str(exc)]
+        return reason
+    return None
 
 
 # c10 of a soft solid, or so large that the coefficients at the ratio
@@ -406,8 +424,8 @@ _C10 = st.one_of(st.floats(-3.0, 9.0), st.floats(295.0, 308.2)).map(
 def _yeoh_near_the_check(draw):
     """(c10, c20, c30) with c20 and c30 on a ray that reaches the ratio
     bound, 1e6 * c10 (at most the largest float), or a drawn fraction of
-    it: its end, or, where the stress falls there, either side of where
-    it starts to fall along the ray."""
+    it: its end, or, where the law is refused there, either side of where
+    its refusal starts along the ray: its stress falls or overflows."""
     c10 = draw(_C10)
     bound = min(1e6 * c10, 1.7976931348623157e308)
     reach = draw(st.one_of(st.just(1.0),
@@ -420,12 +438,13 @@ def _yeoh_near_the_check(draw):
     def point(s):
         return c10, s * u * bound, s * v * bound
 
-    if not _falls_on_arrays(*point(reach)):
+    if _array_refusal(*point(reach)) is None:
         return point(reach)
     lo, hi = 0.0, reach
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if _falls_on_arrays(*point(mid)) else (mid, hi)
+        lo, hi = ((lo, mid) if _array_refusal(*point(mid)) is not None
+                  else (mid, hi))
     return point(draw(st.sampled_from((lo, hi))))
 
 
@@ -434,8 +453,7 @@ class TestYeohMonotonicCheck:
     @hyp_settings(max_examples=150, deadline=None)
     @given(_yeoh_near_the_check())
     def test_float_verdict_is_the_array_verdict(self, coefficients):
-        assert _refused_as_falling(*coefficients) == _falls_on_arrays(
-            *coefficients)
+        assert _refusal(*coefficients) == _array_refusal(*coefficients)
 
     @pytest.mark.parametrize("c10, c20, c30, falls", [
         (1.0e5, -1.0e5, 0.0, True), (1.0e5, 1.0e11, -1.0e11, True),
@@ -444,8 +462,23 @@ class TestYeohMonotonicCheck:
         # next to them.
         (1.0e303, -1.7e308, 0.0, False), (1.0e303, -5.0e307, 0.0, True)])
     def test_float_verdict_on_known_laws(self, c10, c20, c30, falls):
-        assert _refused_as_falling(c10, c20, c30) == falls
-        assert _falls_on_arrays(c10, c20, c30) == falls
+        # ``falls``: whether a stress difference is <= 0.  Both 1e303 laws
+        # overflow, so they are refused as not finite before that.
+        finite = c10 < 1e303
+        assert _array_verdict(c10, c20, c30) == (finite, falls)
+        assert _refusal(c10, c20, c30) == _array_refusal(c10, c20, c30) == (
+            "non-monotonic" if finite and falls
+            else None if finite else "not finite")
+
+    def test_stress_past_the_float_range_is_refused(self):
+        # Stress inf at stretch 0.9, NaN at 1.0 and -inf from 1.001 on: no
+        # difference is <= 0, but the law is refused.
+        with pytest.raises(InvalidDesignError,
+                           match=r"^Yeoh coefficients give a uniaxial stress "
+                                 r"that is not finite on stretch in "
+                                 r"\[0\.5, 2\.0\], got c10 = 1e\+303, "
+                                 r"c20 = -1\.7e\+308, c30 = 0\.0$"):
+            Yeoh(1e303, -1.7e308)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,3 +1171,151 @@ class TestChainConfiguration:
     def test_non_finite_angle_rejected(self):
         with pytest.raises(InvalidDesignError, match="finite"):
             ChainConfiguration((0.1, math.inf))
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+def _record_sample(cls, baseline):
+    """An instance of the record class ``cls``: a real one where the
+    record checks its fields, else one of distinct floats."""
+    checked = {
+        model._KeySpec: model.KEY_SPECS["gripper.gravity"],
+        LinearElastic: baseline.finger.material,
+        Yeoh: Yeoh(1.0e5, 1.0e3, 10.0),
+        CrossSection: baseline.finger.cross_section,
+        FingerDesign: baseline.finger,
+        RingDesign: baseline.ring,
+        SolveWindow: baseline.window,
+        GripperDesign: baseline,
+        ChainConfiguration: ChainConfiguration((0.1, -0.2)),
+        SweepSpec: SweepSpec(parameters=(("ring.stiffness", (0.1, 0.2)),)),
+    }
+    if cls in checked:
+        return checked[cls]
+    assert cls.__post_init__ is model._Record.__post_init__
+    return cls(**{f.name: 0.5 + i for i, f in enumerate(fields(cls))})
+
+
+def _frozen_reference(cls):
+    """A ``@dataclass(frozen=True)`` of the fields of ``cls``, by its
+    name."""
+    return dataclasses.make_dataclass(
+        cls.__qualname__,
+        [(f.name, f.type, dataclasses.field(
+            default=f.default, kw_only=f.kw_only, compare=f.compare,
+            repr=f.repr)) for f in fields(cls)],
+        frozen=True)
+
+
+def _unchecked(cls, values):
+    """An instance of ``cls`` holding ``values``, built past its checks."""
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _field_spec(f):
+    return (f.name, f.type, f.default, f.default_factory, f.init, f.repr,
+            f.hash, f.compare, f.kw_only)
+
+
+def _name(cls):
+    return cls.__name__
+
+
+class TestRecords:
+    """Every record behaves as a ``@dataclass(frozen=True)`` of the same
+    fields: ``_Record`` gives each its methods, and ``_record`` makes it a
+    dataclass without generating any."""
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=_name)
+    def test_fields_and_signature(self, cls):
+        ref = _frozen_reference(cls)
+        assert list(map(_field_spec, fields(cls))) == list(
+            map(_field_spec, fields(ref)))
+        if cls is ChainConfiguration:       # its own __init__
+            assert str(inspect.signature(cls)) == "(joint_angles)"
+        else:
+            # By text: a NaN default is unequal to itself.
+            assert str(inspect.signature(cls)) == str(inspect.signature(ref))
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=_name)
+    def test_equality_hash_and_repr(self, cls, baseline):
+        sample = _record_sample(cls, baseline)
+        values = {f.name: getattr(sample, f.name) for f in fields(cls)}
+        ref_cls = _frozen_reference(cls)
+        ref = ref_cls(**values)
+        if cls is not ChainConfiguration:   # its own __repr__
+            assert repr(sample) == repr(ref)
+        assert hash(sample) == hash(ref)
+        assert sample == _unchecked(cls, values)
+        # Across classes, neither side compares.
+        assert sample.__eq__(ref) is NotImplemented
+        assert ref.__eq__(sample) is NotImplemented
+        assert sample != ref
+        for f in fields(cls):
+            changed = {**values, f.name: object()}
+            other = _unchecked(cls, changed)
+            assert (sample == other) is (ref == ref_cls(**changed)) \
+                is (not f.compare)
+            assert (hash(other) == hash(sample)) is (not f.compare)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=_name)
+    def test_assignment_is_refused(self, cls, baseline):
+        sample = _record_sample(cls, baseline)
+        ref = _frozen_reference(cls)(
+            **{f.name: getattr(sample, f.name) for f in fields(cls)})
+        for name in (fields(cls)[0].name, "not_a_field"):
+            for record in (sample, ref):
+                with pytest.raises(FrozenInstanceError,
+                                   match=f"^cannot assign to field '{name}'$"):
+                    setattr(record, name, 1.0)
+                with pytest.raises(FrozenInstanceError,
+                                   match=f"^cannot delete field '{name}'$"):
+                    delattr(record, name)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=_name)
+    def test_copies_round_trip(self, cls, baseline):
+        sample = _record_sample(cls, baseline)
+        copies = [copy.copy(sample), pickle.loads(pickle.dumps(sample))]
+        if cls is not ChainConfiguration:   # its __init__ takes angles
+            copies += [replace(sample, **{f.name: getattr(sample, f.name)})
+                       for f in fields(cls)]
+        for duplicate in copies:
+            assert duplicate is not sample
+            assert type(duplicate) is cls
+            assert duplicate == sample and hash(duplicate) == hash(sample)
+
+    @pytest.mark.parametrize("cls", [c for c in RECORDS
+                                     if c is not ChainConfiguration],
+                             ids=_name)
+    def test_arguments_bind_as_a_dataclass_binds_them(self, cls, baseline):
+        sample = _record_sample(cls, baseline)
+        values = {f.name: getattr(sample, f.name) for f in fields(cls)}
+        ref_cls = _frozen_reference(cls)
+        positional = [values[f.name] for f in fields(cls) if not f.kw_only]
+        keywords = {f.name: values[f.name] for f in fields(cls) if f.kw_only}
+        assert cls(*positional, **keywords) == sample
+        required = {f.name: values[f.name] for f in fields(cls)
+                    if f.default is MISSING}
+        bare = cls(**required)
+        for f in fields(cls):
+            if f.default is not MISSING:
+                assert getattr(bare, f.name) is f.default
+        first = fields(cls)[0].name
+        assert first in required
+        bad = [
+            # missing, duplicate, unexpected, surplus positional
+            ((), {k: v for k, v in required.items() if k != first}),
+            (positional[:1], {first: positional[0], **keywords}),
+            ((), {**values, "not_a_field": 1.0}),
+            ([*positional, 1.0], keywords),
+        ]
+        for args, kwargs in bad:
+            for make in (cls, ref_cls):
+                with pytest.raises(TypeError,
+                                   match=rf"^{cls.__qualname__}\.__init__\(\) "):
+                    make(*args, **kwargs)

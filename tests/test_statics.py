@@ -1014,6 +1014,30 @@ class TestChainNewton:
         assert statics._chain_newton(None, np.zeros(13)) is None
         assert len(given) == 1
 
+    def test_shift_grows_tenfold_until_the_hessian_solves(self,
+                                                          monkeypatch):
+        # diag(1, 0, -1e-12) is singular as it is and under the first
+        # shift, 1e-12 of its largest entry; the next, ten times that,
+        # makes it solvable, and one step reaches phi_0 = 1.
+        given = self._fake_model(
+            monkeypatch, lambda phi: [phi[0] - 1.0, 0.0, 0.0],
+            lambda phi: np.diag([1.0, 0.0, -1e-12]))
+        solved = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            solved.append(np.diag(a).tolist())
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        phi, hess = statics._chain_newton(None, [4.0, 0.5, 0.5])
+        assert abs(phi[0] - 1.0) < statics.CHAIN_GRAD_TOL
+        assert phi[1:].tolist() == [0.5, 0.5]
+        assert hess is given[phi.tobytes()]
+        lam = 1e-12 * 10.0
+        assert solved == [[1.0, 0.0, -1e-12], [1.0 + 1e-12, 1e-12, 0.0],
+                          [1.0 + lam, lam, -1e-12 + lam]]
+
     def test_step_that_never_descends_fails(self, monkeypatch):
         given = self._fake_model(monkeypatch, lambda phi: [1.0, 1.0],
                                  lambda phi: np.eye(2))
